@@ -1,0 +1,102 @@
+"""Per-identity error of `eulerlab all --format=json` against mpmath.
+
+Usage:
+
+    PYTHONPATH=src python -m eulerlab.cli all --format=json > new.json
+    python scripts/oracle_errors.py old.json new.json
+
+Each identity states that its two sides are equal, so one closed form,
+evaluated by mpmath at 30 digits, is the oracle for both.  For every
+identity the script prints the worst |lhs - oracle| and |rhs - oracle|
+over its evaluated points, one column pair per JSON file, and for two
+files the ratio of the second's worst error to the first's.  Needs
+mpmath; it is a measuring tool, not a dependency of the library.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import mpmath
+
+mpmath.mp.dps = 30
+_A = mpmath.glaisher
+
+
+def _eq9(s):
+    return 0.5 * mpmath.log(mpmath.pi) + 6 * mpmath.log(_A) - mpmath.mpf(7) / 6 * mpmath.log(2) - 1
+
+
+ORACLES = {
+    "eq2": lambda s: mpmath.euler,
+    "eq3": lambda s: mpmath.log(4 / mpmath.pi),
+    "eq4": lambda s: mpmath.euler,
+    "eq6": lambda s: mpmath.zeta(2),
+    "eq7": lambda s: mpmath.zeta(3),
+    "eq9": _eq9,
+    "eq10_limit": lambda s: _A,
+    "eq11": lambda s: mpmath.log(2),
+    "eq12": lambda s: mpmath.gamma(s + 2) * (mpmath.zeta(s + 2) - 1 / (s + 1)),
+    "eq14": lambda s: mpmath.euler,
+    "eq15": lambda s: mpmath.gamma(s + 2)
+    * (mpmath.altzeta(s + 2) + (1 - 2 * mpmath.altzeta(s + 1)) / (s + 1)),
+    "eq16": lambda s: mpmath.gamma(s),
+    "eq17": lambda s: mpmath.altzeta(s),
+    "eq18": lambda s: mpmath.gamma(s) * mpmath.altzeta(s),
+    "wallis": lambda s: mpmath.pi / 2,
+    "stirling": lambda s: mpmath.sqrt(2 * mpmath.pi),
+}
+
+
+def worst_errors(entries: list[dict]) -> dict[str, tuple[float, float]]:
+    """Identity id -> (worst lhs error, worst rhs error) against the oracle."""
+    worst: dict[str, tuple[float, float]] = {}
+    for entry in entries:
+        if entry.get("skipped"):
+            continue
+        s = entry["s"]
+        point = None if s is None else mpmath.mpc(s["re"], s["im"])
+        exact = complex(ORACLES[entry["id"]](point))
+        errs = [
+            abs(complex(entry[side]["re"], entry[side]["im"]) - exact)
+            for side in ("lhs", "rhs")
+        ]
+        old = worst.get(entry["id"], (0.0, 0.0))
+        worst[entry["id"]] = (max(old[0], errs[0]), max(old[1], errs[1]))
+    return worst
+
+
+def _ratio(new: float, old: float) -> str:
+    if old == 0.0:
+        return "=" if new == 0.0 else "inf"
+    return f"{new / old:.2f}"
+
+
+def main(paths: list[str]) -> int:
+    if len(paths) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    tables = []
+    for path in paths:
+        with open(path) as handle:
+            tables.append(worst_errors(json.load(handle)))
+    header = ["identity"]
+    for n in range(len(paths)):
+        header += [f"lhs[{n}]", f"rhs[{n}]"]
+    if len(paths) == 2:
+        header += ["lhs ratio", "rhs ratio"]
+    print("| " + " | ".join(header) + " |")
+    print("|" + "---|" * len(header))
+    for ident in tables[0]:
+        row = [ident]
+        for table in tables:
+            row += [f"{err:.2g}" for err in table[ident]]
+        if len(paths) == 2:
+            row += [_ratio(new, old) for new, old in zip(tables[1][ident], tables[0][ident])]
+        print("| " + " | ".join(row) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -483,37 +481,17 @@ def _range_values(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _max_workers(n_points: int) -> int:
-    raw = os.environ.get("EULERLAB_MAX_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(cap, n_points))
-
-
 def _evaluate_points(
     token: str, points: Sequence[complex], tol: float | None
 ) -> list[VerificationReport | SkippedPoint]:
     ident = get_identity(token)
     entries: list[VerificationReport | SkippedPoint] = []
-    survivors: list[complex] = []
-    order: list[tuple[int, str | complex]] = []
     for s in points:
         reason = _check_point(ident, s)
         if reason is None:
-            order.append((len(survivors), s))
-            survivors.append(s)
+            entries.append(verify(token, s, tol))
         else:
-            order.append((-1, SkippedPoint(token, s, reason)))
-    workers = _max_workers(len(survivors))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda p: verify(token, p, tol), survivors))
-    else:
-        reports = [verify(token, p, tol) for p in survivors]
-    for idx, payload in order:
-        entries.append(reports[idx] if idx >= 0 else payload)
+            entries.append(SkippedPoint(token, s, reason))
     return entries
 
 

@@ -2,18 +2,33 @@
 
 Gamma uses the 9-term Lanczos approximation (g = 7) on the right
 half-plane and the reflection formula elsewhere.  The alternating zeta
-function eta is summed by the Euler-transformation double sum, which
-converges geometrically for every complex argument; zeta and its
-derivative are obtained from eta through the factor 1 - 2**(1-s).  The
-pole of zeta at s = 1 is removed by ring extrapolation in
+function eta is summed by the Euler-transformation double sum; zeta and
+its derivative are obtained from eta through the factor 1 - 2**(1-s).
+The pole of zeta at s = 1 is removed by ring extrapolation in
 ``zeta_minus_pole``.
+
+The sum converges geometrically for every complex s, but in double
+precision its rows cancel once the weights (k+1)**-s grow, so accuracy
+falls with Re(s).  Absolute error of eta against mpmath (30 digits),
+with 0 <= Im(s) <= 2 and the default options:
+
+    Re(s) >= -1.5       about 1e-13
+    [-2, -1.5)          below 1e-12
+    [-3, -2)            about 1e-9
+    [-4, -3)            about 5e-8
+    [-5, -4)            about 3e-6
+    [-7, -5)            about 1e-2
+    below -7            no correct digits
+
+It also grows slowly with |Im(s)| (about 2e-11 at Im(s) = 60).  Nothing
+checks the argument; the functional equation for Re(s) < 1/2 (ROADMAP.md,
+item 4) is the planned fix.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +37,8 @@ from .errors import IllConditionedError, PoleError
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
+# Rows (outer terms) of the Euler-transformation table; max_terms limit.
+_TABLE_SIZE = 128
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -42,13 +59,15 @@ class EvalOptions:
     """Truncation controls for the eta/zeta series."""
 
     tol: float = 1e-13
-    max_terms: int = 128
+    max_terms: int = _TABLE_SIZE
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_terms < 16:
             raise ValueError("max_terms must be at least 16")
+        if self.max_terms > _TABLE_SIZE:
+            raise ValueError(f"max_terms must be at most {_TABLE_SIZE}")
 
 
 DEFAULT_OPTIONS = EvalOptions()
@@ -75,64 +94,56 @@ def gamma(s: complex) -> complex:
 #
 #   eta(s) = sum_{n>=0} 2**-(n+1) sum_{k=0..n} (-1)**k C(n,k) (k+1)**-s
 #
-# The scaled binomials 2**-(n+1) C(n,k) never exceed 1/2, so the inner
-# cancellation stays harmless in double precision.  Outer terms decay
-# like 2**-n; rows of the scaled table are built once and shared.
+# The scaled binomials 2**-(n+1) C(n,k) never exceed 1/2; the inner
+# cancellation stays harmless only while the weights (k+1)**-s stay
+# moderate (see the module docstring).  Outer terms decay like 2**-n.
+# Row n of _SCALED_BINOMIALS holds the scaled binomials of outer term n,
+# so one matrix-vector product gives every outer term at once.
 # --------------------------------------------------------------------------
 
-_row_cache: list[np.ndarray] = [np.array([0.5])]
-_row_lock = threading.Lock()
+def _scaled_binomial_table(size: int) -> np.ndarray:
+    table = np.zeros((size, size))
+    table[0, 0] = 0.5
+    for n in range(1, size):
+        table[n, 1 : n + 1] = table[n - 1, :n]
+        table[n, :n] += table[n - 1, :n]
+        table[n] *= 0.5
+    return table.astype(complex)
 
 
-def _scaled_binomial_rows(n_rows: int) -> list[np.ndarray]:
-    if len(_row_cache) < n_rows:
-        with _row_lock:
-            while len(_row_cache) < n_rows:
-                prev = _row_cache[-1]
-                row = np.zeros(len(prev) + 1)
-                row[: len(prev)] = prev
-                row[1:] += prev
-                _row_cache.append(0.5 * row)
-    return _row_cache
+_SCALED_BINOMIALS = _scaled_binomial_table(_TABLE_SIZE)
+_LOG_K1 = np.log(np.arange(1, _TABLE_SIZE + 1, dtype=float))  # log(k+1)
+_SIGNS = np.where(np.arange(_TABLE_SIZE) % 2 == 0, 1.0, -1.0)  # (-1)**k
 
 
-def _euler_transform(s: complex, weights: np.ndarray, opts: EvalOptions) -> complex:
-    rows = _scaled_binomial_rows(opts.max_terms)
-    total = 0.0 + 0.0j
-    small_run = 0
-    for n in range(opts.max_terms):
-        term = complex(rows[n] @ weights[: n + 1])
-        total += term
-        if abs(term) < opts.tol:
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-    return total
+def _euler_transform(weights: np.ndarray, opts: EvalOptions) -> complex:
+    # Sum the outer terms up to and including the third of three
+    # consecutive terms below tol (all of them if that never happens).
+    m = opts.max_terms
+    terms = _SCALED_BINOMIALS[:m, :m] @ weights
+    small = np.abs(terms) < opts.tol
+    run = small[:-2] & small[1:-1] & small[2:]
+    first = int(run.argmax())
+    stop = first + 3 if run[first] else m
+    return complex(terms[:stop].sum())
 
 
 def _alternating_powers(s: complex, count: int) -> np.ndarray:
     # (-1)**k (k+1)**-s for k = 0..count-1
-    k1 = np.arange(1, count + 1, dtype=float)
-    powers = np.exp(-s * np.log(k1))
-    powers[1::2] *= -1.0
-    return powers
+    return _SIGNS[:count] * np.exp(-s * _LOG_K1[:count])
 
 
 def eta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Alternating zeta function (entire); valid for every complex s."""
+    """Alternating zeta function (entire); see the module docstring for accuracy."""
     s = complex(s)
-    return _euler_transform(s, _alternating_powers(s, opts.max_terms), opts)
+    return _euler_transform(_alternating_powers(s, opts.max_terms), opts)
 
 
 def eta_prime(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Derivative of eta, by termwise differentiation of the same sum."""
     s = complex(s)
-    k1 = np.arange(1, opts.max_terms + 1, dtype=float)
-    weights = -np.log(k1) * np.exp(-s * np.log(k1))
-    weights[1::2] *= -1.0
-    return _euler_transform(s, weights, opts)
+    m = opts.max_terms
+    return _euler_transform(-_LOG_K1[:m] * _alternating_powers(s, m), opts)
 
 
 def _eta_zeta_factor(s: complex) -> complex:

@@ -136,16 +136,6 @@ class TestGrid:
                 assert abs(entry.s - (-1.0)) >= engine.EXCLUSION_RADIUS
                 assert abs(entry.s - (-2.0)) >= engine.EXCLUSION_RADIUS
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("EULERLAB_MAX_THREADS", "4")
-        parallel = grid("eq18", (1.0, 3.0, 0.5), (0.0, 1.0, 1.0))
-        monkeypatch.delenv("EULERLAB_MAX_THREADS")
-        serial = grid("eq18", (1.0, 3.0, 0.5), (0.0, 1.0, 1.0))
-        assert [e.s for e in parallel] == [e.s for e in serial]
-        assert [e.lhs for e in parallel if isinstance(e, VerificationReport)] == [
-            e.lhs for e in serial if isinstance(e, VerificationReport)
-        ]
-
 
 @pytest.fixture(scope="module")
 def entries():

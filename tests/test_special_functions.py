@@ -2,12 +2,16 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from eulerlab.core_numerics import integrate_semi_infinite
 from eulerlab.errors import IllConditionedError, PoleError
 from eulerlab.special_functions import (
+    _SCALED_BINOMIALS,
     EvalOptions,
+    _alternating_powers,
+    _euler_transform,
     eta,
     eta_prime,
     gamma,
@@ -72,7 +76,50 @@ class TestGamma:
                 assert abs(product - expected) / abs(expected) <= 1e-11
 
 
+def euler_transform_loop(weights, opts):
+    """Row-by-row reference for _euler_transform: add outer terms until
+    three consecutive ones fall below opts.tol."""
+    total = 0j
+    small_run = 0
+    for n in range(opts.max_terms):
+        term = sum(math.comb(n, k) * 2.0 ** -(n + 1) * weights[k] for k in range(n + 1))
+        total += term
+        small_run = small_run + 1 if abs(term) < opts.tol else 0
+        if small_run == 3:
+            break
+    return total
+
+
 class TestEta:
+    @pytest.mark.parametrize(
+        "opts",
+        [EvalOptions(), EvalOptions(max_terms=16), EvalOptions(tol=1e-10, max_terms=40)],
+    )
+    def test_matches_row_by_row_loop(self, opts):
+        # eta and eta' weights; the summation order differs, so allow a
+        # few dozen ulps of the O(1) result
+        rng = random.Random(0xB10)
+        log_k1 = np.log(np.arange(1, opts.max_terms + 1))
+        for _ in range(10):
+            s = complex(rng.uniform(-1.0, 4.0), rng.uniform(0.0, 2.0))
+            powers = _alternating_powers(s, opts.max_terms)
+            for weights in (powers, -log_k1 * powers):
+                fast = _euler_transform(weights, opts)
+                assert abs(fast - euler_transform_loop(list(weights), opts)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "terms,expected",
+        [
+            ([1, 0, 0, 2, 4, 0, 0, 0, 8] + [0] * 7, 7.0),  # stops after 0, 0, 0
+            ([1, 0, 0] * 5 + [1], 6.0),  # never three small terms: sums all 16
+        ],
+    )
+    def test_stopping_rule(self, terms, expected):
+        # weights chosen so that the outer terms are exactly `terms`
+        weights = np.linalg.solve(_SCALED_BINOMIALS[:16, :16], np.array(terms, complex))
+        opts = EvalOptions(tol=1e-10, max_terms=16)
+        assert abs(_euler_transform(weights, opts) - expected) <= 1e-9
+
     def test_special_values(self):
         assert abs(eta(1.0) - math.log(2.0)) <= 1e-12
         assert abs(eta(0.0) - 0.5) <= 1e-12
@@ -99,6 +146,11 @@ class TestEta:
             EvalOptions(tol=0.0)
         with pytest.raises(ValueError):
             EvalOptions(max_terms=8)
+
+    def test_max_terms_capped_at_table_size(self):
+        EvalOptions(max_terms=128)
+        with pytest.raises(ValueError, match="at most 128"):
+            EvalOptions(max_terms=129)
 
 
 class TestEtaPrime:
@@ -180,3 +232,41 @@ class TestZetaMinusPole:
         s = complex(s)
         direct = zeta(s) - 1.0 / (s - 1.0)
         assert abs(zeta_minus_pole(s) - direct) <= 1e-8
+
+
+class TestAgainstMpmath:
+    """Regression bounds against mpmath at 30 digits.
+
+    Measured worst errors: 9e-14 (eta) and 3e-13 (eta') on the panel,
+    4e-16 for zeta at the integers.
+    """
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield mpmath
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rng = random.Random(0xE7A)
+        return [
+            complex(rng.uniform(-1.5, 5.0), rng.uniform(0.0, 2.0)) for _ in range(300)
+        ]
+
+    def test_eta_on_panel(self, mp, panel):
+        worst = max(abs(eta(s) - complex(mp.altzeta(s))) for s in panel)
+        assert worst <= 2e-13
+
+    def test_eta_prime_on_panel(self, mp, panel):
+        worst = max(
+            abs(eta_prime(s) - complex(mp.diff(mp.altzeta, s))) for s in panel
+        )
+        assert worst <= 6e-13
+
+    def test_zeta_at_integers(self, mp):
+        opts = EvalOptions(tol=1e-15)
+        worst = max(
+            abs(zeta(float(n), opts) - float(mp.zeta(n))) for n in range(2, 52)
+        )
+        assert worst <= 2e-15
