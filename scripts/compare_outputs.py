@@ -1,0 +1,74 @@
+"""Byte-compare the CLI output of two eulerlab checkouts.
+
+Usage:
+
+    python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+For each checkout the script runs the CLI from that checkout's ``src/``
+in a fresh subprocess: ``all`` as text, json and csv; every ``const``
+(name, method) pair with its default ``--n`` in the same three formats;
+and one eq15 grid as json.  It compares stdout and the exit code of
+every command and exits 1 if any differ, naming each differing command.
+A refactor that must keep the numbers unchanged passes this check.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FORMATS = ("text", "json", "csv")
+
+CONST_PAIRS = (
+    ("gamma", "euler_formula"),
+    ("gamma", "series"),
+    ("ln4pi", "closed_form"),
+    ("ln4pi", "series"),
+    ("glaisher", "zeta_route"),
+    ("glaisher", "limit_ratio"),
+    ("sqrt2pi", "closed_form"),
+    ("sqrt2pi", "limit_ratio"),
+    ("ln2", "closed_form"),
+    ("ln2", "series"),
+)
+
+COMMANDS = (
+    [["all", f"--format={fmt}"] for fmt in FORMATS]
+    + [
+        ["const", name, f"--method={method}", f"--format={fmt}"]
+        for name, method in CONST_PAIRS
+        for fmt in FORMATS
+    ]
+    + [["grid", "eq15", "--re=-2.5:3:0.5", "--im=0:2:1", "--format=json"]]
+)
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulerlab.cli", *argv],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    differing = 0
+    for command in COMMANDS:
+        if run(parent, command) != run(change, command):
+            differing += 1
+            print(f"DIFF  {' '.join(command)}")
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

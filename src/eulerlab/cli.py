@@ -16,7 +16,7 @@ import math
 import re as _re
 import sys
 
-from . import constants, core_numerics, identity_engine, special_functions
+from . import constants, identity_engine, special_functions
 from .errors import EulerLabError, IllConditionedError, PoleError
 from .identity_engine import SkippedPoint, VerificationReport
 
@@ -37,7 +37,32 @@ _EVAL_FUNCTIONS = {
     "zeta_prime": lambda s: special_functions.zeta_prime(s, _EVAL_OPTS),
 }
 
-_CONST_NAMES = ("gamma", "ln4pi", "glaisher", "sqrt2pi", "ln2")
+
+def _closed_form(value: float):
+    return lambda n: constants.ConstantEstimate(value, "closed_form", 1, 0.0), None
+
+
+# (name, method) -> (estimator of n, default n); a name's first method is
+# its default.  Estimators look their routes up on `constants` at call
+# time, so wrappers installed on the module after import see the calls.
+_CONST_METHODS = {
+    ("gamma", "euler_formula"): (lambda n: constants.euler_formula_gamma(n), 50),
+    ("gamma", "series"): (lambda n: constants.euler_gamma_series(n), 10**6),
+    ("ln4pi", "closed_form"): (lambda n: constants.ln_4_over_pi(n, "closed_form"), None),
+    ("ln4pi", "series"): (lambda n: constants.ln_4_over_pi(n, "series"), 10**5),
+    ("glaisher", "zeta_route"): (lambda n: constants.glaisher_zeta(), None),
+    ("glaisher", "limit_ratio"): (lambda n: constants.glaisher_limit(n), 10**5),
+    ("sqrt2pi", "closed_form"): _closed_form(math.sqrt(2.0 * math.pi)),
+    ("sqrt2pi", "limit_ratio"): (
+        lambda n: constants.ConstantEstimate(
+            constants.stirling_ratio(n), "limit_ratio", n, 10.0 / n
+        ),
+        10**5,
+    ),
+    ("ln2", "closed_form"): _closed_form(math.log(2.0)),
+    ("ln2", "series"): (lambda n: constants.ln2_series(n), 10**6),
+}
+_CONST_NAMES = tuple(dict.fromkeys(name for name, _ in _CONST_METHODS))
 
 
 class UsageError(ValueError):
@@ -176,49 +201,12 @@ def cmd_eval(args) -> tuple[int, str, str]:
 
 
 def _const_estimate(name: str, method: str | None, n: int | None):
-    if name == "gamma":
-        method = method or "euler_formula"
-        if method == "series":
-            return constants.euler_gamma_series(n or 10**6)
-        if method == "euler_formula":
-            return constants.euler_formula_gamma(n or 50)
-    elif name == "ln4pi":
-        method = method or "closed_form"
-        if method in ("series", "closed_form"):
-            return constants.ln_4_over_pi(n or 10**5, method=method)
-    elif name == "glaisher":
-        method = method or "zeta_route"
-        if method == "limit_ratio":
-            return constants.glaisher_limit(n or 10**5)
-        if method == "zeta_route":
-            return constants.glaisher_zeta()
-    elif name == "sqrt2pi":
-        method = method or "closed_form"
-        if method == "limit_ratio":
-            n = n or 10**5
-            return constants.ConstantEstimate(
-                constants.stirling_ratio(n), "limit_ratio", n, 10.0 / n
-            )
-        if method == "closed_form":
-            return constants.ConstantEstimate(
-                math.sqrt(2.0 * math.pi), "closed_form", 1, 0.0
-            )
-    elif name == "ln2":
-        method = method or "closed_form"
-        if method == "series":
-            n = n or 10**6
-            series = core_numerics.sum_series(
-                lambda k: (1.0 if k % 2 else -1.0) / k, 1e-300, n, alternating=True
-            )
-            return constants.ConstantEstimate(
-                series.value.real if isinstance(series.value, complex) else series.value,
-                "series",
-                series.terms_used,
-                series.remainder_bound,
-            )
-        if method == "closed_form":
-            return constants.ConstantEstimate(math.log(2.0), "closed_form", 1, 0.0)
-    raise UsageError(f"invalid method {method!r} for constant {name!r}")
+    method = method or next(m for c, m in _CONST_METHODS if c == name)
+    try:
+        estimator, default_n = _CONST_METHODS[name, method]
+    except KeyError:
+        raise UsageError(f"invalid method {method!r} for constant {name!r}") from None
+    return estimator(default_n if n is None else n)
 
 
 def cmd_const(args) -> tuple[int, str, str]:

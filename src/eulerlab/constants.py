@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_numerics import sum_series
 from .special_functions import EvalOptions, zeta, zeta_prime
 
 METHODS = ("series", "limit_ratio", "closed_form", "zeta_route")
@@ -86,6 +87,21 @@ def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
     m = n_terms + 1.0
     bound = 1.0 / m - math.log1p(1.0 / m)
     return ConstantEstimate(value, "series", n_terms, bound)
+
+
+def ln2_series(n_terms: int) -> ConstantEstimate:
+    """Partial sum of the alternating harmonic series 1 - 1/2 + 1/3 - ...
+
+    Converges to ln 2; the bound is the first omitted term, 1/(N+1).
+    """
+    if n_terms < 1:
+        raise ValueError("n_terms must be positive")
+    series = sum_series(
+        lambda n: (1.0 if n % 2 else -1.0) / n, 1e-300, n_terms, alternating=True
+    )
+    return ConstantEstimate(
+        series.value, "series", series.terms_used, series.remainder_bound
+    )
 
 
 def wallis_partial(n_factors: int) -> float:

@@ -11,12 +11,12 @@ reported in the result, never raised.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import IntegrandError
+from .errors import DomainError, IntegrandError
 
 Integrand = Callable[[float], complex]
 
@@ -80,11 +80,8 @@ class ProductIntegrand:
 # (pi/2) cosh(t) / cosh(u)^2 = (pi/2) cosh(t) delta (2 - delta).
 # Level 0 uses step h=1 and stores k = 0, 1, 2, ...; level L >= 1 uses
 # step 2**-L and stores odd k only (the even nodes are reused).
+# Each level's table is built on first use and cached.
 # --------------------------------------------------------------------------
-
-_node_cache: dict[int, list[tuple[float, float]]] = {}
-_node_lock = threading.Lock()
-
 
 # Offsets below this floor are dropped: they would push algebraic
 # endpoint singularities with exponents near -1 into overflow while
@@ -94,7 +91,8 @@ _node_lock = threading.Lock()
 _DELTA_FLOOR = 1e-280
 
 
-def _make_nodes(level: int) -> list[tuple[float, float]]:
+@functools.cache
+def _nodes(level: int) -> tuple[tuple[float, float], ...]:
     h = 0.5 ** level
     ks = range(0, int(_T_CAP / h) + 1) if level == 0 else range(1, int(_T_CAP / h) + 1, 2)
     nodes = []
@@ -107,17 +105,7 @@ def _make_nodes(level: int) -> list[tuple[float, float]]:
             break
         weight = _HALF_PI * math.cosh(t) * delta * (2.0 - delta)
         nodes.append((delta, weight))
-    return nodes
-
-
-def _nodes(level: int) -> list[tuple[float, float]]:
-    try:
-        return _node_cache[level]
-    except KeyError:
-        with _node_lock:
-            if level not in _node_cache:
-                _node_cache[level] = _make_nodes(level)
-            return _node_cache[level]
+    return tuple(nodes)
 
 
 def _check_finite(fx: complex, x: float) -> complex:
@@ -242,15 +230,19 @@ def integrate_semi_infinite(
     The interval is truncated at the first T >= 50 where the analytic
     tail bound e^(-T) T^(p+1) (1 + (p+1)/T) clears tol/10; the bound is
     folded into the reported error estimate.  An integrable singularity
-    at 0 is allowed.
+    at 0 is allowed.  A decay exponent so large that the tail bound
+    overflows double precision raises DomainError.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     p = decay_exponent_hint
     T = 50.0
-    while _tail_bound(T, p) >= 0.1 * tol and T < 1000.0:
-        T += 10.0
-    tail = _tail_bound(T, p)
+    try:
+        while _tail_bound(T, p) >= 0.1 * tol and T < 1000.0:
+            T += 10.0
+        tail = _tail_bound(T, p)
+    except OverflowError:
+        raise DomainError(f"tail bound overflows for decay exponent {p!r}") from None
     finite = integrate_finite(f, 0.0, T, tol - tail if tol > tail else tol)
     return QuadratureResult(
         finite.value,

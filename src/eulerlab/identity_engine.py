@@ -1,10 +1,11 @@
 """Registry binding each verifiable identity to two evaluation routes.
 
 Every entry pairs a left-hand route with an algorithmically independent
-right-hand route (the two self-checks of single functions excepted) and
-produces machine-readable reports.  Reports never raise on numeric
-disagreement; pass/fail is decided by absolute error against the
-identity's tolerance.  All evaluation is deterministic: the random
+right-hand route (the two self-checks of single functions excepted) and,
+for parameterized identities, carries the points ``verify_all`` runs.
+Reports are machine-readable and never raise on numeric disagreement;
+pass/fail is decided by absolute error against the identity's
+tolerance.  All evaluation is deterministic: the random
 panels for the functional-equation and product-relation checks are
 drawn from a fixed seed.
 """
@@ -31,17 +32,18 @@ Route = Callable[[complex | None, float], tuple[complex, int]]
 
 @dataclass(frozen=True)
 class Identity:
-    """One registry entry.
+    """One registry entry: what the identity states, and how to check it.
 
-    ``lhs_ops``/``rhs_ops`` name the operations each route calls
-    directly (the audit surface for route independence);
-    ``self_check`` marks the two single-function consistency relations
-    whose sides necessarily share that function.
+    ``lhs``/``rhs`` are the two routes; ``lhs_ops``/``rhs_ops`` name the
+    operations each route calls directly (the audit surface for route
+    independence); ``self_check`` marks the two single-function
+    consistency relations whose sides necessarily share that function.
+    ``points`` are the parameter values ``verify_all`` runs; an identity
+    is parameterized exactly when it has them.
     """
 
     id: str
     description: str
-    parameterized: bool
     s_domain: float | None
     excluded_points: tuple[complex, ...]
     default_tol: float
@@ -49,7 +51,14 @@ class Identity:
     rhs_route: str
     lhs_ops: tuple[str, ...]
     rhs_ops: tuple[str, ...]
+    lhs: Route
+    rhs: Route
+    points: tuple[complex, ...] = ()
     self_check: bool = False
+
+    @property
+    def parameterized(self) -> bool:
+        return bool(self.points)
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,16 @@ def _quad(result: core_numerics.QuadratureResult) -> tuple[complex, int]:
     return result.value, result.evaluations
 
 
-# --- route implementations, one pair per identity -------------------------
+def _closed_form(value: float) -> Route:
+    value = complex(value)
+
+    def route(s, tol):
+        return value, 0
+
+    return route
+
+
+# --- route implementations (closed forms use _closed_form) -----------------
 
 def _eq2_lhs(s, tol):
     return _quad(integral_forms.I_minus(-1.0, _quad_tol(tol)))
@@ -98,10 +116,6 @@ def _eq3_lhs(s, tol):
     return _quad(integral_forms.I_plus(-1.0, _quad_tol(tol)))
 
 
-def _eq3_rhs(s, tol):
-    return complex(math.log(4.0) - math.log(math.pi)), 0
-
-
 def _eq4_lhs(s, tol):
     est = constants.euler_gamma_series(10**6)
     return complex(est.value), est.terms_or_n
@@ -109,10 +123,6 @@ def _eq4_lhs(s, tol):
 
 def _eq6_lhs(s, tol):
     return _quad(integral_forms.beukers_reduced(2, _quad_tol(tol)))
-
-
-def _eq6_rhs(s, tol):
-    return complex(math.pi**2 / 6.0), 0
 
 
 def _eq7_lhs(s, tol):
@@ -143,14 +153,8 @@ def _eq10_rhs(s, tol):
 
 
 def _eq11_lhs(s, tol):
-    series = core_numerics.sum_series(
-        lambda n: (1.0 if n % 2 else -1.0) / n, 1e-300, 10**5, alternating=True
-    )
-    return complex(series.value), series.terms_used
-
-
-def _eq11_rhs(s, tol):
-    return complex(math.log(2.0)), 0
+    est = constants.ln2_series(10**5)
+    return complex(est.value), est.terms_or_n
 
 
 def _eq12_lhs(s, tol):
@@ -212,192 +216,235 @@ def _wallis_lhs(s, tol):
     return complex(constants.wallis_partial(10**6)), 10**6
 
 
-def _wallis_rhs(s, tol):
-    return complex(math.pi / 2.0), 0
-
-
 def _stirling_lhs(s, tol):
     return complex(constants.stirling_ratio(10**5)), 10**5
 
 
-def _stirling_rhs(s, tol):
-    return complex(math.sqrt(2.0 * math.pi)), 0
+# --- parameter points ------------------------------------------------------
+
+def _range_values(lo: float, hi: float, step: float) -> list[float]:
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    values = []
+    k = 0
+    while True:
+        v = lo + k * step
+        if v > hi + 1e-9 * step:
+            break
+        values.append(v)
+        k += 1
+    return values
 
 
-def _ident(entries: Iterable[Identity]) -> dict[str, Identity]:
-    return {ident.id: ident for ident in entries}
+def _grid_points(
+    re_range: tuple[float, float, float], im_range: tuple[float, float, float]
+) -> tuple[complex, ...]:
+    # Row-major, re fastest.
+    res = _range_values(*re_range)
+    return tuple(complex(r, i) for i in _range_values(*im_range) for r in res)
 
 
-_REGISTRY: dict[str, Identity] = _ident(
-    [
+def _seeded_panel(
+    count: int,
+    re_lo: float,
+    re_hi: float,
+    im_lo: float,
+    im_hi: float,
+    avoid: tuple[complex, ...],
+    min_distance: float,
+) -> list[complex]:
+    rng = random.Random(PANEL_SEED)
+    points: list[complex] = []
+    while len(points) < count:
+        s = complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+        if all(abs(s - a) >= min_distance for a in avoid):
+            points.append(s)
+    return points
+
+
+def functional_equation_panel(count: int = 200) -> list[complex]:
+    """Seeded panel for the Gamma functional equation, clear of poles."""
+    return _seeded_panel(count, -3.0, 5.0, -3.0, 3.0, (0j, -1 + 0j, -2 + 0j, -3 + 0j), 0.25)
+
+
+def product_relation_panel(count: int = 25) -> list[complex]:
+    """Seeded panel for the eta/zeta product relation, clear of s = 1."""
+    return _seeded_panel(count, -3.0, 5.0, -3.0, 3.0, (1 + 0j,), 0.25)
+
+
+_REGISTRY: dict[str, Identity] = {
+    ident.id: ident
+    for ident in (
         Identity(
             "eq2",
             "Euler's constant as the minus-kernel integral at s = -1",
-            False, None, (), 1e-9,
+            None, (), 1e-9,
             "minus-kernel quadrature at s = -1",
             "geometrically convergent zeta series for Euler's constant",
             ("integral_forms.I_minus",),
             ("constants.euler_formula_gamma",),
+            _eq2_lhs, _gamma_reference,
         ),
         Identity(
             "eq3",
             "ln(4/pi) as the plus-kernel integral at s = -1",
-            False, None, (), 1e-9,
+            None, (), 1e-9,
             "plus-kernel quadrature at s = -1",
             "closed form ln 4 - ln pi",
             ("integral_forms.I_plus",),
             ("constants.ln_4_over_pi",),
+            _eq3_lhs, _closed_form(math.log(4.0) - math.log(math.pi)),
         ),
         Identity(
             "eq4",
             "Euler's formula linking gamma, ln(4/pi) and zeta(n)/(2^n n)",
-            False, None, (), 2e-6,
+            None, (), 2e-6,
             "harmonic-rate series sum_n (1/n - ln((n+1)/n)), 10^6 terms",
             "ln(4/pi) + 2 sum (-1)^n zeta(n)/(2^n n), 50 terms",
             ("constants.euler_gamma_series",),
             ("constants.euler_formula_gamma",),
+            _eq4_lhs, _gamma_reference,
         ),
         Identity(
             "eq6",
             "zeta(2) as the unit-square integral of 1/(1-xy)",
-            False, None, (), 1e-10,
+            None, (), 1e-10,
             "reduced quadrature of (-ln u)/(1-u)",
             "closed form pi^2/6",
             ("integral_forms.beukers_reduced",),
             (),
+            _eq6_lhs, _closed_form(math.pi**2 / 6.0),
         ),
         Identity(
             "eq7",
             "zeta(3) as half the unit-square integral of -ln(xy)/(1-xy)",
-            False, None, (), 1e-10,
+            None, (), 1e-10,
             "reduced quadrature of (-ln u)^2/(2(1-u))",
             "zeta(3) by the alternating-series continuation",
             ("integral_forms.beukers_reduced",),
             ("special_functions.zeta",),
+            _eq7_lhs, _eq7_rhs,
         ),
         Identity(
             "eq9",
             "plus-kernel integral at s = -2 equals ln(pi^(1/2) A^6 / (2^(7/6) e))",
-            False, None, (), 1e-8,
+            None, (), 1e-8,
             "plus-kernel quadrature at s = -2",
             "closed form from ln A = 1/12 - zeta'(-1)",
             ("integral_forms.I_plus",),
             ("constants.glaisher_zeta",),
+            _eq9_lhs, _eq9_rhs,
         ),
         Identity(
             "eq10_limit",
             "Glaisher-Kinkelin constant as its hyperfactorial limit ratio",
-            False, None, (), 1e-3,
+            None, (), 1e-3,
             "hyperfactorial ratio at n = 10^5",
             "exp(1/12 - zeta'(-1))",
             ("constants.glaisher_limit",),
             ("constants.glaisher_zeta",),
+            _eq10_lhs, _eq10_rhs,
         ),
         Identity(
             "eq11",
             "alternating harmonic series equals ln 2",
-            False, None, (), 1e-5,
+            None, (), 1e-5,
             "alternating harmonic partial sum, 10^5 terms",
             "closed form ln 2",
-            ("core_numerics.sum_series",),
+            ("constants.ln2_series",),
             (),
+            _eq11_lhs, _closed_form(math.log(2.0)),
         ),
         Identity(
             "eq12",
             "minus-kernel integral equals Gamma(s+2)[zeta(s+2) - 1/(s+1)]",
-            True, -2.0, (-1.0 + 0.0j,), 1e-8,
+            -2.0, (-1.0 + 0.0j,), 1e-8,
             "minus-kernel quadrature",
             "Gamma(s+2) times pole-removed zeta at s+2",
             ("integral_forms.I_minus",),
             ("integral_forms.rhs_eq12", "special_functions.gamma",
              "special_functions.zeta_minus_pole"),
+            _eq12_lhs, _eq12_rhs,
+            points=_grid_points((-1.5, 3.0, 0.5), (0.0, 1.0, 1.0)),
         ),
         Identity(
             "eq14",
             "zeta(s) - 1/(s-1) tends to Euler's constant as s -> 1",
-            False, None, (), 1e-6,
+            None, (), 1e-6,
             "Richardson extrapolation of pole-removed zeta to s = 1",
             "geometrically convergent zeta series for Euler's constant",
             ("special_functions.zeta_minus_pole",),
             ("constants.euler_formula_gamma",),
+            _eq14_lhs, _gamma_reference,
         ),
         Identity(
             "eq15",
             "plus-kernel integral equals Gamma(s+2)[eta(s+2) + (1-2 eta(s+1))/(s+1)]",
-            True, -3.0, (-1.0 + 0.0j, -2.0 + 0.0j), 1e-8,
+            -3.0, (-1.0 + 0.0j, -2.0 + 0.0j), 1e-8,
             "plus-kernel quadrature",
             "Gamma(s+2) times the eta bracket",
             ("integral_forms.I_plus",),
             ("integral_forms.rhs_eq15", "special_functions.gamma",
              "special_functions.eta", "special_functions.eta_prime"),
+            _eq15_lhs, _eq15_rhs,
+            points=_grid_points((-2.5, 3.0, 0.5), (0.0, 2.0, 1.0)),
         ),
         Identity(
             "eq16",
             "Gamma functional equation Gamma(s+1) = s Gamma(s)",
-            True, None, (), 1e-12,
+            None, (), 1e-12,
             "Gamma(s+1)/s",
             "Gamma(s)",
             ("special_functions.gamma",),
             ("special_functions.gamma",),
+            _eq16_lhs, _eq16_rhs,
+            points=tuple(functional_equation_panel()),
             self_check=True,
         ),
         Identity(
             "eq17",
             "eta(s) = (1 - 2^(1-s)) zeta(s)",
-            True, None, (), 1e-11,
+            None, (), 1e-11,
             "eta by the Euler-transformation sum",
             "(1 - 2^(1-s)) zeta(s)",
             ("special_functions.eta",),
             ("special_functions.zeta",),
+            _eq17_lhs, _eq17_rhs,
+            points=tuple(product_relation_panel()),
             self_check=True,
         ),
         Identity(
             "eq18",
             "integral of t^(s-1)/(e^t+1) equals Gamma(s) eta(s)",
-            True, 0.0, (), 1e-9,
+            0.0, (), 1e-9,
             "Fermi-Dirac-type quadrature",
             "Gamma(s) eta(s)",
             ("integral_forms.fermi_dirac",),
             ("special_functions.gamma", "special_functions.eta"),
+            _eq18_lhs, _eq18_rhs,
+            points=(1 + 0j, 2 + 0j, 3.5 + 0j, 2 + 1j),
         ),
         Identity(
             "wallis",
             "alternating product of (n+1)/n factors converges to pi/2",
-            False, None, (), 1e-6,
+            None, (), 1e-6,
             "partial product, 10^6 factors",
             "closed form pi/2",
             ("constants.wallis_partial",),
             (),
+            _wallis_lhs, _closed_form(math.pi / 2.0),
         ),
         Identity(
             "stirling",
             "n!/(n^(n+1/2) e^-n) converges to sqrt(2 pi)",
-            False, None, (), 1e-4,
+            None, (), 1e-4,
             "factorial ratio at n = 10^5",
             "closed form sqrt(2 pi)",
             ("constants.stirling_ratio",),
             (),
+            _stirling_lhs, _closed_form(math.sqrt(2.0 * math.pi)),
         ),
-    ]
-)
-
-_ROUTES: dict[str, tuple[Route, Route]] = {
-    "eq2": (_eq2_lhs, _gamma_reference),
-    "eq3": (_eq3_lhs, _eq3_rhs),
-    "eq4": (_eq4_lhs, _gamma_reference),
-    "eq6": (_eq6_lhs, _eq6_rhs),
-    "eq7": (_eq7_lhs, _eq7_rhs),
-    "eq9": (_eq9_lhs, _eq9_rhs),
-    "eq10_limit": (_eq10_lhs, _eq10_rhs),
-    "eq11": (_eq11_lhs, _eq11_rhs),
-    "eq12": (_eq12_lhs, _eq12_rhs),
-    "eq14": (_eq14_lhs, _gamma_reference),
-    "eq15": (_eq15_lhs, _eq15_rhs),
-    "eq16": (_eq16_lhs, _eq16_rhs),
-    "eq17": (_eq17_lhs, _eq17_rhs),
-    "eq18": (_eq18_lhs, _eq18_rhs),
-    "wallis": (_wallis_lhs, _wallis_rhs),
-    "stirling": (_stirling_lhs, _stirling_rhs),
+    )
 }
 
 
@@ -444,10 +491,9 @@ def verify(
     effective_tol = ident.default_tol if tol is None else float(tol)
     if not effective_tol > 0.0:
         raise ValueError("tol must be positive")
-    lhs_fn, rhs_fn = _ROUTES[token]
     start = time.perf_counter()
-    lhs, lhs_evals = lhs_fn(s, effective_tol)
-    rhs, rhs_evals = rhs_fn(s, effective_tol)
+    lhs, lhs_evals = ident.lhs(s, effective_tol)
+    rhs, rhs_evals = ident.rhs(s, effective_tol)
     elapsed = time.perf_counter() - start
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None
@@ -467,31 +513,16 @@ def verify(
     )
 
 
-def _range_values(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-9 * step:
-            break
-        values.append(v)
-        k += 1
-    return values
-
-
 def _evaluate_points(
-    token: str, points: Sequence[complex], tol: float | None
+    ident: Identity, points: Sequence[complex], tol: float | None
 ) -> list[VerificationReport | SkippedPoint]:
-    ident = get_identity(token)
     entries: list[VerificationReport | SkippedPoint] = []
     for s in points:
         reason = _check_point(ident, s)
         if reason is None:
-            entries.append(verify(token, s, tol))
+            entries.append(verify(ident.id, s, tol))
         else:
-            entries.append(SkippedPoint(token, s, reason))
+            entries.append(SkippedPoint(ident.id, s, reason))
     return entries
 
 
@@ -509,72 +540,24 @@ def grid(
     ident = get_identity(token)
     if not ident.parameterized:
         raise ValueError(f"identity {token} is not parameterized")
-    res = _range_values(*re_range)
-    ims = _range_values(*im_range)
-    points = [complex(r, i) for i in ims for r in res]
-    return _evaluate_points(token, points, tol)
-
-
-def _seeded_panel(
-    count: int,
-    re_lo: float,
-    re_hi: float,
-    im_lo: float,
-    im_hi: float,
-    avoid: tuple[complex, ...],
-    min_distance: float,
-) -> list[complex]:
-    rng = random.Random(PANEL_SEED)
-    points: list[complex] = []
-    while len(points) < count:
-        s = complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
-        if all(abs(s - a) >= min_distance for a in avoid):
-            points.append(s)
-    return points
-
-
-def functional_equation_panel(count: int = 200) -> list[complex]:
-    """Seeded panel for the Gamma functional equation, clear of poles."""
-    return _seeded_panel(count, -3.0, 5.0, -3.0, 3.0, (0j, -1 + 0j, -2 + 0j, -3 + 0j), 0.25)
-
-
-def product_relation_panel(count: int = 25) -> list[complex]:
-    """Seeded panel for the eta/zeta product relation, clear of s = 1."""
-    return _seeded_panel(count, -3.0, 5.0, -3.0, 3.0, (1 + 0j,), 0.25)
-
-
-# Canned parameter sets used by verify_all (and by the CLI's `all`).
-CANNED_GRIDS: dict[str, tuple[tuple[float, float, float], tuple[float, float, float]]] = {
-    "eq12": ((-1.5, 3.0, 0.5), (0.0, 1.0, 1.0)),
-    "eq15": ((-2.5, 3.0, 0.5), (0.0, 2.0, 1.0)),
-}
-CANNED_POINTS: dict[str, tuple[complex, ...]] = {
-    "eq18": (1 + 0j, 2 + 0j, 3.5 + 0j, 2 + 1j),
-}
+    return _evaluate_points(ident, _grid_points(re_range, im_range), tol)
 
 
 def verify_all(
     tol_overrides: dict[str, float] | None = None,
 ) -> list[VerificationReport | SkippedPoint]:
     """Run every identity: point identities once, parameterized ones on
-    their canned grids/panels.  The aggregate passes iff every report does."""
+    their default points.  The aggregate passes iff every report does."""
     overrides = tol_overrides or {}
     for token in overrides:
         get_identity(token)
     entries: list[VerificationReport | SkippedPoint] = []
     for ident in list_identities():
         tol = overrides.get(ident.id)
-        if not ident.parameterized:
+        if ident.parameterized:
+            entries.extend(_evaluate_points(ident, ident.points, tol))
+        else:
             entries.append(verify(ident.id, None, tol))
-        elif ident.id in CANNED_GRIDS:
-            re_range, im_range = CANNED_GRIDS[ident.id]
-            entries.extend(grid(ident.id, re_range, im_range, tol))
-        elif ident.id in CANNED_POINTS:
-            entries.extend(_evaluate_points(ident.id, CANNED_POINTS[ident.id], tol))
-        elif ident.id == "eq16":
-            entries.extend(_evaluate_points(ident.id, functional_equation_panel(), tol))
-        elif ident.id == "eq17":
-            entries.extend(_evaluate_points(ident.id, product_relation_panel(), tol))
     return entries
 
 

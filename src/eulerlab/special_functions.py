@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, PoleError
+from .errors import DomainError, IllConditionedError, PoleError
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -74,7 +74,12 @@ DEFAULT_OPTIONS = EvalOptions()
 
 
 def gamma(s: complex) -> complex:
-    """Gamma function for complex s; raises PoleError at 0, -1, -2, ..."""
+    """Gamma function for complex s; raises PoleError at 0, -1, -2, ...
+
+    Raises DomainError where the Lanczos power t**(s - 1/2) overflows,
+    which on the real axis starts near s = 143 (and, through the
+    reflection, near s = -141).
+    """
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleError("pole of Gamma")
@@ -86,7 +91,10 @@ def gamma(s: complex) -> complex:
     for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += c / (x + k)
     t = x + _LANCZOS_G + 0.5
-    return math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
+    try:
+        return math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        raise DomainError(f"Gamma overflows at s = {s}") from None
 
 
 # --------------------------------------------------------------------------

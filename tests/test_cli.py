@@ -3,9 +3,17 @@ import math
 
 import pytest
 
-from eulerlab.cli import fmt_complex, main, parse_complex, parse_range
+from eulerlab.cli import _CONST_METHODS, fmt_complex, main, parse_complex, parse_range
 
-from conftest import EQ9_VALUE, GLAISHER_A
+from conftest import EQ9_VALUE, EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI
+
+TRUE_CONSTANTS = {
+    "gamma": EULER_GAMMA,
+    "ln4pi": LN_4_OVER_PI,
+    "glaisher": GLAISHER_A,
+    "sqrt2pi": math.sqrt(2.0 * math.pi),
+    "ln2": math.log(2.0),
+}
 
 
 def run(capsys, *argv):
@@ -171,6 +179,24 @@ class TestConstCommand:
         code, _, _ = run(capsys, "const", "tau")
         assert code == 2
 
+    @pytest.mark.parametrize("name,method", list(_CONST_METHODS))
+    def test_every_method_within_its_bound(self, capsys, name, method):
+        code, out, _ = run(capsys, "const", name, f"--method={method}", "--format=json")
+        assert code == 0
+        payload = json.loads(out)
+        # euler_formula_gamma labels itself "series": ConstantEstimate has
+        # no "euler_formula" method, and changing the label changes output
+        expected = "series" if (name, method) == ("gamma", "euler_formula") else method
+        assert payload["method"] == expected
+        # closed forms report a zero bound; allow them rounding
+        bound = max(payload["error_bound"], 1e-12)
+        assert abs(payload["value"] - TRUE_CONSTANTS[name]) <= bound
+
+    @pytest.mark.parametrize("name", list(TRUE_CONSTANTS))
+    def test_first_method_is_default(self, capsys, name):
+        first = next(m for c, m in _CONST_METHODS if c == name)
+        assert run(capsys, "const", name) == run(capsys, "const", name, f"--method={first}")
+
 
 class TestExitCodeMatrix:
     @pytest.mark.parametrize(
@@ -198,6 +224,14 @@ class TestExitCodeMatrix:
             (["const", "sqrt2pi"], 0),
             (["const", "sqrt2pi", "--method=series"], 2),
             (["const", "nope"], 2),
+            (["const", "ln2", "--method=series", "--n=0"], 2),
+            (["const", "gamma", "--method=series", "--n=0"], 2),
+            (["const", "sqrt2pi", "--method=limit_ratio", "--n=0"], 2),
+            (["eval", "gamma", "171.5"], 2),
+            (["eval", "gamma", "172"], 2),
+            (["eval", "gamma", "-170.5"], 2),
+            (["verify", "eq16", "--s=172"], 2),
+            (["verify", "eq18", "--s=180"], 2),
             (["all", "--tol-override", "bad"], 2),
             (["all", "--tol-override", "eq999=1e-6"], 2),
         ],

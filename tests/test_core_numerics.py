@@ -10,7 +10,7 @@ from eulerlab.core_numerics import (
     refinement_history,
     sum_series,
 )
-from eulerlab.errors import IntegrandError
+from eulerlab.errors import DomainError, IntegrandError
 
 
 def basel_series_oracle(n_terms: int = 200000) -> tuple[float, float]:
@@ -113,6 +113,10 @@ class TestIntegrateSemiInfinite:
         )
         assert r.converged
         assert abs(r.value - math.gamma(p + 1.0)) <= r.abs_error_estimate
+
+    def test_tail_bound_overflow_raises_domain_error(self):
+        with pytest.raises(DomainError, match="tail bound"):
+            integrate_semi_infinite(lambda t: math.exp(-t), 1e-9, 179.0)
 
 
 class TestIntegrateUnitSquare:

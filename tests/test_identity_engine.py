@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eulerlab import constants
 from eulerlab import identity_engine as engine
 from eulerlab.core_numerics import integrate_unit_square
 from eulerlab.errors import DomainError
@@ -53,6 +54,16 @@ class TestRegistry:
                 continue
             shared = set(ident.lhs_ops) & set(ident.rhs_ops)
             assert all(op.startswith(CORE_OPS_PREFIX) for op in shared), ident.id
+
+    def test_default_points(self):
+        by_id = {ident.id: ident for ident in list_identities()}
+        parameterized = {token for token, i in by_id.items() if i.parameterized}
+        assert parameterized == {"eq12", "eq15", "eq16", "eq17", "eq18"}
+        assert by_id["eq16"].points == tuple(engine.functional_equation_panel())
+        assert by_id["eq17"].points == tuple(engine.product_relation_panel())
+        eq15 = grid("eq15", (-2.5, 3.0, 0.5), (0.0, 2.0, 1.0))
+        assert by_id["eq15"].points == tuple(e.s for e in eq15)
+        assert len(by_id["eq12"].points) == 10 * 2
 
 
 class TestVerify:
@@ -154,6 +165,14 @@ class TestVerifyAll:
         assert len(entries) >= 16
         tokens = {e.id for e in entries}
         assert tokens == {ident.id for ident in list_identities()}
+
+    def test_runs_each_identity_on_its_points(self, entries):
+        for ident in list_identities():
+            got = [e.s for e in entries if e.id == ident.id]
+            assert got == (list(ident.points) if ident.parameterized else [None])
+
+    def test_eq11_shares_the_ln2_series(self):
+        assert verify("eq11").lhs == constants.ln2_series(10**5).value
 
     def test_tol_override_fails_limit_route(self):
         report = verify("eq10_limit", tol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eulerlab.core_numerics import integrate_semi_infinite
-from eulerlab.errors import IllConditionedError, PoleError
+from eulerlab.errors import DomainError, IllConditionedError, PoleError
 from eulerlab.special_functions import (
     _SCALED_BINOMIALS,
     EvalOptions,
@@ -54,6 +54,11 @@ class TestGamma:
     @pytest.mark.parametrize("s", [0.0, -1.0, -2.0, -7.0])
     def test_poles(self, s):
         with pytest.raises(PoleError, match="pole of Gamma"):
+            gamma(s)
+
+    @pytest.mark.parametrize("s", [172.0, 171.5, -170.5])
+    def test_overflow_raises_domain_error(self, s):
+        with pytest.raises(DomainError, match="overflows"):
             gamma(s)
 
     def test_functional_equation_residual_on_seeded_panel(self):
