@@ -8,9 +8,13 @@ Usage:
 Each identity states that its two sides are equal, so one closed form,
 evaluated by mpmath at 30 digits, is the oracle for both.  For every
 identity the script prints the worst |lhs - oracle| and |rhs - oracle|
-over its evaluated points, one column pair per JSON file, and for two
-files the ratio of the second's worst error to the first's.  Needs
-mpmath; it is a measuring tool, not a dependency of the library.
+over its evaluated points, one column pair per JSON file.  For two
+files it adds the ratio of the second's worst error to the first's and
+the number of entries (matched by identity and point) whose
+``evaluations`` or ``pass`` differ, so "only the values moved" reads
+as a 0 in that column.  Any JSON list of reports works, ``grid`` output
+included.  Needs mpmath; it is a measuring tool, not a dependency of
+the library.
 """
 
 from __future__ import annotations
@@ -67,6 +71,27 @@ def worst_errors(entries: list[dict]) -> dict[str, tuple[float, float]]:
     return worst
 
 
+def changed_verdicts(old: list[dict], new: list[dict]) -> dict[str, int]:
+    """Identity id -> entries whose evaluations or pass differ between the files.
+
+    Entries are matched by (id, s); an entry present in only one file,
+    or skipped in one and evaluated in the other, counts as differing.
+    """
+    def keyed(entries):
+        return {
+            (e["id"], None if e["s"] is None else (e["s"]["re"], e["s"]["im"])): e
+            for e in entries
+        }
+
+    before, after = keyed(old), keyed(new)
+    counts: dict[str, int] = {}
+    for key in before.keys() | after.keys():
+        a, b = before.get(key, {}), after.get(key, {})
+        fields = ("skipped", "evaluations", "pass")
+        counts[key[0]] = counts.get(key[0], 0) + any(a.get(f) != b.get(f) for f in fields)
+    return counts
+
+
 def _ratio(new: float, old: float) -> str:
     if old == 0.0:
         return "=" if new == 0.0 else "inf"
@@ -77,15 +102,17 @@ def main(paths: list[str]) -> int:
     if len(paths) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
-    tables = []
+    files = []
     for path in paths:
         with open(path) as handle:
-            tables.append(worst_errors(json.load(handle)))
+            files.append(json.load(handle))
+    tables = [worst_errors(entries) for entries in files]
     header = ["identity"]
     for n in range(len(paths)):
         header += [f"lhs[{n}]", f"rhs[{n}]"]
     if len(paths) == 2:
-        header += ["lhs ratio", "rhs ratio"]
+        header += ["lhs ratio", "rhs ratio", "evals/pass changed"]
+        changed = changed_verdicts(*files)
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
     for ident in tables[0]:
@@ -94,6 +121,7 @@ def main(paths: list[str]) -> int:
             row += [f"{err:.2g}" for err in table[ident]]
         if len(paths) == 2:
             row += [_ratio(new, old) for new, old in zip(tables[1][ident], tables[0][ident])]
+            row.append(str(changed.get(ident, 0)))
         print("| " + " | ".join(row) + " |")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 from .core_numerics import sum_series
 from .special_functions import EvalOptions, zeta, zeta_prime
 
-METHODS = ("series", "limit_ratio", "closed_form", "zeta_route")
+METHODS = ("series", "limit_ratio", "closed_form", "zeta_route", "euler_formula")
 
 # zeta evaluations inside the reference gamma route run tighter than the
 # library default; their residual sets the 1e-13 floor in its bound.
@@ -64,7 +64,7 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
     tail = zeta(float(n_terms + 1), _REFERENCE_OPTS).real / (
         2.0**n_terms * (n_terms + 1)
     )
-    return ConstantEstimate(total, "series", n_terms, tail + 1e-13)
+    return ConstantEstimate(total, "euler_formula", n_terms, tail + 1e-13)
 
 
 def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:

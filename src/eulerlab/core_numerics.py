@@ -16,9 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, IntegrandError
 
 Integrand = Callable[[float], complex]
+# f(params, x) -> the (len(x), len(params)) values of one integrand per
+# parameter, at the nodes x shared by every row.
+RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 MAX_LEVEL = 12          # finest trapezoid step in the transformed variable is 2**-12
 _T_CAP = 6.3            # node offsets underflow beyond |t| ~ 6.2
@@ -197,6 +202,124 @@ def _tanh_sinh(
     return total, estimates, evals, converged
 
 
+# Nodes x rows evaluated per integrand call of the batched ladder, which
+# keeps each complex working array at 128 KB or less on every level but
+# the deepest two, where one row alone exceeds it.  Doubling it saves
+# about a tenth of a 2329-point eq15 sweep and adds 0.3 MB to its peak.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+@functools.cache
+def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (delta, weight, t) of _nodes(level) as arrays
+    h = 0.5 ** level
+    table = np.array(_nodes(level))
+    k = np.arange(len(table)) if level == 0 else 2 * np.arange(len(table)) + 1
+    return table[:, 0], table[:, 1], k * h
+
+
+def _walk_side(
+    f: RowIntegrand,
+    params: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    t: np.ndarray,
+    h: float,
+    thresh: np.ndarray,
+    inside: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side of one ladder level for a block of rows.
+
+    Mirrors the per-side walk of _tanh_sinh: a side stops before its
+    first node outside the interval, or after the second of two
+    consecutive contributions below thresh at t >= 1.  Returns the
+    contributions with everything past each row's stop zeroed, the
+    count of summed nodes, and the unresolved tail: the last
+    contribution (times h) of a row that ran out of nodes while still
+    above thresh, else 0.
+    """
+    n = len(x)
+    valid = int(inside.argmin()) if not inside.all() else n
+    fx = np.asarray(f(params, x[:valid]), dtype=complex)
+    contrib = w[:valid, None] * fx
+    mag = np.abs(contrib) * h
+    small = (mag < thresh) & (t[:valid, None] >= 1.0)
+    pair = small[1:] & small[:-1]
+    paired = pair.any(axis=0)
+    summed = np.where(paired, pair.argmax(axis=0) + 2, valid)
+    kept = np.arange(valid)[:, None] < summed
+    bad = kept & ~np.isfinite(fx)
+    if bad.any():
+        node = int(bad.any(axis=1).argmax())
+        raise IntegrandError(f"integrand invalid: non-finite value at x={float(x[node])!r}")
+    open_rows = ~paired & (valid == n) & (mag[-1] >= thresh)
+    return np.where(kept, contrib, 0.0), summed, np.where(open_rows, mag[-1], 0.0)
+
+
+def _tanh_sinh_rows(
+    f: RowIntegrand, params: np.ndarray, a: float, b: float, tols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder of _tanh_sinh for many integrands over one interval.
+
+    Row i integrates ``f(params[i], .)`` to ``tols[i]``.  Each level
+    evaluates every node of each side for the active rows, then applies
+    the scalar walk's per-side truncation with array operations, so a
+    row sums and counts exactly the nodes the scalar walk visits, adds
+    them in the same order, and raises IntegrandError only for a
+    non-finite value at one of them.  Converged rows leave the ladder.
+    Returns arrays (values, error estimates, evaluations, converged).
+    """
+    rows = len(params)
+    halfspan = 0.5 * (b - a)
+    thresh = tols * 1e-3
+    total = np.zeros(rows, dtype=complex)
+    estimate = np.full(rows, math.inf)
+    evals = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    unresolved = np.zeros(rows)
+    active = np.arange(rows)
+    for level in range(MAX_LEVEL + 1):
+        h = 0.5 ** level
+        delta, weight, t = _node_arrays(level)
+        w = halfspan * weight
+        x_hi = b - halfspan * delta
+        x_lo = a + halfspan * delta
+        # Level 0's first node (t = 0) is the midpoint, visited once.
+        lo = slice(1 if level == 0 else 0, None)
+        inside_hi = (x_hi < b) & (x_hi > a)
+        inside_lo = (x_lo > a) & (x_lo < b)
+        level_sum = np.zeros(len(active), dtype=complex)
+        block = max(1, _BLOCK_ELEMENTS // (2 * len(delta)))
+        for start in range(0, len(active), block):
+            idx = active[start : start + block]
+            p, th = params[idx], thresh[idx]
+            with np.errstate(all="ignore"):
+                hi = _walk_side(f, p, x_hi, w, t, h, th, inside_hi)
+                lo_side = _walk_side(f, p, x_lo[lo], w[lo], t[lo], h, th, inside_lo[lo])
+            # Sum in the scalar walk's order: hi_i then lo_i, node by node
+            # (a reduction over the leading axis adds sequentially).
+            walk = np.zeros((len(delta), 2, len(idx)), dtype=complex)
+            walk[: len(hi[0]), 0] = hi[0]
+            walk[lo.start : lo.start + len(lo_side[0]), 1] = lo_side[0]
+            level_sum[start : start + block] = walk.reshape(-1, len(idx)).sum(axis=0)
+            evals[idx] += hi[1] + lo_side[1]
+            unresolved[idx] = np.maximum(unresolved[idx], np.maximum(hi[2], lo_side[2]))
+        previous = total[active]
+        current = level_sum * h if level == 0 else 0.5 * previous + level_sum * h
+        total[active] = current
+        if level >= 1:
+            estimate[active] = np.abs(current - previous)
+            if level >= 2:
+                done = (estimate[active] <= tols[active]) & (unresolved[active] == 0.0)
+                converged[active[done]] = True
+                active = active[~done]
+        if not len(active):
+            break
+    stuck = unresolved > 0.0
+    estimate[stuck] = np.maximum(estimate[stuck], unresolved[stuck])
+    return total, estimate, evals, converged
+
+
 def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadratureResult:
     """Integrate f over the open interval (a, b) by tanh-sinh quadrature.
 
@@ -222,6 +345,29 @@ def _tail_bound(T: float, p: float) -> float:
     return math.exp(-T) * T ** (p + 1.0) * (1.0 + (p + 1.0) / T)
 
 
+def _truncation(tol: float, p: float) -> tuple[float, float, float]:
+    # (T, tail bound beyond T, tolerance left for the finite part (0, T))
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    T = 50.0
+    try:
+        while _tail_bound(T, p) >= 0.1 * tol and T < 1000.0:
+            T += 10.0
+        tail = _tail_bound(T, p)
+    except OverflowError:
+        raise DomainError(f"tail bound overflows for decay exponent {p!r}") from None
+    return T, tail, tol - tail if tol > tail else tol
+
+
+def _with_tail(finite: QuadratureResult, tail: float, tol: float) -> QuadratureResult:
+    return QuadratureResult(
+        finite.value,
+        finite.abs_error_estimate + tail,
+        finite.evaluations,
+        finite.converged and tail < 0.1 * tol,
+    )
+
+
 def integrate_semi_infinite(
     f: Integrand, tol: float, decay_exponent_hint: float
 ) -> QuadratureResult:
@@ -233,23 +379,43 @@ def integrate_semi_infinite(
     at 0 is allowed.  A decay exponent so large that the tail bound
     overflows double precision raises DomainError.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    p = decay_exponent_hint
-    T = 50.0
-    try:
-        while _tail_bound(T, p) >= 0.1 * tol and T < 1000.0:
-            T += 10.0
-        tail = _tail_bound(T, p)
-    except OverflowError:
-        raise DomainError(f"tail bound overflows for decay exponent {p!r}") from None
-    finite = integrate_finite(f, 0.0, T, tol - tail if tol > tail else tol)
-    return QuadratureResult(
-        finite.value,
-        finite.abs_error_estimate + tail,
-        finite.evaluations,
-        finite.converged and tail < 0.1 * tol,
-    )
+    T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
+    return _with_tail(integrate_finite(f, 0.0, T, finite_tol), tail, tol)
+
+
+def integrate_semi_infinite_many(
+    f: RowIntegrand,
+    params: Sequence[complex],
+    tol: float,
+    decay_exponent_hints: Sequence[float],
+) -> list[QuadratureResult]:
+    """``integrate_semi_infinite`` of one integrand family at many parameters.
+
+    ``f(params, x)`` returns the (len(x), len(params)) values of the
+    integrand for each parameter at the nodes x.  Row i of the result is
+    the integral for ``params[i]`` with ``decay_exponent_hints[i]``;
+    every row follows the single-integral ladder's rules, so it agrees
+    with ``integrate_semi_infinite`` up to rounding in the integrand and
+    raises the same errors.  Rows are refined together, in blocks of at
+    most _BLOCK_ELEMENTS nodes x rows, so memory stays bounded at any
+    refinement level.
+    """
+    params = np.asarray(params, dtype=complex)
+    cuts = [_truncation(tol, p) for p in decay_exponent_hints]
+    if len(cuts) != len(params):
+        raise ValueError("need one decay exponent hint per parameter")
+    results: list[QuadratureResult | None] = [None] * len(params)
+    # Rows with the same truncation point share their nodes.
+    for T in sorted({cut[0] for cut in cuts}):
+        rows = [i for i, cut in enumerate(cuts) if cut[0] == T]
+        finite_tols = np.array([cuts[i][2] for i in rows])
+        values, estimates, evals, converged = _tanh_sinh_rows(
+            f, params[rows], 0.0, T, finite_tols
+        )
+        for i, *finite in zip(rows, values.tolist(), estimates.tolist(),
+                              evals.tolist(), converged.tolist()):
+            results[i] = _with_tail(QuadratureResult(*finite), cuts[i][1], tol)
+    return results
 
 
 def integrate_unit_square(

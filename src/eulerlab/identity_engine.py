@@ -12,6 +12,7 @@ drawn from a fixed seed.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import random
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import constants, core_numerics, integral_forms, special_functions
-from .errors import DomainError, PoleError
+from .errors import DomainError, EulerLabError, PoleError
 
 EXCLUSION_RADIUS = 1e-6
 # Quadrature-backed routes keep a margin above the mathematical domain edge.
@@ -28,6 +29,14 @@ DOMAIN_MARGIN = 0.01
 PANEL_SEED = 0x5EED
 
 Route = Callable[[complex | None, float], tuple[complex, int]]
+# A route over many points at once: one (value, evaluations) per point.
+BatchRoute = Callable[[Sequence[complex], float], list[tuple[complex, int]]]
+
+# Below this many evaluable points a sweep runs its routes point by
+# point.  Measured for eq15 on a shared 2-core x86-64 VM: a batch of one
+# point costs 1.2-2.4 ms against 0.23-0.44 ms for the scalar routes, and
+# the two break even at 8-10 points.
+_BATCH_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +48,9 @@ class Identity:
     independence); ``self_check`` marks the two single-function
     consistency relations whose sides necessarily share that function.
     ``points`` are the parameter values ``verify_all`` runs; an identity
-    is parameterized exactly when it has them.
+    is parameterized exactly when it has them.  ``lhs_many``/``rhs_many``
+    optionally compute the same two routes for many points at once;
+    sweeps of enough points use them.
     """
 
     id: str
@@ -55,6 +66,8 @@ class Identity:
     rhs: Route
     points: tuple[complex, ...] = ()
     self_check: bool = False
+    lhs_many: BatchRoute | None = None
+    rhs_many: BatchRoute | None = None
 
     @property
     def parameterized(self) -> bool:
@@ -114,6 +127,10 @@ def _eq2_lhs(s, tol):
 
 def _eq3_lhs(s, tol):
     return _quad(integral_forms.I_plus(-1.0, _quad_tol(tol)))
+
+
+def _eq3_rhs(s, tol):
+    return complex(constants.ln_4_over_pi(1, "closed_form").value), 0
 
 
 def _eq4_lhs(s, tol):
@@ -183,6 +200,14 @@ def _eq15_lhs(s, tol):
 
 def _eq15_rhs(s, tol):
     return integral_forms.rhs_eq15(s), 0
+
+
+def _eq15_lhs_many(points, tol):
+    return [_quad(r) for r in integral_forms.I_plus_many(points, _quad_tol(tol))]
+
+
+def _eq15_rhs_many(points, tol):
+    return [(value, 0) for value in integral_forms.rhs_eq15_many(points)]
 
 
 def _eq16_lhs(s, tol):
@@ -293,7 +318,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form ln 4 - ln pi",
             ("integral_forms.I_plus",),
             ("constants.ln_4_over_pi",),
-            _eq3_lhs, _closed_form(math.log(4.0) - math.log(math.pi)),
+            _eq3_lhs, _eq3_rhs,
         ),
         Identity(
             "eq4",
@@ -388,6 +413,7 @@ _REGISTRY: dict[str, Identity] = {
              "special_functions.eta", "special_functions.eta_prime"),
             _eq15_lhs, _eq15_rhs,
             points=_grid_points((-2.5, 3.0, 0.5), (0.0, 2.0, 1.0)),
+            lhs_many=_eq15_lhs_many, rhs_many=_eq15_rhs_many,
         ),
         Identity(
             "eq16",
@@ -470,6 +496,13 @@ def _check_point(ident: Identity, s: complex) -> str | None:
     return None
 
 
+def _effective_tol(ident: Identity, tol: float | None) -> float:
+    effective_tol = ident.default_tol if tol is None else float(tol)
+    if not effective_tol > 0.0:
+        raise ValueError("tol must be positive")
+    return effective_tol
+
+
 def verify(
     token: str, s: complex | None = None, tol: float | None = None
 ) -> VerificationReport:
@@ -488,12 +521,14 @@ def verify(
         reason = _check_point(ident, s)
         if reason is not None:
             raise DomainError(reason)
-    effective_tol = ident.default_tol if tol is None else float(tol)
-    if not effective_tol > 0.0:
-        raise ValueError("tol must be positive")
+    effective_tol = _effective_tol(ident, tol)
     start = time.perf_counter()
-    lhs, lhs_evals = ident.lhs(s, effective_tol)
-    rhs, rhs_evals = ident.rhs(s, effective_tol)
+    batched = (_BATCH.get() or {}).get((token, effective_tol, s))
+    if batched is None:
+        lhs, lhs_evals = ident.lhs(s, effective_tol)
+        rhs, rhs_evals = ident.rhs(s, effective_tol)
+    else:
+        (lhs, lhs_evals), (rhs, rhs_evals) = batched
     elapsed = time.perf_counter() - start
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None
@@ -513,17 +548,42 @@ def verify(
     )
 
 
+# Route values a sweep computed in one batch, keyed by (identity id, tol,
+# s) and read by that sweep's own verify calls.  A context variable, so
+# concurrent callers never see each other's batch.
+_BATCH: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "eulerlab_route_batch", default=None
+)
+
+
+def _route_batch(ident: Identity, points: list[complex], tol: float | None):
+    # The batch for _BATCH, or None where the sweep runs point by point.
+    if ident.lhs_many is None or len(points) < _BATCH_MIN_POINTS:
+        return None
+    effective_tol = _effective_tol(ident, tol)
+    try:
+        lhs = ident.lhs_many(points, effective_tol)
+        rhs = ident.rhs_many(points, effective_tol)
+    except (EulerLabError, ArithmeticError):
+        # The point-by-point loop raises the same error at its point.
+        return None
+    return {(ident.id, effective_tol, s): pair for s, pair in zip(points, zip(lhs, rhs))}
+
+
 def _evaluate_points(
     ident: Identity, points: Sequence[complex], tol: float | None
 ) -> list[VerificationReport | SkippedPoint]:
-    entries: list[VerificationReport | SkippedPoint] = []
-    for s in points:
-        reason = _check_point(ident, s)
-        if reason is None:
-            entries.append(verify(ident.id, s, tol))
-        else:
-            entries.append(SkippedPoint(ident.id, s, reason))
-    return entries
+    reasons = [_check_point(ident, s) for s in points]
+    evaluable = [s for s, reason in zip(points, reasons) if reason is None]
+    token = _BATCH.set(_route_batch(ident, evaluable, tol))
+    try:
+        return [
+            verify(ident.id, s, tol) if reason is None
+            else SkippedPoint(ident.id, s, reason)
+            for s, reason in zip(points, reasons)
+        ]
+    finally:
+        _BATCH.reset(token)
 
 
 def grid(

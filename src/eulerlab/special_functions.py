@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +40,8 @@ _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 # Rows (outer terms) of the Euler-transformation table; max_terms limit.
 _TABLE_SIZE = 128
+# Points summed by one matrix product in eta_many.
+_PANEL_POINTS = 128
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -76,25 +79,43 @@ DEFAULT_OPTIONS = EvalOptions()
 def gamma(s: complex) -> complex:
     """Gamma function for complex s; raises PoleError at 0, -1, -2, ...
 
-    Raises DomainError where the Lanczos power t**(s - 1/2) overflows,
-    which on the real axis starts near s = 143 (and, through the
-    reflection, near s = -141).
+    Where the Lanczos power t**(s - 1/2) alone overflows (on the real
+    axis from about s = 142.25) it is combined with exp(-t) in log space.
+    Raises DomainError where Gamma itself overflows (real s above about
+    171.6) and where the reflection needs such a Gamma(1 - s) (real s
+    below about -170.6, where Gamma(s) is subnormal or zero).
     """
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleError("pole of Gamma")
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        try:
+            return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        except DomainError:
+            raise DomainError(
+                f"Gamma(1 - s) overflows in the reflection at s = {s}"
+            ) from None
     x = s - 1.0
     acc = _LANCZOS_COEFFS[0]
     for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += c / (x + k)
     t = x + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
+        value = math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
-        raise DomainError(f"Gamma overflows at s = {s}") from None
+        value = complex(math.nan)
+    if cmath.isfinite(value):
+        return value
+    # The power alone overflowed (raising, or as inf turning the product
+    # into nan); fold exp(-t) into it.
+    try:
+        value = math.sqrt(_TWO_PI) * cmath.exp((x + 0.5) * cmath.log(t) - t) * acc
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"Gamma overflows at s = {s}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -124,20 +145,24 @@ _LOG_K1 = np.log(np.arange(1, _TABLE_SIZE + 1, dtype=float))  # log(k+1)
 _SIGNS = np.where(np.arange(_TABLE_SIZE) % 2 == 0, 1.0, -1.0)  # (-1)**k
 
 
-def _euler_transform(weights: np.ndarray, opts: EvalOptions) -> complex:
+def _euler_transform(weights: np.ndarray, opts: EvalOptions) -> complex | np.ndarray:
     # Sum the outer terms up to and including the third of three
     # consecutive terms below tol (all of them if that never happens).
+    # A (m, P) weight matrix sums each of its P columns by that rule.
     m = opts.max_terms
     terms = _SCALED_BINOMIALS[:m, :m] @ weights
     small = np.abs(terms) < opts.tol
     run = small[:-2] & small[1:-1] & small[2:]
-    first = int(run.argmax())
-    stop = first + 3 if run[first] else m
-    return complex(terms[:stop].sum())
+    stop = np.where(run.any(axis=0), run.argmax(axis=0) + 3, m)
+    if weights.ndim == 1:
+        return complex(terms[: int(stop)].sum())
+    return np.where(np.arange(m)[:, None] < stop, terms, 0.0).sum(axis=0)
 
 
-def _alternating_powers(s: complex, count: int) -> np.ndarray:
-    # (-1)**k (k+1)**-s for k = 0..count-1
+def _alternating_powers(s: complex | np.ndarray, count: int) -> np.ndarray:
+    # (-1)**k (k+1)**-s for k = 0..count-1, one column per s of an array
+    if np.ndim(s):
+        return _SIGNS[:count, None] * np.exp(-s * _LOG_K1[:count, None])
     return _SIGNS[:count] * np.exp(-s * _LOG_K1[:count])
 
 
@@ -145,6 +170,23 @@ def eta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Alternating zeta function (entire); see the module docstring for accuracy."""
     s = complex(s)
     return _euler_transform(_alternating_powers(s, opts.max_terms), opts)
+
+
+def eta_many(points: Sequence[complex], opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+    """eta at every point as one array, by one matrix product per block.
+
+    Each point keeps its own stopping rule, so the values agree with
+    ``eta`` up to the rounding of the matrix product.  Points go through
+    in blocks of _PANEL_POINTS, which keeps each working array of the
+    sum near 256 KB however many points there are.
+    """
+    s = np.asarray(points, dtype=complex)
+    values = np.empty(len(s), dtype=complex)
+    for start in range(0, len(s), _PANEL_POINTS):
+        block = s[start : start + _PANEL_POINTS]
+        weights = _alternating_powers(block, opts.max_terms)
+        values[start : start + len(block)] = _euler_transform(weights, opts)
+    return values
 
 
 def eta_prime(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:

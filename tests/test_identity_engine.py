@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -72,6 +73,20 @@ class TestVerify:
         assert report.passed
         assert report.abs_err == abs(report.lhs - report.rhs)
         assert report.tol == 1e-9
+
+    def test_eq3_rhs_calls_the_declared_op(self, monkeypatch):
+        # rhs_ops names constants.ln_4_over_pi; the route must call it
+        calls = []
+        original = constants.ln_4_over_pi
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constants, "ln_4_over_pi", counting)
+        report = verify("eq3")
+        assert calls == [(1, "closed_form")]
+        assert report.rhs == complex(math.log(4.0) - math.log(math.pi))
 
     def test_eq15_midplane_point(self):
         report = verify("eq15", s=0.5)

@@ -13,6 +13,7 @@ from eulerlab.special_functions import (
     _alternating_powers,
     _euler_transform,
     eta,
+    eta_many,
     eta_prime,
     gamma,
     zeta,
@@ -56,10 +57,23 @@ class TestGamma:
         with pytest.raises(PoleError, match="pole of Gamma"):
             gamma(s)
 
-    @pytest.mark.parametrize("s", [172.0, 171.5, -170.5])
+    @pytest.mark.parametrize("s", [172.0, 171.7, 200.0, -171.5])
     def test_overflow_raises_domain_error(self, s):
         with pytest.raises(DomainError, match="overflows"):
             gamma(s)
+
+    def test_reflection_overflow_names_the_callers_point(self):
+        with pytest.raises(DomainError, match=r"at s = \(-171\.5\+0j\)"):
+            gamma(-171.5)
+
+    def test_log_space_power_up_to_gammas_own_overflow(self):
+        # the Lanczos power alone overflows from about s = 142.25, where
+        # it used to come back as inf and turn the value into nan
+        for k in range(0, 127):
+            x = 140.0 + 0.25 * k
+            assert abs(gamma(x) - math.gamma(x)) <= 1e-12 * math.gamma(x)
+        for x in (143.0, 150.0, 171.5, -170.5):
+            assert abs(gamma(x) - math.gamma(x)) <= 1e-12 * abs(math.gamma(x))
 
     def test_functional_equation_residual_on_seeded_panel(self):
         rng = random.Random(0x5EED)
@@ -124,6 +138,29 @@ class TestEta:
         weights = np.linalg.solve(_SCALED_BINOMIALS[:16, :16], np.array(terms, complex))
         opts = EvalOptions(tol=1e-10, max_terms=16)
         assert abs(_euler_transform(weights, opts) - expected) <= 1e-9
+
+    def test_matrix_columns_follow_their_own_stopping_rule(self):
+        columns = [
+            [1, 0, 0, 2, 4, 0, 0, 0, 8] + [0] * 7,  # stops after 0, 0, 0
+            [1, 0, 0] * 5 + [1],  # never three small terms: sums all 16
+        ]
+        weights = np.linalg.solve(
+            _SCALED_BINOMIALS[:16, :16], np.array(columns, complex).T
+        )
+        opts = EvalOptions(tol=1e-10, max_terms=16)
+        assert np.abs(_euler_transform(weights, opts) - [7.0, 6.0]).max() <= 1e-9
+
+    def test_panel_matches_single_points(self):
+        # one matrix product instead of one per point: only the
+        # summation order of the product differs
+        rng = random.Random(0xB10)
+        points = [complex(rng.uniform(-1.0, 4.0), rng.uniform(0.0, 2.0)) for _ in range(40)]
+        for opts in (EvalOptions(), EvalOptions(tol=1e-10, max_terms=40)):
+            panel = eta_many(points, opts)
+            assert panel.shape == (40,)
+            for s, value in zip(points, panel):
+                assert abs(value - eta(s, opts)) <= 1e-14
+        assert eta_many([]).shape == (0,)
 
     def test_special_values(self):
         assert abs(eta(1.0) - math.log(2.0)) <= 1e-12
@@ -258,6 +295,13 @@ class TestAgainstMpmath:
 
     def test_eta_on_panel(self, mp, panel):
         worst = max(abs(eta(s) - complex(mp.altzeta(s))) for s in panel)
+        assert worst <= 2e-13
+
+    def test_eta_many_on_panel(self, mp, panel):
+        worst = max(
+            abs(value - complex(mp.altzeta(s)))
+            for s, value in zip(panel, eta_many(panel))
+        )
         assert worst <= 2e-13
 
     def test_eta_prime_on_panel(self, mp, panel):
