@@ -7,6 +7,14 @@ singularities (powers of logarithms, algebraic blow-up with exponent
 above -1).  Semi-infinite integrals of exponentially decaying integrands
 are truncated at an analytically bounded tail.  Non-convergence is
 reported in the result, never raised.
+
+The refinement ladder walks each level node by node, except where an
+array form does the same work in one call: many integrals of one family
+(``integrate_semi_infinite_many``) take every level as points x nodes
+arrays, and a single integral of a ``ParametricIntegrand`` takes each
+level of at least 100 nodes a side (level 6 and deeper, 193 nodes) as
+one array call.  Both give the node-by-node walk's evaluations,
+truncation and verdict.
 """
 
 from __future__ import annotations
@@ -75,6 +83,29 @@ class ProductIntegrand:
         return self.g(x * y)
 
 
+class ParametricIntegrand:
+    """The integrand x -> kernel(param, x) of a family with an array form.
+
+    ``rows`` is the family's RowIntegrand: ``rows(params, x)`` gives the
+    (len(x), len(params)) values of the same branches and operations as
+    ``kernel``.  Single integrals of an integrand carrying this marker
+    evaluate each refinement level of at least _ARRAY_MIN_NODES nodes a
+    side by one ``rows`` call; smaller levels call the kernel node by
+    node.
+    Plain callables are always walked node by node.
+    """
+
+    def __init__(
+        self, kernel: Callable[[complex, float], complex], rows: RowIntegrand, param: complex
+    ):
+        self.kernel = kernel
+        self.rows = rows
+        self.param = param
+
+    def __call__(self, x: float) -> complex:
+        return self.kernel(self.param, x)
+
+
 # --------------------------------------------------------------------------
 # tanh-sinh node tables
 #
@@ -120,6 +151,68 @@ def _check_finite(fx: complex, x: float) -> complex:
     raise IntegrandError(f"integrand invalid: non-finite value at x={x!r}")
 
 
+def _walk_level(
+    f: Integrand, a: float, b: float, level: int, thresh: float
+) -> tuple[complex, int, float]:
+    """One ladder level walked node by node.
+
+    Each side stops before its first node outside the interval, or
+    after the second of two consecutive contributions below thresh at
+    t >= 1.  Returns (level sum, nodes summed, unresolved tail): the
+    tail is the last contribution (times h) of a side that ran out of
+    nodes while still above thresh (an endpoint singularity too strong
+    for the node range, so the sum misses real mass), else 0.
+    """
+    h = 0.5 ** level
+    halfspan = 0.5 * (b - a)
+    evals = 0
+    level_sum = 0.0 + 0.0j
+    lo_done = hi_done = False
+    lo_small = hi_small = 0
+    lo_last = hi_last = 0.0
+    for i, (delta, weight) in enumerate(_nodes(level)):
+        t = (i if level == 0 else 2 * i + 1) * h
+        w = halfspan * weight
+        if not hi_done:
+            x = b - halfspan * delta
+            if x >= b or x <= a:
+                hi_done = True
+            else:
+                contrib = w * _check_finite(f(x), x)
+                evals += 1
+                level_sum += contrib
+                hi_last = abs(contrib) * h
+                if hi_last < thresh and t >= 1.0:
+                    hi_small += 1
+                    if hi_small >= 2:
+                        hi_done = True
+                else:
+                    hi_small = 0
+        if t > 0.0 and not lo_done:
+            x = a + halfspan * delta
+            if x <= a or x >= b:
+                lo_done = True
+            else:
+                contrib = w * _check_finite(f(x), x)
+                evals += 1
+                level_sum += contrib
+                lo_last = abs(contrib) * h
+                if lo_last < thresh and t >= 1.0:
+                    lo_small += 1
+                    if lo_small >= 2:
+                        lo_done = True
+                else:
+                    lo_small = 0
+        if lo_done and hi_done:
+            break
+    tail = 0.0
+    if not hi_done and hi_last >= thresh:
+        tail = hi_last
+    if not lo_done and lo_last >= thresh:
+        tail = max(tail, lo_last)
+    return level_sum, evals, tail
+
+
 def _tanh_sinh(
     f: Integrand,
     a: float,
@@ -130,66 +223,37 @@ def _tanh_sinh(
     """Refine the tanh-sinh trapezoid sum until two levels agree within tol.
 
     Returns (value, per-level error estimates, evaluations, converged).
-    The estimate at level L is |S_L - S_(L-1)|.
+    The estimate at level L is |S_L - S_(L-1)|.  A ParametricIntegrand's
+    levels of at least _ARRAY_MIN_NODES nodes a side are evaluated by its array
+    form in one call (_rows_level with one row), the others node by
+    node; both visit, count and sum the same nodes in the same order.
     """
-    halfspan = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    family = f if isinstance(f, ParametricIntegrand) else None
+    if family is not None:
+        # a partial calls the kernel faster than the instance does
+        f = functools.partial(family.kernel, family.param)
     # Contributions below this are treated as tail and truncate the node walk.
     thresh = tol * 1e-3
     evals = 0
     total = 0.0 + 0.0j
     estimates: list[float] = []
     converged = False
-    # Set when a side runs out of nodes while its contributions are still
-    # above the tail threshold (endpoint singularity too strong for the
-    # node range); the sum then misses real mass and must not converge.
+    # Largest unresolved tail of any level; a sum that misses real mass
+    # must not converge.
     unresolved = 0.0
 
     for level in range(max_level + 1):
         h = 0.5 ** level
-        level_sum = 0.0 + 0.0j
-        lo_done = hi_done = False
-        lo_small = hi_small = 0
-        lo_last = hi_last = 0.0
-        for i, (delta, weight) in enumerate(_nodes(level)):
-            t = (i if level == 0 else 2 * i + 1) * h
-            w = halfspan * weight
-            if not hi_done:
-                x = b - halfspan * delta
-                if x >= b or x <= a:
-                    hi_done = True
-                else:
-                    contrib = w * _check_finite(f(x), x)
-                    evals += 1
-                    level_sum += contrib
-                    hi_last = abs(contrib) * h
-                    if hi_last < thresh and t >= 1.0:
-                        hi_small += 1
-                        if hi_small >= 2:
-                            hi_done = True
-                    else:
-                        hi_small = 0
-            if t > 0.0 and not lo_done:
-                x = a + halfspan * delta
-                if x <= a or x >= b:
-                    lo_done = True
-                else:
-                    contrib = w * _check_finite(f(x), x)
-                    evals += 1
-                    level_sum += contrib
-                    lo_last = abs(contrib) * h
-                    if lo_last < thresh and t >= 1.0:
-                        lo_small += 1
-                        if lo_small >= 2:
-                            lo_done = True
-                    else:
-                        lo_small = 0
-            if lo_done and hi_done:
-                break
-        if not hi_done and hi_last >= thresh:
-            unresolved = max(unresolved, hi_last)
-        if not lo_done and lo_last >= thresh:
-            unresolved = max(unresolved, lo_last)
+        if family is not None and len(_nodes(level)) >= _ARRAY_MIN_NODES:
+            sums, counts, tails = _rows_level(
+                family.rows, np.array([family.param], dtype=complex), a, b, level,
+                np.array([thresh]),
+            )
+            level_sum, level_evals, tail = complex(sums[0]), int(counts[0]), float(tails[0])
+        else:
+            level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)
+        evals += level_evals
+        unresolved = max(unresolved, tail)
         previous = total
         total = level_sum * h if level == 0 else 0.5 * total + level_sum * h
         if level >= 1:
@@ -201,6 +265,18 @@ def _tanh_sinh(
         estimates[-1] = max(estimates[-1], unresolved)
     return total, estimates, evals, converged
 
+
+# Nodes a side from which a ParametricIntegrand's level is one array
+# call: levels 6 and deeper (193 nodes and more), which only points next
+# to a domain edge reach.  Measured for the minus kernel on a shared
+# 2-core x86-64 VM: one array call costs 170-220 us up to level 7, about
+# what the walk spends on 100 nodes (1.5-2 us a node), so level 5 (96
+# nodes) breaks even and level 6 runs about twice as fast as its walk.
+# The registry's single quadratures reach level 5 at most, so ``eulerlab
+# all`` keeps the walk's exact sums (array levels from 5 on change the
+# last digit of five eq12 values).  On the edge_panel benchmark workload 200
+# gave the same throughput and 400 (level 8 on) less.
+_ARRAY_MIN_NODES = 100
 
 # Nodes x rows evaluated per integrand call of the batched ladder, which
 # keeps each complex working array at 128 KB or less on every level but
@@ -230,7 +306,7 @@ def _walk_side(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One side of one ladder level for a block of rows.
 
-    Mirrors the per-side walk of _tanh_sinh: a side stops before its
+    Mirrors the per-side walk of _walk_level: a side stops before its
     first node outside the interval, or after the second of two
     consecutive contributions below thresh at t >= 1.  Returns the
     contributions with everything past each row's stop zeroed, the
@@ -256,21 +332,66 @@ def _walk_side(
     return np.where(kept, contrib, 0.0), summed, np.where(open_rows, mag[-1], 0.0)
 
 
+def _rows_level(
+    f: RowIntegrand,
+    params: np.ndarray,
+    a: float,
+    b: float,
+    level: int,
+    thresh: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ladder level for every row of params, as arrays.
+
+    Evaluates every node of each side for a block of rows in one call
+    of f, applies _walk_level's per-side truncation with array
+    operations (_walk_side), so a row sums and counts exactly the nodes
+    the node-by-node walk visits, adds them in the same order, and
+    raises IntegrandError only for a non-finite value at one of them.
+    Returns arrays (level sums, nodes summed, unresolved tails).
+    """
+    h = 0.5 ** level
+    halfspan = 0.5 * (b - a)
+    delta, weight, t = _node_arrays(level)
+    w = halfspan * weight
+    x_hi = b - halfspan * delta
+    x_lo = a + halfspan * delta
+    # Level 0's first node (t = 0) is the midpoint, visited once.
+    lo = slice(1 if level == 0 else 0, None)
+    inside_hi = (x_hi < b) & (x_hi > a)
+    inside_lo = (x_lo > a) & (x_lo < b)
+    sums = np.zeros(len(params), dtype=complex)
+    counts = np.zeros(len(params), dtype=np.int64)
+    tails = np.zeros(len(params))
+    block = max(1, _BLOCK_ELEMENTS // (2 * len(delta)))
+    for start in range(0, len(params), block):
+        rows = slice(start, start + block)
+        p, th = params[rows], thresh[rows]
+        with np.errstate(all="ignore"):
+            hi = _walk_side(f, p, x_hi, w, t, h, th, inside_hi)
+            lo_side = _walk_side(f, p, x_lo[lo], w[lo], t[lo], h, th, inside_lo[lo])
+        # Sum in the walk's order: hi_i then lo_i, node by node.  An
+        # accumulation adds sequentially for any number of rows (a
+        # one-row sum would be pairwise).
+        walk = np.zeros((len(delta), 2, len(p)), dtype=complex)
+        walk[: len(hi[0]), 0] = hi[0]
+        walk[lo.start : lo.start + len(lo_side[0]), 1] = lo_side[0]
+        sums[rows] = np.add.accumulate(walk.reshape(-1, len(p)), axis=0)[-1]
+        counts[rows] = hi[1] + lo_side[1]
+        tails[rows] = np.maximum(hi[2], lo_side[2])
+    return sums, counts, tails
+
+
 def _tanh_sinh_rows(
     f: RowIntegrand, params: np.ndarray, a: float, b: float, tols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ladder of _tanh_sinh for many integrands over one interval.
 
-    Row i integrates ``f(params[i], .)`` to ``tols[i]``.  Each level
-    evaluates every node of each side for the active rows, then applies
-    the scalar walk's per-side truncation with array operations, so a
-    row sums and counts exactly the nodes the scalar walk visits, adds
-    them in the same order, and raises IntegrandError only for a
-    non-finite value at one of them.  Converged rows leave the ladder.
-    Returns arrays (values, error estimates, evaluations, converged).
+    Row i integrates ``f(params[i], .)`` to ``tols[i]``; every level is
+    one _rows_level call for the active rows.  Converged rows leave the
+    ladder.  Returns arrays (values, error estimates, evaluations,
+    converged).
     """
     rows = len(params)
-    halfspan = 0.5 * (b - a)
     thresh = tols * 1e-3
     total = np.zeros(rows, dtype=complex)
     estimate = np.full(rows, math.inf)
@@ -280,30 +401,11 @@ def _tanh_sinh_rows(
     active = np.arange(rows)
     for level in range(MAX_LEVEL + 1):
         h = 0.5 ** level
-        delta, weight, t = _node_arrays(level)
-        w = halfspan * weight
-        x_hi = b - halfspan * delta
-        x_lo = a + halfspan * delta
-        # Level 0's first node (t = 0) is the midpoint, visited once.
-        lo = slice(1 if level == 0 else 0, None)
-        inside_hi = (x_hi < b) & (x_hi > a)
-        inside_lo = (x_lo > a) & (x_lo < b)
-        level_sum = np.zeros(len(active), dtype=complex)
-        block = max(1, _BLOCK_ELEMENTS // (2 * len(delta)))
-        for start in range(0, len(active), block):
-            idx = active[start : start + block]
-            p, th = params[idx], thresh[idx]
-            with np.errstate(all="ignore"):
-                hi = _walk_side(f, p, x_hi, w, t, h, th, inside_hi)
-                lo_side = _walk_side(f, p, x_lo[lo], w[lo], t[lo], h, th, inside_lo[lo])
-            # Sum in the scalar walk's order: hi_i then lo_i, node by node
-            # (a reduction over the leading axis adds sequentially).
-            walk = np.zeros((len(delta), 2, len(idx)), dtype=complex)
-            walk[: len(hi[0]), 0] = hi[0]
-            walk[lo.start : lo.start + len(lo_side[0]), 1] = lo_side[0]
-            level_sum[start : start + block] = walk.reshape(-1, len(idx)).sum(axis=0)
-            evals[idx] += hi[1] + lo_side[1]
-            unresolved[idx] = np.maximum(unresolved[idx], np.maximum(hi[2], lo_side[2]))
+        level_sum, counts, tails = _rows_level(
+            f, params[active], a, b, level, thresh[active]
+        )
+        evals[active] += counts
+        unresolved[active] = np.maximum(unresolved[active], tails)
         previous = total[active]
         current = level_sum * h if level == 0 else 0.5 * previous + level_sum * h
         total[active] = current

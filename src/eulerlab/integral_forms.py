@@ -11,6 +11,14 @@ is evaluated by series below t = 0.5 to avoid the catastrophic
 cancellation a naive evaluation suffers near 0.  The right-hand-side
 closed forms pair these with gamma/eta/zeta from
 :mod:`eulerlab.special_functions`.
+
+Each family has a scalar kernel and an array kernel of the same branches
+and operations (``reduced_integrand_plus_array``,
+``reduced_integrand_minus_array``, ``fermi_dirac_integrand_array``).
+``I_plus``, ``I_minus`` and ``fermi_dirac`` evaluate the refinement
+levels of at least 100 nodes a side (level 6 and deeper, reached only
+next to a domain edge) through the array kernel in one call;
+``I_plus_many`` evaluates every level of a sweep that way.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_numerics import (
+    ParametricIntegrand,
     QuadratureResult,
     SeriesResult,
     integrate_finite,
@@ -94,6 +103,36 @@ def reduced_integrand_plus(s: complex, t: float) -> complex:
     return _power(t, s) * (math.expm1(-t) + t) / (math.exp(t) + 1.0)
 
 
+def _power_array(t: np.ndarray, s: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    # _power(t[i], exponent[i, j]) in place, where column j belongs to the
+    # parameter s[j]: real s takes the real power, as in _power
+    real = s.imag == 0.0
+    real_exponents = exponent.real[:, real]
+    exponent *= np.log(t)[:, None]
+    np.exp(exponent, out=exponent)
+    exponent[:, real] = t[:, None] ** real_exponents
+    return exponent
+
+
+def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray):
+    # values[i, j] * factors[0][i] * ... / divisor[i] in place, scaling the
+    # real and imaginary parts separately, as complex-by-real products and
+    # quotients do
+    parts = values.view(float).reshape(*values.shape, 2)
+    for factor in factors:
+        parts *= factor[:, None, None]
+    parts /= divisor[:, None, None]
+    return values
+
+
+def _array_arguments(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(s, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    if not (t > 0.0).all():
+        raise ValueError("t must be positive")
+    return s, t
+
+
 def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """reduced_integrand_plus at every (t[i], s[j]), as a (len(t), len(s)) array.
 
@@ -103,10 +142,7 @@ def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     power.  Only the elementwise exp, log and power of numpy may round
     differently from the math module's.
     """
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    if not (t > 0.0).all():
-        raise ValueError("t must be positive")
+    s, t = _array_arguments(s, t)
     small = t < 0.5
     large = t > 40.0
     with np.errstate(over="ignore"):
@@ -115,19 +151,8 @@ def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         num[small] = _residual_series(t[small])
         extra = np.where(large, et, 1.0)
         den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
-    power = np.where(small[:, None], s + 2.0, s)
-    real = s.imag == 0.0
-    real_exponents = power.real[:, real]
-    power *= np.log(t)[:, None]
-    np.exp(power, out=power)
-    power[:, real] = t[:, None] ** real_exponents
-    # Scale real and imaginary parts separately, as complex-by-real
-    # products and quotients do.
-    parts = power.view(float).reshape(len(t), len(s), 2)
-    parts *= num[:, None, None]
-    parts *= extra[:, None, None]
-    parts /= den[:, None, None]
-    return power
+    power = _power_array(t, s, np.where(small[:, None], s + 2.0, s))
+    return _scale_rows(power, (num, extra), den)
 
 
 def reduced_integrand_minus(s: complex, t: float) -> complex:
@@ -146,6 +171,29 @@ def reduced_integrand_minus(s: complex, t: float) -> complex:
     return _power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
 
 
+def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """reduced_integrand_minus at every (t[i], s[j]), as a (len(t), len(s)) array.
+
+    The same branches and operations as the scalar form: below t = 0.5
+    the folded power t**(s+1) times the residual series times
+    t/expm1(t), elsewhere t**s (expm1(-t) + t) / expm1(t); real s takes
+    the real power.  Only numpy's elementwise functions may round
+    differently from the math module's.
+    """
+    s, t = _array_arguments(s, t)
+    small = t < 0.5
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(t)
+        num = np.expm1(-t) + t
+        num[small] = _residual_series(t[small])
+        # multiplying or dividing by 1.0 is exact: each branch keeps its
+        # own operations
+        ratio = np.where(small, t / em1, 1.0)
+        den = np.where(small, 1.0, em1)
+    power = _power_array(t, s, np.where(small[:, None], s + 1.0, s))
+    return _scale_rows(power, (num, ratio), den)
+
+
 def integrand_2d(kernel: SignedKernel, s: complex, x: float, y: float) -> complex:
     """(1-x)/(1 +- xy) * (-ln xy)**s on the open unit square."""
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
@@ -156,13 +204,52 @@ def integrand_2d(kernel: SignedKernel, s: complex, x: float, y: float) -> comple
     return (1.0 - x) / denom * _power(neg_log, s)
 
 
+def fermi_dirac_integrand(s: complex, t: float) -> complex:
+    """Integrand t**(s-1)/(e**t + 1) of the Fermi-Dirac-type integral.
+
+    Above t = 40 it is formed as t**(s-1) e**-t / (1 + e**-t), which
+    keeps e**t from overflowing at the far end of the range.
+    """
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    s = complex(s)
+    if t > 40.0:
+        et = math.exp(-t)
+        return _power(t, s - 1.0) * et / (1.0 + et)
+    return _power(t, s - 1.0) / (math.exp(t) + 1.0)
+
+
+def fermi_dirac_integrand_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """fermi_dirac_integrand at every (t[i], s[j]), as a (len(t), len(s)) array.
+
+    The same branches and operations as the scalar form; real s takes
+    the real power.
+    """
+    s, t = _array_arguments(s, t)
+    large = t > 40.0
+    with np.errstate(over="ignore"):
+        et = np.exp(-t)
+        extra = np.where(large, et, 1.0)
+        den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
+    power = _power_array(t, s, np.repeat((s - 1.0)[None, :], len(t), axis=0))
+    return _scale_rows(power, (extra,), den)
+
+
 def I_plus(s: complex, tol: float) -> QuadratureResult:
-    """Quadrature of the plus-kernel reduced integrand over (0, inf)."""
+    """Quadrature of the plus-kernel reduced integrand over (0, inf).
+
+    Refinement levels 6 and deeper (at least 100 nodes a side) are
+    evaluated as arrays (see ``core_numerics.ParametricIntegrand``); the
+    result is the node-by-node walk's up to the rounding of numpy's
+    elementwise functions.
+    """
     s = complex(s)
     if s.real <= -3.0 + 0.01:
         raise DomainError("outside Re(s) > -3")
     return integrate_semi_infinite(
-        lambda t: reduced_integrand_plus(s, t), tol, s.real + 1.0
+        ParametricIntegrand(reduced_integrand_plus, reduced_integrand_plus_array, s),
+        tol,
+        s.real + 1.0,
     )
 
 
@@ -182,28 +269,33 @@ def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]
 
 
 def I_minus(s: complex, tol: float) -> QuadratureResult:
-    """Quadrature of the minus-kernel reduced integrand over (0, inf)."""
+    """Quadrature of the minus-kernel reduced integrand over (0, inf).
+
+    Refinement levels 6 and deeper are evaluated as arrays, as in I_plus.
+    """
     s = complex(s)
     if s.real <= -2.0 + 0.01:
         raise DomainError("outside Re(s) > -2")
     return integrate_semi_infinite(
-        lambda t: reduced_integrand_minus(s, t), tol, s.real + 1.0
+        ParametricIntegrand(reduced_integrand_minus, reduced_integrand_minus_array, s),
+        tol,
+        s.real + 1.0,
     )
 
 
 def fermi_dirac(s: complex, tol: float) -> QuadratureResult:
-    """Integral of t**(s-1)/(e**t + 1) over (0, inf); equals gamma(s) eta(s)."""
+    """Integral of t**(s-1)/(e**t + 1) over (0, inf); equals gamma(s) eta(s).
+
+    Refinement levels 6 and deeper are evaluated as arrays, as in I_plus.
+    """
     s = complex(s)
     if s.real <= 0.01:
         raise DomainError("outside Re(s) > 0")
-
-    def integrand(t: float) -> complex:
-        if t > 40.0:
-            et = math.exp(-t)
-            return _power(t, s - 1.0) * et / (1.0 + et)
-        return _power(t, s - 1.0) / (math.exp(t) + 1.0)
-
-    return integrate_semi_infinite(integrand, tol, s.real - 1.0)
+    return integrate_semi_infinite(
+        ParametricIntegrand(fermi_dirac_integrand, fermi_dirac_integrand_array, s),
+        tol,
+        s.real - 1.0,
+    )
 
 
 def _rhs_eq15_from_eta(s: complex, eta_s2: complex, eta_s1: complex) -> complex:

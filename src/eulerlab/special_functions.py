@@ -16,13 +16,21 @@ with 0 <= Im(s) <= 2 and the default options:
     [-2, -1.5)          below 1e-12
     [-3, -2)            about 1e-9
     [-4, -3)            about 5e-8
-    [-5, -4)            about 3e-6
-    [-7, -5)            about 1e-2
-    below -7            no correct digits
 
-It also grows slowly with |Im(s)| (about 2e-11 at Im(s) = 60).  Nothing
-checks the argument; the functional equation for Re(s) < 1/2 (ROADMAP.md,
-item 4) is the planned fix.
+It also grows slowly with |Im(s)| (about 2e-11 at Im(s) = 60).  Below
+Re(s) = -4 the sum would lose more (3e-6 on [-5, -4), no correct digits
+below -7), so eta and zeta take the functional equation there, from
+zeta(1 - s) where the sum is accurate.  Relative error of eta and zeta
+against mpmath, same Im(s) range:
+
+    [-10, -4)           about 3e-14
+    [-50, -10)          below 1e-13
+    [-170, -50)         below 2e-13
+
+There eta and zeta raise DomainError where the value or a factor of the
+functional equation overflows (real s below about -218.5 for eta and
+-260 for zeta, or Im(s) above about 450), and the derivatives eta_prime
+and zeta_prime raise IllConditionedError.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ _TWO_PI = 2.0 * math.pi
 _TABLE_SIZE = 128
 # Points summed by one matrix product in eta_many.
 _PANEL_POINTS = 128
+# Below this real part the Euler-transform sum has lost too many digits
+# (about 3e-6 absolute on [-5, -4)); eta and zeta take the functional
+# equation there instead.
+_REFLECT_BELOW = -4.0
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -76,31 +88,60 @@ class EvalOptions:
 DEFAULT_OPTIONS = EvalOptions()
 
 
+def _lanczos(s: complex) -> tuple[complex, complex, complex]:
+    # (x, t, series) of Gamma(s) = sqrt(2 pi) t**(x + 1/2) e**-t series,
+    # x = s - 1, t = x + g + 1/2, for Re(s) >= 1/2
+    x = s - 1.0
+    acc = _LANCZOS_COEFFS[0]
+    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        acc += c / (x + k)
+    return x, x + _LANCZOS_G + 0.5, acc
+
+
+def _log_gamma(s: complex) -> complex:
+    # a logarithm of Gamma(s) for Re(s) >= 1/2, from the same Lanczos form
+    x, t, acc = _lanczos(s)
+    return 0.5 * math.log(_TWO_PI) + (x + 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def _sin_pi(s: complex) -> complex:
+    # sin(pi s), with s reduced exactly by the integer nearest its real part
+    m = round(s.real)
+    value = cmath.sin(math.pi * (s - m))
+    return -value if m % 2 else value
+
+
 def gamma(s: complex) -> complex:
     """Gamma function for complex s; raises PoleError at 0, -1, -2, ...
 
     Where the Lanczos power t**(s - 1/2) alone overflows (on the real
     axis from about s = 142.25) it is combined with exp(-t) in log space.
-    Raises DomainError where Gamma itself overflows (real s above about
-    171.6) and where the reflection needs such a Gamma(1 - s) (real s
-    below about -170.6, where Gamma(s) is subnormal or zero).
+    Where the reflection's Gamma(1 - s) overflows (real s below about
+    -170.6) the reflection is divided in log space, so subnormal values
+    down to about s = -177 are returned too.  Raises DomainError where
+    Gamma overflows (real s above about 171.6) or underflows to zero.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleError("pole of Gamma")
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
+        sine = cmath.sin(math.pi * s)
         try:
-            return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+            return math.pi / (sine * gamma(1.0 - s))
         except DomainError:
+            pass
+        # |ratio| goes into the exponent, so a subnormal result is rounded once
+        ratio = math.pi / _sin_pi(s)
+        size = abs(ratio)
+        value = ratio / size * cmath.exp(math.log(size) - _log_gamma(1.0 - s))
+        if value == 0.0:
             raise DomainError(
-                f"Gamma(1 - s) overflows in the reflection at s = {s}"
-            ) from None
-    x = s - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + k)
-    t = x + _LANCZOS_G + 0.5
+                f"Gamma(1 - s) overflows in the reflection and Gamma(s) "
+                f"underflows to zero at s = {s}"
+            )
+        return value
+    x, t, acc = _lanczos(s)
     try:
         value = math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
@@ -167,8 +208,14 @@ def _alternating_powers(s: complex | np.ndarray, count: int) -> np.ndarray:
 
 
 def eta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Alternating zeta function (entire); see the module docstring for accuracy."""
+    """Alternating zeta function (entire); see the module docstring for accuracy.
+
+    Below Re(s) = -4 it is (1 - 2**(1-s)) zeta(s) by the functional
+    equation of zeta.
+    """
     s = complex(s)
+    if s.real < _REFLECT_BELOW:
+        return _zeta_reflected(s, opts, eta_factor=True)
     return _euler_transform(_alternating_powers(s, opts.max_terms), opts)
 
 
@@ -176,22 +223,30 @@ def eta_many(points: Sequence[complex], opts: EvalOptions = DEFAULT_OPTIONS) -> 
     """eta at every point as one array, by one matrix product per block.
 
     Each point keeps its own stopping rule, so the values agree with
-    ``eta`` up to the rounding of the matrix product.  Points go through
+    ``eta`` up to the rounding of the matrix product; points below
+    Re(s) = -4 take the scalar ``eta``.  Points go through
     in blocks of _PANEL_POINTS, which keeps each working array of the
     sum near 256 KB however many points there are.
     """
     s = np.asarray(points, dtype=complex)
     values = np.empty(len(s), dtype=complex)
-    for start in range(0, len(s), _PANEL_POINTS):
-        block = s[start : start + _PANEL_POINTS]
-        weights = _alternating_powers(block, opts.max_terms)
-        values[start : start + len(block)] = _euler_transform(weights, opts)
+    reflected = s.real < _REFLECT_BELOW
+    for i in np.flatnonzero(reflected):
+        values[i] = eta(s[i], opts)
+    summed = np.flatnonzero(~reflected)
+    for start in range(0, len(summed), _PANEL_POINTS):
+        block = summed[start : start + _PANEL_POINTS]
+        values[block] = _euler_transform(_alternating_powers(s[block], opts.max_terms), opts)
     return values
 
 
 def eta_prime(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Derivative of eta, by termwise differentiation of the same sum."""
+    """Derivative of eta, by termwise differentiation of the same sum.
+
+    Raises IllConditionedError below Re(s) = -4, where the sum cancels.
+    """
     s = complex(s)
+    _reject_cancelling_sum(s)
     m = opts.max_terms
     return _euler_transform(-_LOG_K1[:m] * _alternating_powers(s, m), opts)
 
@@ -215,17 +270,54 @@ def _reject_bad_points(s: complex) -> None:
         raise IllConditionedError("ill-conditioned point")
 
 
+def _reject_cancelling_sum(s: complex) -> None:
+    if s.real < _REFLECT_BELOW:
+        raise IllConditionedError(
+            f"derivative not available below Re(s) = {_REFLECT_BELOW}: "
+            f"the Euler-transform sum cancels at s = {s}"
+        )
+
+
+def _zeta_reflected(s: complex, opts: EvalOptions, eta_factor: bool = False) -> complex:
+    # zeta(s) = 2 (2 pi)**(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), times
+    # 1 - 2**(1-s) (giving eta) with eta_factor.  (2 pi)**(s-1) Gamma(1-s)
+    # is formed in log space and the sine reduced exactly, so the trivial
+    # zeros at negative even s come out as 0.
+    w = 1.0 - s
+    try:
+        scale = cmath.exp((s - 1.0) * math.log(_TWO_PI) + _log_gamma(w))
+        value = 2.0 * scale * _sin_pi(0.5 * s) * zeta(w, opts)
+        if eta_factor:
+            value *= _eta_zeta_factor(s)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{'eta' if eta_factor else 'zeta'} overflows at s = {s}")
+    # adding 0.0 turns a trivial zero's -0.0 into 0.0
+    return value + 0.0
+
+
 def zeta(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Riemann zeta via eta(s) / (1 - 2**(1-s)); s = 1 is a pole."""
+    """Riemann zeta via eta(s) / (1 - 2**(1-s)); s = 1 is a pole.
+
+    Below Re(s) = -4 it comes from zeta(1 - s) by the functional
+    equation; DomainError where that overflows double precision.
+    """
     s = complex(s)
     _reject_bad_points(s)
+    if s.real < _REFLECT_BELOW:
+        return _zeta_reflected(s, opts)
     return eta(s, opts) / _eta_zeta_factor(s)
 
 
 def zeta_prime(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Derivative of zeta, from the differentiated eta/zeta product."""
+    """Derivative of zeta, from the differentiated eta/zeta product.
+
+    Raises IllConditionedError below Re(s) = -4, like eta_prime.
+    """
     s = complex(s)
     _reject_bad_points(s)
+    _reject_cancelling_sum(s)
     f = _eta_zeta_factor(s)
     z = eta(s, opts) / f
     return (eta_prime(s, opts) - _LN2 * (1.0 - f) * z) / f

@@ -84,6 +84,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", "eta", "2+i")
         assert code == 2
 
+    def test_eta_below_minus_four(self, capsys):
+        # eta(-8.5) = 3.19313332054213...; the cancelling sum printed 10.2269
+        code, out, _ = run(capsys, "eval", "eta", "-8.5")
+        assert code == 0
+        assert out.strip() == "3.19313332054214"
+
+    def test_derivative_below_minus_four_exits_one(self, capsys):
+        code, _, err = run(capsys, "eval", "eta_prime", "-8.5")
+        assert code == 1
+        assert "Re(s) = -4" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "eval", "eta", "1", "--format=json")
         payload = json.loads(out)
@@ -227,6 +238,12 @@ class TestExitCodeMatrix:
             (["eval", "gamma", "171.5"], 0),
             (["eval", "gamma", "172"], 2),
             (["eval", "gamma", "-170.5"], 0),
+            (["eval", "gamma", "-171.5"], 0),
+            (["eval", "gamma", "-190.5"], 2),
+            (["eval", "eta", "-8.5"], 0),
+            (["eval", "zeta", "-9"], 0),
+            (["eval", "eta_prime", "-8.5"], 1),
+            (["eval", "zeta_prime", "-5"], 1),
             (["verify", "eq16", "--s=172"], 2),
             (["verify", "eq18", "--s=180"], 2),
             (["all", "--tol-override", "bad"], 2),

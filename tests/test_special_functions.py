@@ -57,14 +57,34 @@ class TestGamma:
         with pytest.raises(PoleError, match="pole of Gamma"):
             gamma(s)
 
-    @pytest.mark.parametrize("s", [172.0, 171.7, 200.0, -171.5])
+    @pytest.mark.parametrize("s", [172.0, 171.7, 200.0, -190.5])
     def test_overflow_raises_domain_error(self, s):
         with pytest.raises(DomainError, match="overflows"):
             gamma(s)
 
     def test_reflection_overflow_names_the_callers_point(self):
-        with pytest.raises(DomainError, match=r"at s = \(-171\.5\+0j\)"):
-            gamma(-171.5)
+        with pytest.raises(DomainError, match=r"at s = \(-190\.5\+0j\)"):
+            gamma(-190.5)
+
+    def test_log_space_reflection_against_stdlib(self):
+        # Gamma(1 - s) overflows below about -170.6; Gamma(s) is still
+        # representable (subnormal from about -171.6) down to about -177
+        for k in range(1, 6500):
+            x = -177.0 + 0.001 * k
+            if abs(x - round(x)) < 1e-9:
+                continue
+            expected = math.gamma(x)
+            value = gamma(x)
+            assert value.imag == 0.0
+            assert abs(value.real - expected) <= 1e-12 * abs(expected) + 1e-323, x
+        assert gamma(-171.5).real == pytest.approx(1.93e-310, rel=1e-3)
+
+    def test_log_space_reflection_off_the_axis(self):
+        mpmath = pytest.importorskip("mpmath")
+        for s in (-171.25 + 0.5j, -170.75 - 0.1j, -173.5 + 0.01j):
+            expected = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
+            assert abs(gamma(s) - expected) <= 1e-12 * abs(expected) + 1e-322
+            assert gamma(s.conjugate()) == gamma(s).conjugate()
 
     def test_log_space_power_up_to_gammas_own_overflow(self):
         # the Lanczos power alone overflows from about s = 142.25, where
@@ -273,6 +293,45 @@ class TestZetaMinusPole:
         assert abs(zeta_minus_pole(s) - direct) <= 1e-8
 
 
+class TestFunctionalEquationBand:
+    """eta and zeta below Re(s) = -4 come from zeta(1 - s)."""
+
+    def test_trivial_zeros_are_exact(self):
+        for n in range(6, 60, 2):
+            assert zeta(-float(n)) == 0.0
+            assert eta(-float(n)) == 0.0
+
+    def test_values_next_to_a_trivial_zero(self):
+        # zeta(-9) = -1/132; the old sum gave 0.0216 and -0.0961 here
+        for d in (1e-9, -1e-9):
+            assert abs(zeta(-9.0 + d) + 1.0 / 132.0) <= 1e-10
+
+    def test_band_edge_keeps_the_sum(self):
+        m = EvalOptions().max_terms
+        assert eta(-4.0) == _euler_transform(_alternating_powers(-4.0 + 0j, m), EvalOptions())
+
+    def test_eta_many_matches_eta(self):
+        points = [-8.5 + 0j, 0.5 + 1j, -20.0 + 5j, -4.0 + 0j, -4.0001 + 0.3j]
+        values = eta_many(points)
+        for s, value in zip(points, values):
+            if s.real < -4.0:
+                assert value == eta(s)
+            else:
+                assert abs(value - eta(s)) <= 1e-13
+
+    @pytest.mark.parametrize("f", [eta_prime, zeta_prime])
+    def test_derivatives_are_refused(self, f):
+        with pytest.raises(IllConditionedError, match="Re\\(s\\) = -4"):
+            f(-4.5 + 0.5j)
+        f(-4.0)  # still on the sum
+
+    @pytest.mark.parametrize("f, s", [(eta, -218.5), (zeta, -260.5), (zeta, -2000.5),
+                                      (zeta, -6.0 + 460j)])
+    def test_overflow_raises_domain_error(self, f, s):
+        with pytest.raises(DomainError, match="overflows"):
+            f(s)
+
+
 class TestAgainstMpmath:
     """Regression bounds against mpmath at 30 digits.
 
@@ -309,6 +368,26 @@ class TestAgainstMpmath:
             abs(eta_prime(s) - complex(mp.diff(mp.altzeta, s))) for s in panel
         )
         assert worst <= 6e-13
+
+    @pytest.mark.parametrize("f, name, s", [
+        (zeta, "zeta", -9.0),
+        (eta, "altzeta", -10.0),
+        (eta, "altzeta", -8.5),
+        (eta, "altzeta", -20.0 + 5j),
+    ])
+    def test_functional_equation_regressions(self, mp, f, name, s):
+        # before the functional equation: zeta(-9) right by chance only,
+        # eta(-10) = -6522, eta(-8.5) = 10.2269, eta(-20+5j) off by 1e11
+        expected = complex(getattr(mp, name)(s))
+        assert abs(f(s) - expected) <= 2e-14 * max(1.0, abs(expected))
+
+    def test_functional_equation_band(self, mp):
+        rng = random.Random(0xF0E)
+        panel = [complex(rng.uniform(-50.0, -4.0), rng.uniform(0.0, 2.0)) for _ in range(100)]
+        for s in panel:
+            for f, name in ((eta, "altzeta"), (zeta, "zeta")):
+                expected = complex(getattr(mp, name)(s))
+                assert abs(f(s) - expected) <= 2e-13 * abs(expected)
 
     def test_zeta_at_integers(self, mp):
         opts = EvalOptions(tol=1e-15)
