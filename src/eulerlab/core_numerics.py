@@ -224,16 +224,18 @@ def _tanh_sinh(
 
     Returns (value, per-level error estimates, evaluations, converged).
     The estimate at level L is |S_L - S_(L-1)|.  A ParametricIntegrand's
-    levels of at least _ARRAY_MIN_NODES nodes a side are evaluated by its array
-    form in one call (_rows_level with one row), the others node by
-    node; both visit, count and sum the same nodes in the same order.
+    levels of at least _ARRAY_MIN_NODES nodes a side are evaluated by
+    its array form in one call (_rows_level with one row), the others
+    node by node; both visit, count and sum the same nodes in the same
+    order.
     """
-    family = f if isinstance(f, ParametricIntegrand) else None
-    if family is not None:
-        # a partial calls the kernel faster than the instance does
-        f = functools.partial(family.kernel, family.param)
     # Contributions below this are treated as tail and truncate the node walk.
     thresh = tol * 1e-3
+    family = f if isinstance(f, ParametricIntegrand) else None
+    if family is not None:
+        row, row_thresh = np.array([family.param], dtype=complex), np.array([thresh])
+        # a partial calls the kernel faster than the instance does
+        f = functools.partial(family.kernel, family.param)
     evals = 0
     total = 0.0 + 0.0j
     estimates: list[float] = []
@@ -245,10 +247,7 @@ def _tanh_sinh(
     for level in range(max_level + 1):
         h = 0.5 ** level
         if family is not None and len(_nodes(level)) >= _ARRAY_MIN_NODES:
-            sums, counts, tails = _rows_level(
-                family.rows, np.array([family.param], dtype=complex), a, b, level,
-                np.array([thresh]),
-            )
+            sums, counts, tails = _rows_level(family.rows, row, a, b, level, row_thresh)
             level_sum, level_evals, tail = complex(sums[0]), int(counts[0]), float(tails[0])
         else:
             level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)

@@ -114,7 +114,9 @@ def _power_array(t: np.ndarray, s: np.ndarray, exponent: np.ndarray) -> np.ndarr
     return exponent
 
 
-def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray):
+def _scale_rows(
+    values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray
+) -> np.ndarray:
     # values[i, j] * factors[0][i] * ... / divisor[i] in place, scaling the
     # real and imaginary parts separately, as complex-by-real products and
     # quotients do

@@ -138,6 +138,29 @@ class TestArrayLevels:
         assert max(sizes) <= len(core_numerics._nodes(MAX_LEVEL))
 
 
+class TestSummationOrder:
+    @pytest.mark.parametrize("level", [6, 8, 10, 12])
+    @pytest.mark.parametrize("params", [[3.0], [3.0, -2.0, 0.5]])
+    def test_level_sums_are_the_walks_bit_for_bit(self, level, params):
+        # Contributions of about 1e10 cancel between the two sides, so
+        # any other order of addition (a pairwise sum) changes the low
+        # digits.  The kernel's array form performs the same IEEE
+        # operations, so only the order could make a difference.
+        def kernel(p, x):
+            return p * (x - 0.5) * 1e10 + 1.0
+
+        def rows(ps, x):
+            return (ps.real[None, :] * (x[:, None] - 0.5) * 1e10 + 1.0).astype(complex)
+
+        thresh = np.full(len(params), 1e-15)
+        sums, counts, tails = core_numerics._rows_level(
+            rows, np.array(params, dtype=complex), 0.0, 1.0, level, thresh
+        )
+        for i, p in enumerate(params):
+            walked = core_numerics._walk_level(lambda x: kernel(p, x), 0.0, 1.0, level, 1e-15)
+            assert (sums[i], counts[i], tails[i]) == walked
+
+
 def _nan_in(lo: float, hi: float):
     # scalar and array forms of x**p e**-x, NaN on the window (lo, hi); on
     # (0, 50) with p = -0.95 the ladder runs to MAX_LEVEL
@@ -201,3 +224,27 @@ class TestUnresolvedTail:
         )
         assert tail > QUAD_TOL
         assert result.abs_error_estimate >= tail
+
+    def test_tail_found_only_on_array_levels_is_kept(self):
+        # x**-0.97 keeps every level's lower side above the threshold down
+        # to the last node; the factor 1e6 below x = 1e-276 reaches only
+        # the last nodes of levels 6 and deeper, whose tails then exceed
+        # every shallower level's
+        def kernel(p, x):
+            return x**p.real * (1e6 if x < 1e-276 else 1.0)
+
+        def rows(ps, x):
+            boost = np.where(x < 1e-276, 1e6, 1.0)[:, None]
+            return (np.power.outer(x, ps.real) * boost).astype(complex)
+
+        tails = [
+            core_numerics._walk_level(lambda x: kernel(-0.97 + 0j, x), 0.0, 1.0, level, 1e-13)[2]
+            for level in range(MAX_LEVEL + 1)
+        ]
+        assert max(tails[6:]) > 10.0 * max(tails[:6])
+        marked = integrate_finite(ParametricIntegrand(kernel, rows, -0.97 + 0j), 0.0, 1.0, 1e-10)
+        plain = integrate_finite(lambda x: kernel(-0.97 + 0j, x), 0.0, 1.0, 1e-10)
+        assert not marked.converged and not plain.converged
+        assert marked.evaluations == plain.evaluations
+        assert marked.abs_error_estimate >= max(tails)
+        assert marked.abs_error_estimate == pytest.approx(plain.abs_error_estimate, rel=1e-12)
