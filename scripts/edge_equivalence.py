@@ -10,8 +10,12 @@ not changed).  Each checkout runs ``identity_engine.verify`` at every
 point in a fresh subprocess with its own ``src/`` on the path.  Per
 seed and identity the script prints the number of points, how many
 changed their evaluation count, verdict or raised error (a change that
-must keep the quadrature's work and verdicts prints 0 there), and the
-worst |delta lhs| and |delta rhs|.  It exits 1 if any point changed.
+must keep the quadrature's work and verdicts prints 0 there), how many
+changed their rhs, and the worst |delta lhs| and |delta rhs|.  When
+mpmath imports it adds the oracle columns: per side the FAIL verdicts
+and the worst |lhs - mpmath closed form| (the closed forms of the
+workload's own check), and the FAIL->PASS and PASS->FAIL counts.  It
+exits 1 if any point changed.
 """
 
 from __future__ import annotations
@@ -44,12 +48,17 @@ json.dump(out, sys.stdout)
 """
 
 
-def edge_points(checkout: Path, seed: int) -> list[tuple[str, complex]]:
+def _workloads(checkout: Path):
     sys.path.insert(0, str(checkout / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def edge_points(checkout: Path, seed: int) -> list[tuple[str, complex]]:
+    workloads = _workloads(checkout)
     # The panel only draws its points at construction; no library needed.
     panel = workloads.EdgePanel(types.SimpleNamespace(identity_engine=None), seed)
     return [call.args for call in panel.calls]
@@ -72,17 +81,28 @@ def _distance(a: dict, b: dict, side: str) -> float:
     return abs(complex(*a[side]) - complex(*b[side]))
 
 
-def compare(points, parent: list[dict], change: list[dict]) -> dict[str, dict]:
+def compare(points, parent: list[dict], change: list[dict], refs) -> dict[str, dict]:
     table: dict[str, dict] = {}
-    for (token, _), old, new in zip(points, parent, change):
-        row = table.setdefault(token, {"points": 0, "changed": 0, "lhs": 0.0, "rhs": 0.0})
+    for (token, s), old, new in zip(points, parent, change):
+        row = table.setdefault(token, dict.fromkeys(
+            ("points", "changed", "rhs_changed", "lhs", "rhs", "old_fails", "new_fails",
+             "old_oracle", "new_oracle", "fail_to_pass", "pass_to_fail"), 0))
         row["points"] += 1
         if "error" in old or "error" in new:
             row["changed"] += old != new
             continue
         row["changed"] += (old["evaluations"], old["passed"]) != (new["evaluations"], new["passed"])
+        row["rhs_changed"] += old["rhs"] != new["rhs"]
         row["lhs"] = max(row["lhs"], _distance(old, new, "lhs"))
         row["rhs"] = max(row["rhs"], _distance(old, new, "rhs"))
+        row["old_fails"] += not old["passed"]
+        row["new_fails"] += not new["passed"]
+        row["fail_to_pass"] += new["passed"] and not old["passed"]
+        row["pass_to_fail"] += old["passed"] and not new["passed"]
+        ref = refs(token, s)
+        if ref is not None:
+            row["old_oracle"] = max(row["old_oracle"], abs(complex(*old["lhs"]) - ref))
+            row["new_oracle"] = max(row["new_oracle"], abs(complex(*new["lhs"]) - ref))
     return table
 
 
@@ -93,15 +113,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1,7", help="comma-separated seeds")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    refs = _workloads(change).References()
+    oracle = refs.mp is not None
     changed = 0
-    print("seed  identity  points  changed  max|dlhs|  max|drhs|")
+    header = ["seed", "identity", "points", "changed", "rhs changed", "max abs dlhs",
+              "max abs drhs"]
+    if oracle:
+        header += ["parent FAILs", "parent max abs(lhs - mpmath)", "change FAILs",
+                   "change max abs(lhs - mpmath)", "FAIL->PASS", "PASS->FAIL"]
+    print("| " + " | ".join(header) + " |")
+    print("|---" * len(header) + "|")
     for seed in (int(s) for s in args.seeds.split(",")):
         points = edge_points(change, seed)
-        table = compare(points, run(parent, points), run(change, points))
+        table = compare(points, run(parent, points), run(change, points), refs)
         for token, row in sorted(table.items()):
             changed += row["changed"]
-            print(f"{seed:>4}  {token:<8}  {row['points']:>6}  {row['changed']:>7}"
-                  f"  {row['lhs']:9.2e}  {row['rhs']:9.2e}")
+            line = (f"| {seed} | {token} | {row['points']} | {row['changed']}"
+                    f" | {row['rhs_changed']} | {row['lhs']:.2e} | {row['rhs']:.2e} |")
+            if oracle:
+                line += (f" {row['old_fails']} | {row['old_oracle']:.1e} | {row['new_fails']}"
+                         f" | {row['new_oracle']:.1e} | {row['fail_to_pass']}"
+                         f" | {row['pass_to_fail']} |")
+            print(line)
     print(f"{changed} points changed evaluations, verdict or error")
     return 1 if changed else 0
 

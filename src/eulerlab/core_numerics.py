@@ -8,13 +8,12 @@ above -1).  Semi-infinite integrals of exponentially decaying integrands
 are truncated at an analytically bounded tail.  Non-convergence is
 reported in the result, never raised.
 
-The refinement ladder walks each level node by node, except where an
-array form does the same work in one call: many integrals of one family
-(``integrate_semi_infinite_many``) take every level as points x nodes
-arrays, and a single integral of a ``ParametricIntegrand`` takes each
-level of at least 100 nodes a side (level 6 and deeper, 193 nodes) as
-one array call.  Both give the node-by-node walk's evaluations,
-truncation and verdict.
+A single integral walks each refinement level node by node.  Many
+integrals of one family (``integrate_semi_infinite_many``) take every
+level as points x nodes arrays, with the walk's evaluations, truncation
+and verdict.  An endpoint singularity whose exponent is close to -1
+exhausts the ladder; callers that know its leading power subtract it and
+integrate the regular remainder (``integrate_semi_infinite_split``).
 """
 
 from __future__ import annotations
@@ -81,29 +80,6 @@ class ProductIntegrand:
 
     def __call__(self, x: float, y: float) -> complex:
         return self.g(x * y)
-
-
-class ParametricIntegrand:
-    """The integrand x -> kernel(param, x) of a family with an array form.
-
-    ``rows`` is the family's RowIntegrand: ``rows(params, x)`` gives the
-    (len(x), len(params)) values of the same branches and operations as
-    ``kernel``.  Single integrals of an integrand carrying this marker
-    evaluate each refinement level of at least _ARRAY_MIN_NODES nodes a
-    side by one ``rows`` call; smaller levels call the kernel node by
-    node.
-    Plain callables are always walked node by node.
-    """
-
-    def __init__(
-        self, kernel: Callable[[complex, float], complex], rows: RowIntegrand, param: complex
-    ):
-        self.kernel = kernel
-        self.rows = rows
-        self.param = param
-
-    def __call__(self, x: float) -> complex:
-        return self.kernel(self.param, x)
 
 
 # --------------------------------------------------------------------------
@@ -223,19 +199,10 @@ def _tanh_sinh(
     """Refine the tanh-sinh trapezoid sum until two levels agree within tol.
 
     Returns (value, per-level error estimates, evaluations, converged).
-    The estimate at level L is |S_L - S_(L-1)|.  A ParametricIntegrand's
-    levels of at least _ARRAY_MIN_NODES nodes a side are evaluated by
-    its array form in one call (_rows_level with one row), the others
-    node by node; both visit, count and sum the same nodes in the same
-    order.
+    The estimate at level L is |S_L - S_(L-1)|.
     """
     # Contributions below this are treated as tail and truncate the node walk.
     thresh = tol * 1e-3
-    family = f if isinstance(f, ParametricIntegrand) else None
-    if family is not None:
-        row, row_thresh = np.array([family.param], dtype=complex), np.array([thresh])
-        # a partial calls the kernel faster than the instance does
-        f = functools.partial(family.kernel, family.param)
     evals = 0
     total = 0.0 + 0.0j
     estimates: list[float] = []
@@ -246,11 +213,7 @@ def _tanh_sinh(
 
     for level in range(max_level + 1):
         h = 0.5 ** level
-        if family is not None and len(_nodes(level)) >= _ARRAY_MIN_NODES:
-            sums, counts, tails = _rows_level(family.rows, row, a, b, level, row_thresh)
-            level_sum, level_evals, tail = complex(sums[0]), int(counts[0]), float(tails[0])
-        else:
-            level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)
+        level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)
         evals += level_evals
         unresolved = max(unresolved, tail)
         previous = total
@@ -264,18 +227,6 @@ def _tanh_sinh(
         estimates[-1] = max(estimates[-1], unresolved)
     return total, estimates, evals, converged
 
-
-# Nodes a side from which a ParametricIntegrand's level is one array
-# call: levels 6 and deeper (193 nodes and more), which only points next
-# to a domain edge reach.  Measured for the minus kernel on a shared
-# 2-core x86-64 VM: one array call costs 170-220 us up to level 7, about
-# what the walk spends on 100 nodes (1.5-2 us a node), so level 5 (96
-# nodes) breaks even and level 6 runs about twice as fast as its walk.
-# The registry's single quadratures reach level 5 at most, so ``eulerlab
-# all`` keeps the walk's exact sums (array levels from 5 on change the
-# last digit of five eq12 values).  On the edge_panel benchmark workload 200
-# gave the same throughput and 400 (level 8 on) less.
-_ARRAY_MIN_NODES = 100
 
 # Nodes x rows evaluated per integrand call of the batched ladder, which
 # keeps each complex working array at 128 KB or less on every level but
@@ -482,6 +433,31 @@ def integrate_semi_infinite(
     """
     T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
     return _with_tail(integrate_finite(f, 0.0, T, finite_tol), tail, tol)
+
+
+def integrate_semi_infinite_split(
+    near: Integrand, far: Integrand, tol: float, decay_exponent_hint: float
+) -> QuadratureResult:
+    """Integrate near over (0, 1) plus far over (1, inf).
+
+    The truncation and tail bound are integrate_semi_infinite's for far;
+    the two finite parts share the tolerance left for (0, T) equally, so
+    the summed estimate meets it exactly when both parts converge.  For
+    an integrand whose singular part at 0 the caller has subtracted from
+    near and integrated in closed form.
+    """
+    T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
+    parts = (
+        integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol),
+        integrate_finite(far, 1.0, T, 0.5 * finite_tol),
+    )
+    finite = QuadratureResult(
+        sum(part.value for part in parts),
+        sum(part.abs_error_estimate for part in parts),
+        sum(part.evaluations for part in parts),
+        all(part.converged for part in parts),
+    )
+    return _with_tail(finite, tail, tol)
 
 
 def integrate_semi_infinite_many(

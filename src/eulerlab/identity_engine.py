@@ -5,9 +5,10 @@ right-hand route (the two self-checks of single functions excepted) and,
 for parameterized identities, carries the points ``verify_all`` runs.
 Reports are machine-readable and never raise on numeric disagreement;
 pass/fail is decided by absolute error against the identity's
-tolerance.  All evaluation is deterministic: the random
-panels for the functional-equation and product-relation checks are
-drawn from a fixed seed.
+tolerance, and a route whose quadrature did not converge fails.  All
+evaluation is deterministic: the random panels for the
+functional-equation and product-relation checks are drawn from a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ EXCLUSION_RADIUS = 1e-6
 DOMAIN_MARGIN = 0.01
 PANEL_SEED = 0x5EED
 
-Route = Callable[[complex | None, float], tuple[complex, int]]
-# A route over many points at once: one (value, evaluations) per point.
-BatchRoute = Callable[[Sequence[complex], float], list[tuple[complex, int]]]
+# A route gives (value, evaluations), or the QuadratureResult of a
+# quadrature, whose convergence the verdict needs too.
+RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
+Route = Callable[[complex | None, float], RouteValue]
+# A route over many points at once: one route value per point.
+BatchRoute = Callable[[Sequence[complex], float], list[RouteValue]]
 
 # Below this many evaluable points a sweep runs its routes point by
 # point.  Measured for eq15 on a shared 2-core x86-64 VM: a batch of one
@@ -106,8 +110,11 @@ def _gamma_reference(s: complex | None, tol: float) -> tuple[complex, int]:
     return complex(est.value), est.terms_or_n
 
 
-def _quad(result: core_numerics.QuadratureResult) -> tuple[complex, int]:
-    return result.value, result.evaluations
+def _outcome(value: RouteValue) -> tuple[complex, int, bool]:
+    # (value, evaluations, converged); only a quadrature can fail to converge
+    if isinstance(value, core_numerics.QuadratureResult):
+        return value.value, value.evaluations, value.converged
+    return (*value, True)
 
 
 def _closed_form(value: float) -> Route:
@@ -122,11 +129,11 @@ def _closed_form(value: float) -> Route:
 # --- route implementations (closed forms use _closed_form) -----------------
 
 def _eq2_lhs(s, tol):
-    return _quad(integral_forms.I_minus(-1.0, _quad_tol(tol)))
+    return integral_forms.I_minus(-1.0, _quad_tol(tol))
 
 
 def _eq3_lhs(s, tol):
-    return _quad(integral_forms.I_plus(-1.0, _quad_tol(tol)))
+    return integral_forms.I_plus(-1.0, _quad_tol(tol))
 
 
 def _eq3_rhs(s, tol):
@@ -139,11 +146,11 @@ def _eq4_lhs(s, tol):
 
 
 def _eq6_lhs(s, tol):
-    return _quad(integral_forms.beukers_reduced(2, _quad_tol(tol)))
+    return integral_forms.beukers_reduced(2, _quad_tol(tol))
 
 
 def _eq7_lhs(s, tol):
-    return _quad(integral_forms.beukers_reduced(3, _quad_tol(tol)))
+    return integral_forms.beukers_reduced(3, _quad_tol(tol))
 
 
 def _eq7_rhs(s, tol):
@@ -151,7 +158,7 @@ def _eq7_rhs(s, tol):
 
 
 def _eq9_lhs(s, tol):
-    return _quad(integral_forms.I_plus(-2.0, _quad_tol(tol)))
+    return integral_forms.I_plus(-2.0, _quad_tol(tol))
 
 
 def _eq9_rhs(s, tol):
@@ -175,7 +182,7 @@ def _eq11_lhs(s, tol):
 
 
 def _eq12_lhs(s, tol):
-    return _quad(integral_forms.I_minus(s, _quad_tol(tol)))
+    return integral_forms.I_minus(s, _quad_tol(tol))
 
 
 def _eq12_rhs(s, tol):
@@ -195,7 +202,7 @@ def _eq14_lhs(s, tol):
 
 
 def _eq15_lhs(s, tol):
-    return _quad(integral_forms.I_plus(s, _quad_tol(tol)))
+    return integral_forms.I_plus(s, _quad_tol(tol))
 
 
 def _eq15_rhs(s, tol):
@@ -203,7 +210,7 @@ def _eq15_rhs(s, tol):
 
 
 def _eq15_lhs_many(points, tol):
-    return [_quad(r) for r in integral_forms.I_plus_many(points, _quad_tol(tol))]
+    return integral_forms.I_plus_many(points, _quad_tol(tol))
 
 
 def _eq15_rhs_many(points, tol):
@@ -230,7 +237,7 @@ def _eq17_rhs(s, tol):
 
 
 def _eq18_lhs(s, tol):
-    return _quad(integral_forms.fermi_dirac(s, _quad_tol(tol)))
+    return integral_forms.fermi_dirac(s, _quad_tol(tol))
 
 
 def _eq18_rhs(s, tol):
@@ -508,7 +515,8 @@ def verify(
 ) -> VerificationReport:
     """Evaluate both routes of one identity and report the comparison.
 
-    Numeric disagreement never raises; it comes back as pass=False.
+    Numeric disagreement never raises; it comes back as pass=False, as
+    does a quadrature route that did not converge.
     Unknown tokens, missing/superfluous s, and domain violations raise.
     """
     ident = get_identity(token)
@@ -525,10 +533,8 @@ def verify(
     start = time.perf_counter()
     batched = (_BATCH.get() or {}).get((token, effective_tol, s))
     if batched is None:
-        lhs, lhs_evals = ident.lhs(s, effective_tol)
-        rhs, rhs_evals = ident.rhs(s, effective_tol)
-    else:
-        (lhs, lhs_evals), (rhs, rhs_evals) = batched
+        batched = ident.lhs(s, effective_tol), ident.rhs(s, effective_tol)
+    (lhs, lhs_evals, lhs_ok), (rhs, rhs_evals, rhs_ok) = map(_outcome, batched)
     elapsed = time.perf_counter() - start
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None
@@ -540,7 +546,7 @@ def verify(
         abs_err=abs_err,
         rel_err=rel_err,
         tol=effective_tol,
-        passed=abs_err <= effective_tol,
+        passed=abs_err <= effective_tol and lhs_ok and rhs_ok,
         lhs_route=ident.lhs_route,
         rhs_route=ident.rhs_route,
         evaluations=lhs_evals + rhs_evals,

@@ -27,10 +27,11 @@ against mpmath, same Im(s) range:
     [-50, -10)          below 1e-13
     [-170, -50)         below 2e-13
 
-There eta and zeta raise DomainError where the value or a factor of the
-functional equation overflows (real s below about -218.5 for eta and
--260 for zeta, or Im(s) above about 450), and the derivatives eta_prime
-and zeta_prime raise IllConditionedError.
+At large Im(s) the error follows that of zeta(1 - s): 1.4e-12 at
+-5+455i, 4.3e-11 at -5+600i.  There eta and zeta raise DomainError
+where the value or a factor of the functional equation overflows (real
+s below about -218.5 for eta and -260 for zeta), and the derivatives
+eta_prime and zeta_prime raise IllConditionedError.
 """
 
 from __future__ import annotations
@@ -278,15 +279,31 @@ def _reject_cancelling_sum(s: complex) -> None:
         )
 
 
+def _sin_pi_scaled(s: complex) -> tuple[float, complex]:
+    # (g, b) with sin(pi s) = e**g b and |b| <= 2: s is reduced exactly
+    # as in _sin_pi, and cosh and sinh of y = pi Im(s) give up their
+    # common factor e**|y| / 2 to g, so a large |Im(s)| cannot overflow
+    m = round(s.real)
+    x, y = math.pi * (s.real - m), math.pi * s.imag
+    decay = -2.0 * abs(y)
+    b = complex(
+        math.sin(x) * (1.0 + math.exp(decay)),
+        math.cos(x) * math.copysign(-math.expm1(decay), y),
+    )
+    return abs(y) - _LN2, -b if m % 2 else b
+
+
 def _zeta_reflected(s: complex, opts: EvalOptions, eta_factor: bool = False) -> complex:
     # zeta(s) = 2 (2 pi)**(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), times
     # 1 - 2**(1-s) (giving eta) with eta_factor.  (2 pi)**(s-1) Gamma(1-s)
-    # is formed in log space and the sine reduced exactly, so the trivial
-    # zeros at negative even s come out as 0.
+    # and the sine's growth in Im(s) are combined in log space, where the
+    # sine's e**(pi |Im(s)|/2) cancels Gamma's decay; the sine is reduced
+    # exactly, so the trivial zeros at negative even s come out as 0.
     w = 1.0 - s
+    g, sine = _sin_pi_scaled(0.5 * s)
     try:
-        scale = cmath.exp((s - 1.0) * math.log(_TWO_PI) + _log_gamma(w))
-        value = 2.0 * scale * _sin_pi(0.5 * s) * zeta(w, opts)
+        scale = cmath.exp((s - 1.0) * math.log(_TWO_PI) + _log_gamma(w) + g)
+        value = 2.0 * scale * sine * zeta(w, opts)
         if eta_factor:
             value *= _eta_zeta_factor(s)
     except OverflowError:

@@ -1,12 +1,13 @@
-"""Array levels of single quadratures against the node-by-node walk.
+"""Array levels of the batched ladder against the node-by-node walk.
 
-``I_plus``, ``I_minus`` and ``fermi_dirac`` hand the ladder a
-``ParametricIntegrand``, whose refinement levels of at least
-``_ARRAY_MIN_NODES`` nodes are evaluated by one call of the family's
-array kernel.  Every such level must visit, count and sum the nodes the
-scalar walk does: same evaluations and verdicts, values within rounding.
+``integrate_semi_infinite_many`` evaluates every refinement level of
+many integrals as one array call per side (``_rows_level``).  Every such
+level must visit, count and sum the nodes the scalar walk does: same
+evaluations and verdicts, values within rounding, and the same rules for
+non-finite values and unresolved tails.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,17 +16,14 @@ import pytest
 from eulerlab import core_numerics
 from eulerlab.core_numerics import (
     MAX_LEVEL,
-    ParametricIntegrand,
     integrate_finite,
     integrate_semi_infinite,
+    integrate_semi_infinite_many,
 )
 from eulerlab.errors import IntegrandError
 from eulerlab.integral_forms import (
     I_minus,
-    fermi_dirac_integrand,
-    fermi_dirac_integrand_array,
     reduced_integrand_minus,
-    reduced_integrand_minus_array,
     reduced_integrand_plus,
     reduced_integrand_plus_array,
 )
@@ -35,18 +33,25 @@ QUAD_TOL = 1e-9  # what the eq12/eq15/eq18 default tolerances ask of their quadr
 # (scalar kernel, array kernel, domain edge, decay exponent minus Re(s))
 FAMILIES = {
     "I_plus": (reduced_integrand_plus, reduced_integrand_plus_array, -3.0, 1.0),
-    "I_minus": (reduced_integrand_minus, reduced_integrand_minus_array, -2.0, 1.0),
-    "fermi_dirac": (fermi_dirac_integrand, fermi_dirac_integrand_array, 0.0, -1.0),
 }
 
 
-def both_ladders(family: str, s: complex, tol: float = QUAD_TOL):
-    # the marker integrand and a plain callable of the same scalar kernel
-    kernel, rows, _, shift = FAMILIES[family]
-    p = s.real + shift
-    marked = integrate_semi_infinite(ParametricIntegrand(kernel, rows, s), tol, p)
-    plain = integrate_semi_infinite(lambda t: kernel(s, t), tol, p)
-    return marked, plain
+def rows_of(scalar):
+    # the array form of scalar(p, x), node by node
+    def rows(params, x):
+        return np.array([[scalar(q, xi) for q in params] for xi in x], dtype=complex)
+
+    return rows
+
+
+def one_row(rows, p, a, b, tol):
+    # the batched ladder of the array form rows on the one row p
+    values, estimates, evals, converged = core_numerics._tanh_sinh_rows(
+        rows, np.array([p], dtype=complex), a, b, np.array([tol])
+    )
+    return core_numerics.QuadratureResult(
+        complex(values[0]), float(estimates[0]), int(evals[0]), bool(converged[0])
+    )
 
 
 class TestArrayKernels:
@@ -75,67 +80,24 @@ class TestArrayKernels:
 
 
 class TestArrayLevels:
-    def test_property_marker_equals_plain_walk(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-
-        @hypothesis.settings(max_examples=20, deadline=None, derandomize=True)
-        @hypothesis.given(
-            st.sampled_from(sorted(FAMILIES)),
-            st.floats(0.0101, 0.4),
-            st.floats(0.0, 2.0),
-        )
-        def check(family, above_edge, im):
-            s = complex(FAMILIES[family][2] + above_edge, im)
-            marked, plain = both_ladders(family, s)
-            assert marked.evaluations == plain.evaluations
-            assert marked.converged == plain.converged
-            assert abs(marked.value - plain.value) <= 1e-13
-
-        check()
-
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_deep_point_takes_array_levels(self, family, monkeypatch):
-        kernel, rows, edge, _ = FAMILIES[family]
+    def test_deep_point_takes_array_levels(self, family):
+        # the raw kernel next to its edge takes the batched ladder to its
+        # deepest levels, as it takes the walk
+        kernel, rows, edge, shift = FAMILIES[family]
+        s = complex(edge + 0.02, 0.5)
         level_sizes = []
 
         def recording_rows(params, x):
             level_sizes.append(len(x))
             return rows(params, x)
 
-        monkeypatch.setitem(FAMILIES, family, (kernel, recording_rows, *FAMILIES[family][2:]))
-        marked, plain = both_ladders(family, complex(edge + 0.02, 0.5))
-        assert level_sizes, "the point never reached an array level"
-        assert marked.evaluations == plain.evaluations > 0
-        assert marked.converged == plain.converged
-        assert abs(marked.value - plain.value) <= 1e-13
-
-    def test_shallow_integral_never_calls_the_array_form(self):
-        def rows(params, x):
-            raise AssertionError("array form called below the threshold")
-
-        result = integrate_finite(
-            ParametricIntegrand(lambda p, x: math.exp(p * x), rows, -1.0), 0.0, 1.0, 1e-9
-        )
-        assert result.converged
-        assert abs(result.value - (1.0 - math.exp(-1.0))) <= 1e-12
-
-    def test_array_levels_start_at_the_threshold(self):
-        sizes = []
-
-        def rows(params, x):
-            sizes.append(len(x))
-            return np.power.outer(x, params.real)
-
-        integrate_finite(ParametricIntegrand(lambda p, x: x**p.real, rows, -0.95 + 0j),
-                         0.0, 1.0, 1e-10)
-        first = min(
-            level for level in range(MAX_LEVEL + 1)
-            if len(core_numerics._nodes(level)) >= core_numerics._ARRAY_MIN_NODES
-        )
-        # two calls (one per side) for every level from the first array level on
-        assert len(sizes) == 2 * (MAX_LEVEL + 1 - first)
-        assert max(sizes) <= len(core_numerics._nodes(MAX_LEVEL))
+        batched, = integrate_semi_infinite_many(recording_rows, [s], QUAD_TOL, [s.real + shift])
+        plain = integrate_semi_infinite(functools.partial(kernel, s), QUAD_TOL, s.real + shift)
+        assert max(level_sizes) >= len(core_numerics._nodes(6))
+        assert batched.evaluations == plain.evaluations > 0
+        assert batched.converged == plain.converged
+        assert abs(batched.value - plain.value) <= 1e-13
 
 
 class TestSummationOrder:
@@ -177,13 +139,13 @@ def _nan_in(lo: float, hi: float):
 
 class TestNonFiniteNodes:
     def test_nan_at_a_summed_node_of_an_array_level_raises(self):
-        # (25.1, 25.9) holds no node of levels 0-5; level 6 (the first
-        # array level) has its t = 1/64 node there, which every walk sums
+        # (25.1, 25.9) holds no node of levels 0-5; level 6 has its
+        # t = 1/64 node there, which every walk sums
         scalar, rows = _nan_in(25.1, 25.9)
         with pytest.raises(IntegrandError):
             integrate_finite(lambda x: scalar(-0.95, x), 0.0, 50.0, 1e-10)
         with pytest.raises(IntegrandError):
-            integrate_finite(ParametricIntegrand(scalar, rows, -0.95 + 0j), 0.0, 50.0, 1e-10)
+            one_row(rows, -0.95, 0.0, 50.0, 1e-10)
 
     def test_nan_past_the_truncation_is_not_summed(self):
         # The upper side stops after two negligible contributions at
@@ -196,9 +158,7 @@ class TestNonFiniteNodes:
             nan_nodes.append(int((x > 50.0 - 1e-10).sum()))
             return rows(params, x)
 
-        marked = integrate_finite(
-            ParametricIntegrand(scalar, counting_rows, -0.95 + 0j), 0.0, 50.0, 1e-10
-        )
+        marked = one_row(counting_rows, -0.95, 0.0, 50.0, 1e-10)
         plain = integrate_finite(lambda x: scalar(-0.95, x), 0.0, 50.0, 1e-10)
         assert sum(nan_nodes) > 0
         assert marked.evaluations == plain.evaluations
@@ -208,14 +168,16 @@ class TestNonFiniteNodes:
 
 class TestUnresolvedTail:
     def test_minus_kernel_next_to_its_edge_stays_unconverged(self):
+        # the ladder on the raw kernel, which I_minus no longer takes there
         s = complex(-1.95)
-        result = I_minus(s, QUAD_TOL)
-        marked, plain = both_ladders("I_minus", s)
-        assert not result.converged and not plain.converged
-        assert result.evaluations == marked.evaluations == plain.evaluations
+        kernel = functools.partial(reduced_integrand_minus, s)
+        result = integrate_semi_infinite(kernel, QUAD_TOL, s.real + 1.0)
+        T, _, finite_tol = core_numerics._truncation(QUAD_TOL, s.real + 1.0)
+        marked = one_row(rows_of(reduced_integrand_minus), s, 0.0, T, finite_tol)
+        assert not result.converged and not marked.converged
+        assert result.evaluations == marked.evaluations
         # a level's side that runs out of nodes while still carrying mass
         # leaves an unresolved tail; the estimate covers the largest
-        T, _, finite_tol = core_numerics._truncation(QUAD_TOL, s.real + 1.0)
         tail = max(
             core_numerics._walk_level(
                 lambda t: reduced_integrand_minus(s, t), 0.0, T, level, finite_tol * 1e-3
@@ -242,9 +204,18 @@ class TestUnresolvedTail:
             for level in range(MAX_LEVEL + 1)
         ]
         assert max(tails[6:]) > 10.0 * max(tails[:6])
-        marked = integrate_finite(ParametricIntegrand(kernel, rows, -0.97 + 0j), 0.0, 1.0, 1e-10)
+        marked = one_row(rows, -0.97, 0.0, 1.0, 1e-10)
         plain = integrate_finite(lambda x: kernel(-0.97 + 0j, x), 0.0, 1.0, 1e-10)
         assert not marked.converged and not plain.converged
         assert marked.evaluations == plain.evaluations
         assert marked.abs_error_estimate >= max(tails)
         assert marked.abs_error_estimate == pytest.approx(plain.abs_error_estimate, rel=1e-12)
+
+    def test_minus_kernel_next_to_its_edge_converges_by_subtraction(self):
+        mpmath = pytest.importorskip("mpmath")
+        result = I_minus(-1.95, QUAD_TOL)
+        z = mpmath.mpf(-1.95)
+        exact = mpmath.gamma(z + 2) * (mpmath.zeta(z + 2) - 1 / (z + 1))
+        assert result.converged
+        assert result.evaluations < 1000
+        assert abs(result.value - complex(exact)) <= QUAD_TOL

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from eulerlab import core_numerics
 from eulerlab.core_numerics import (
     ProductIntegrand,
     integrate_finite,
     integrate_semi_infinite,
+    integrate_semi_infinite_split,
     integrate_unit_square,
     refinement_history,
     sum_series,
@@ -85,6 +87,26 @@ class TestIntegrateFinite:
         history = refinement_history(f, 0.0, 1.0, 1e-15, max_level=7)
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier or (earlier <= 1e-13 and later <= 1e-13)
+
+
+class TestIntegrateSemiInfiniteSplit:
+    def test_adds_the_two_parts(self):
+        r = integrate_semi_infinite_split(lambda t: t**-0.5, lambda t: math.exp(-t), 1e-10, 0.0)
+        assert r.converged
+        assert abs(r.value - (2.0 + math.exp(-1.0))) <= 1e-10
+
+    def test_converges_only_when_both_parts_do(self):
+        # t**-0.995 runs out of nodes at 0; the far part converges
+        near, far = (lambda t: t**-0.995), (lambda t: math.exp(-t))
+        r = integrate_semi_infinite_split(near, far, 1e-9, 0.0)
+        T, tail, finite_tol = core_numerics._truncation(1e-9, 0.0)
+        a = integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol)
+        b = integrate_finite(far, 1.0, T, 0.5 * finite_tol)
+        assert b.converged and not a.converged
+        assert not r.converged
+        assert r.value == a.value + b.value
+        assert r.evaluations == a.evaluations + b.evaluations
+        assert r.abs_error_estimate == a.abs_error_estimate + b.abs_error_estimate + tail
 
 
 class TestIntegrateSemiInfinite:

@@ -326,7 +326,7 @@ class TestFunctionalEquationBand:
         f(-4.0)  # still on the sum
 
     @pytest.mark.parametrize("f, s", [(eta, -218.5), (zeta, -260.5), (zeta, -2000.5),
-                                      (zeta, -6.0 + 460j)])
+                                      (zeta, -100.0 + 10000j)])
     def test_overflow_raises_domain_error(self, f, s):
         with pytest.raises(DomainError, match="overflows"):
             f(s)
@@ -380,6 +380,13 @@ class TestAgainstMpmath:
         # eta(-10) = -6522, eta(-8.5) = 10.2269, eta(-20+5j) off by 1e11
         expected = complex(getattr(mp, name)(s))
         assert abs(f(s) - expected) <= 2e-14 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("s", [-5.0 + 455j, -5.0 + 600j, -20.0 + 500j])
+    @pytest.mark.parametrize("f, name", [(zeta, "zeta"), (eta, "altzeta")])
+    def test_large_imaginary_part_below_minus_four(self, mp, f, name, s):
+        # sin(pi s/2) alone overflows here; it raised DomainError before
+        expected = complex(getattr(mp, name)(s))
+        assert abs(f(s) - expected) <= 1e-10 * abs(expected)
 
     def test_functional_equation_band(self, mp):
         rng = random.Random(0xF0E)
