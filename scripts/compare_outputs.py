@@ -7,7 +7,8 @@ Usage:
 For each checkout the script runs the CLI from that checkout's ``src/``
 in a fresh subprocess: ``all`` as text, json and csv; every ``const``
 (name, method) pair with its default ``--n`` in the same three formats;
-and one eq15 grid as json.  It compares stdout and the exit code of
+``verify`` as json and csv at the points of ``VERIFY_POINTS``; and one
+grid each of eq15, eq12 and eq18 as json.  It compares stdout and the exit code of
 every command and exits 1 if any differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
 """
@@ -34,6 +35,19 @@ CONST_PAIRS = (
     ("ln2", "series"),
 )
 
+# One interior point and one within 0.45 of the domain edge (where the
+# quadratures subtract the endpoint singularity) per quadrature identity,
+# and eq15 inside the expansion radius of its removable singularity.
+VERIFY_POINTS = (
+    ("eq12", "0.5+0.5i"),
+    ("eq12", "-1.7+0.3i"),
+    ("eq15", "0.5+1i"),
+    ("eq15", "-2.8+0.7i"),
+    ("eq15", "-1.00005"),
+    ("eq18", "2+1i"),
+    ("eq18", "0.2+0.5i"),
+)
+
 COMMANDS = (
     [["all", f"--format={fmt}"] for fmt in FORMATS]
     + [
@@ -41,7 +55,16 @@ COMMANDS = (
         for name, method in CONST_PAIRS
         for fmt in FORMATS
     ]
-    + [["grid", "eq15", "--re=-2.5:3:0.5", "--im=0:2:1", "--format=json"]]
+    + [
+        ["verify", token, f"--s={s}", f"--format={fmt}"]
+        for token, s in VERIFY_POINTS
+        for fmt in ("json", "csv")
+    ]
+    + [
+        ["grid", "eq15", "--re=-2.5:3:0.5", "--im=0:2:1", "--format=json"],
+        ["grid", "eq12", "--re=-1.5:3:0.5", "--im=0:1:1", "--format=json"],
+        ["grid", "eq18", "--re=0.25:4:0.25", "--im=0:1:0.5", "--format=json"],
+    ]
 )
 
 

@@ -14,8 +14,8 @@ must keep the quadrature's work and verdicts prints 0 there), how many
 changed their rhs, and the worst |delta lhs| and |delta rhs|.  When
 mpmath imports it adds the oracle columns: per side the FAIL verdicts
 and the worst |lhs - mpmath closed form| (the closed forms of the
-workload's own check), and the FAIL->PASS and PASS->FAIL counts.  It
-exits 1 if any point changed.
+workload's own check), the same for rhs, and the FAIL->PASS and
+PASS->FAIL counts.  It exits 1 if any point changed.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def compare(points, parent: list[dict], change: list[dict], refs) -> dict[str, d
     for (token, s), old, new in zip(points, parent, change):
         row = table.setdefault(token, dict.fromkeys(
             ("points", "changed", "rhs_changed", "lhs", "rhs", "old_fails", "new_fails",
-             "old_oracle", "new_oracle", "fail_to_pass", "pass_to_fail"), 0))
+             "old_oracle", "new_oracle", "old_rhs_oracle", "new_rhs_oracle",
+             "fail_to_pass", "pass_to_fail"), 0))
         row["points"] += 1
         if "error" in old or "error" in new:
             row["changed"] += old != new
@@ -103,6 +104,8 @@ def compare(points, parent: list[dict], change: list[dict], refs) -> dict[str, d
         if ref is not None:
             row["old_oracle"] = max(row["old_oracle"], abs(complex(*old["lhs"]) - ref))
             row["new_oracle"] = max(row["new_oracle"], abs(complex(*new["lhs"]) - ref))
+            row["old_rhs_oracle"] = max(row["old_rhs_oracle"], abs(complex(*old["rhs"]) - ref))
+            row["new_rhs_oracle"] = max(row["new_rhs_oracle"], abs(complex(*new["rhs"]) - ref))
     return table
 
 
@@ -120,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
               "max abs drhs"]
     if oracle:
         header += ["parent FAILs", "parent max abs(lhs - mpmath)", "change FAILs",
-                   "change max abs(lhs - mpmath)", "FAIL->PASS", "PASS->FAIL"]
+                   "change max abs(lhs - mpmath)", "parent max abs(rhs - mpmath)",
+                   "change max abs(rhs - mpmath)", "FAIL->PASS", "PASS->FAIL"]
     print("| " + " | ".join(header) + " |")
     print("|---" * len(header) + "|")
     for seed in (int(s) for s in args.seeds.split(",")):
@@ -132,7 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                     f" | {row['rhs_changed']} | {row['lhs']:.2e} | {row['rhs']:.2e} |")
             if oracle:
                 line += (f" {row['old_fails']} | {row['old_oracle']:.1e} | {row['new_fails']}"
-                         f" | {row['new_oracle']:.1e} | {row['fail_to_pass']}"
+                         f" | {row['new_oracle']:.1e} | {row['old_rhs_oracle']:.1e}"
+                         f" | {row['new_rhs_oracle']:.1e} | {row['fail_to_pass']}"
                          f" | {row['pass_to_fail']} |")
             print(line)
     print(f"{changed} points changed evaluations, verdict or error")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_numerics import sum_series
 from .special_functions import EvalOptions, zeta, zeta_prime
 
 METHODS = ("series", "limit_ratio", "closed_form", "zeta_route", "euler_formula")
@@ -96,12 +95,12 @@ def ln2_series(n_terms: int) -> ConstantEstimate:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    series = sum_series(
-        lambda n: (1.0 if n % 2 else -1.0) / n, 1e-300, n_terms, alternating=True
-    )
-    return ConstantEstimate(
-        series.value, "series", series.terms_used, series.remainder_bound
-    )
+    n = np.arange(1, n_terms + 1, dtype=float)
+    terms = 1.0 / n
+    terms[1::2] *= -1.0
+    # cumsum adds in order, so the value is bit for bit the term-by-term sum
+    value = float(np.cumsum(terms)[-1])
+    return ConstantEstimate(value, "series", n_terms, 1.0 / (n_terms + 1))
 
 
 def wallis_partial(n_factors: int) -> float:

@@ -13,13 +13,12 @@ seed.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import constants, core_numerics, integral_forms, special_functions
 from .errors import DomainError, EulerLabError, PoleError
@@ -29,17 +28,17 @@ EXCLUSION_RADIUS = 1e-6
 DOMAIN_MARGIN = 0.01
 PANEL_SEED = 0x5EED
 
-# A route gives (value, evaluations), or the QuadratureResult of a
-# quadrature, whose convergence the verdict needs too.
+# A route value is (value, evaluations), or the QuadratureResult of a
+# quadrature, whose convergence the verdict needs too.  A route takes a
+# sequence of points (None for an identity without parameter) and gives
+# one route value per point.
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
-Route = Callable[[complex | None, float], RouteValue]
-# A route over many points at once: one route value per point.
-BatchRoute = Callable[[Sequence[complex], float], list[RouteValue]]
+Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# Below this many evaluable points a sweep runs its routes point by
-# point.  Measured for eq15 on a shared 2-core x86-64 VM: a batch of one
-# point costs 1.2-2.4 ms against 0.23-0.44 ms for the scalar routes, and
-# the two break even at 8-10 points.
+# From this many points on, eq15's routes run the batched ladder and eta
+# panel instead of point by point.  Measured on a shared 2-core x86-64
+# VM, both routes: 1 point 0.3-0.55 ms scalar against 1.1-2.1 ms
+# batched, even at 6-8 points, 16 points 3.7-6.8 ms against 1.8-3.3 ms.
 _BATCH_MIN_POINTS = 8
 
 
@@ -52,9 +51,7 @@ class Identity:
     independence); ``self_check`` marks the two single-function
     consistency relations whose sides necessarily share that function.
     ``points`` are the parameter values ``verify_all`` runs; an identity
-    is parameterized exactly when it has them.  ``lhs_many``/``rhs_many``
-    optionally compute the same two routes for many points at once;
-    sweeps of enough points use them.
+    is parameterized exactly when it has them.
     """
 
     id: str
@@ -70,8 +67,6 @@ class Identity:
     rhs: Route
     points: tuple[complex, ...] = ()
     self_check: bool = False
-    lhs_many: BatchRoute | None = None
-    rhs_many: BatchRoute | None = None
 
     @property
     def parameterized(self) -> bool:
@@ -105,6 +100,14 @@ def _quad_tol(tol: float) -> float:
     return max(tol / 10.0, 1e-12)
 
 
+def _pointwise(route: Callable[[complex | None, float], RouteValue]) -> Route:
+    # A route of one point, run at every point in turn.
+    def routes(points, tol):
+        return [route(s, tol) for s in points]
+
+    return routes
+
+
 def _gamma_reference(s: complex | None, tol: float) -> tuple[complex, int]:
     est = constants.euler_formula_gamma(50)
     return complex(est.value), est.terms_or_n
@@ -118,12 +121,7 @@ def _outcome(value: RouteValue) -> tuple[complex, int, bool]:
 
 
 def _closed_form(value: float) -> Route:
-    value = complex(value)
-
-    def route(s, tol):
-        return value, 0
-
-    return route
+    return _pointwise(lambda s, tol: (complex(value), 0))
 
 
 # --- route implementations (closed forms use _closed_form) -----------------
@@ -201,20 +199,18 @@ def _eq14_lhs(s, tol):
     return (16.0 * r2 - r1) / 15.0, 6
 
 
-def _eq15_lhs(s, tol):
-    return integral_forms.I_plus(s, _quad_tol(tol))
+def _eq15_lhs(points, tol):
+    if len(points) >= _BATCH_MIN_POINTS:
+        return integral_forms.I_plus_many(points, _quad_tol(tol))
+    return [integral_forms.I_plus(s, _quad_tol(tol)) for s in points]
 
 
-def _eq15_rhs(s, tol):
-    return integral_forms.rhs_eq15(s), 0
-
-
-def _eq15_lhs_many(points, tol):
-    return integral_forms.I_plus_many(points, _quad_tol(tol))
-
-
-def _eq15_rhs_many(points, tol):
-    return [(value, 0) for value in integral_forms.rhs_eq15_many(points)]
+def _eq15_rhs(points, tol):
+    if len(points) >= _BATCH_MIN_POINTS:
+        values = integral_forms.rhs_eq15_many(points)
+    else:
+        values = map(integral_forms.rhs_eq15, points)
+    return [(value, 0) for value in values]
 
 
 def _eq16_lhs(s, tol):
@@ -315,7 +311,7 @@ _REGISTRY: dict[str, Identity] = {
             "geometrically convergent zeta series for Euler's constant",
             ("integral_forms.I_minus",),
             ("constants.euler_formula_gamma",),
-            _eq2_lhs, _gamma_reference,
+            _pointwise(_eq2_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
             "eq3",
@@ -325,7 +321,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form ln 4 - ln pi",
             ("integral_forms.I_plus",),
             ("constants.ln_4_over_pi",),
-            _eq3_lhs, _eq3_rhs,
+            _pointwise(_eq3_lhs), _pointwise(_eq3_rhs),
         ),
         Identity(
             "eq4",
@@ -335,7 +331,7 @@ _REGISTRY: dict[str, Identity] = {
             "ln(4/pi) + 2 sum (-1)^n zeta(n)/(2^n n), 50 terms",
             ("constants.euler_gamma_series",),
             ("constants.euler_formula_gamma",),
-            _eq4_lhs, _gamma_reference,
+            _pointwise(_eq4_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
             "eq6",
@@ -345,7 +341,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form pi^2/6",
             ("integral_forms.beukers_reduced",),
             (),
-            _eq6_lhs, _closed_form(math.pi**2 / 6.0),
+            _pointwise(_eq6_lhs), _closed_form(math.pi**2 / 6.0),
         ),
         Identity(
             "eq7",
@@ -355,7 +351,7 @@ _REGISTRY: dict[str, Identity] = {
             "zeta(3) by the alternating-series continuation",
             ("integral_forms.beukers_reduced",),
             ("special_functions.zeta",),
-            _eq7_lhs, _eq7_rhs,
+            _pointwise(_eq7_lhs), _pointwise(_eq7_rhs),
         ),
         Identity(
             "eq9",
@@ -365,7 +361,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form from ln A = 1/12 - zeta'(-1)",
             ("integral_forms.I_plus",),
             ("constants.glaisher_zeta",),
-            _eq9_lhs, _eq9_rhs,
+            _pointwise(_eq9_lhs), _pointwise(_eq9_rhs),
         ),
         Identity(
             "eq10_limit",
@@ -375,7 +371,7 @@ _REGISTRY: dict[str, Identity] = {
             "exp(1/12 - zeta'(-1))",
             ("constants.glaisher_limit",),
             ("constants.glaisher_zeta",),
-            _eq10_lhs, _eq10_rhs,
+            _pointwise(_eq10_lhs), _pointwise(_eq10_rhs),
         ),
         Identity(
             "eq11",
@@ -385,7 +381,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form ln 2",
             ("constants.ln2_series",),
             (),
-            _eq11_lhs, _closed_form(math.log(2.0)),
+            _pointwise(_eq11_lhs), _closed_form(math.log(2.0)),
         ),
         Identity(
             "eq12",
@@ -396,7 +392,7 @@ _REGISTRY: dict[str, Identity] = {
             ("integral_forms.I_minus",),
             ("integral_forms.rhs_eq12", "special_functions.gamma",
              "special_functions.zeta_minus_pole"),
-            _eq12_lhs, _eq12_rhs,
+            _pointwise(_eq12_lhs), _pointwise(_eq12_rhs),
             points=_grid_points((-1.5, 3.0, 0.5), (0.0, 1.0, 1.0)),
         ),
         Identity(
@@ -407,7 +403,7 @@ _REGISTRY: dict[str, Identity] = {
             "geometrically convergent zeta series for Euler's constant",
             ("special_functions.zeta_minus_pole",),
             ("constants.euler_formula_gamma",),
-            _eq14_lhs, _gamma_reference,
+            _pointwise(_eq14_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
             "eq15",
@@ -420,7 +416,6 @@ _REGISTRY: dict[str, Identity] = {
              "special_functions.eta", "special_functions.eta_prime"),
             _eq15_lhs, _eq15_rhs,
             points=_grid_points((-2.5, 3.0, 0.5), (0.0, 2.0, 1.0)),
-            lhs_many=_eq15_lhs_many, rhs_many=_eq15_rhs_many,
         ),
         Identity(
             "eq16",
@@ -430,7 +425,7 @@ _REGISTRY: dict[str, Identity] = {
             "Gamma(s)",
             ("special_functions.gamma",),
             ("special_functions.gamma",),
-            _eq16_lhs, _eq16_rhs,
+            _pointwise(_eq16_lhs), _pointwise(_eq16_rhs),
             points=tuple(functional_equation_panel()),
             self_check=True,
         ),
@@ -442,7 +437,7 @@ _REGISTRY: dict[str, Identity] = {
             "(1 - 2^(1-s)) zeta(s)",
             ("special_functions.eta",),
             ("special_functions.zeta",),
-            _eq17_lhs, _eq17_rhs,
+            _pointwise(_eq17_lhs), _pointwise(_eq17_rhs),
             points=tuple(product_relation_panel()),
             self_check=True,
         ),
@@ -454,7 +449,7 @@ _REGISTRY: dict[str, Identity] = {
             "Gamma(s) eta(s)",
             ("integral_forms.fermi_dirac",),
             ("special_functions.gamma", "special_functions.eta"),
-            _eq18_lhs, _eq18_rhs,
+            _pointwise(_eq18_lhs), _pointwise(_eq18_rhs),
             points=(1 + 0j, 2 + 0j, 3.5 + 0j, 2 + 1j),
         ),
         Identity(
@@ -465,7 +460,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form pi/2",
             ("constants.wallis_partial",),
             (),
-            _wallis_lhs, _closed_form(math.pi / 2.0),
+            _pointwise(_wallis_lhs), _closed_form(math.pi / 2.0),
         ),
         Identity(
             "stirling",
@@ -475,7 +470,7 @@ _REGISTRY: dict[str, Identity] = {
             "closed form sqrt(2 pi)",
             ("constants.stirling_ratio",),
             (),
-            _stirling_lhs, _closed_form(math.sqrt(2.0 * math.pi)),
+            _pointwise(_stirling_lhs), _closed_form(math.sqrt(2.0 * math.pi)),
         ),
     )
 }
@@ -493,8 +488,9 @@ def get_identity(token: str) -> Identity:
         raise ValueError(f"unknown identity: {token!r}") from None
 
 
-def _check_point(ident: Identity, s: complex) -> str | None:
-    # Reason the point cannot be evaluated, or None if it can.
+def _check_point(ident: Identity, s: complex | None) -> str | None:
+    # Reason the point cannot be evaluated, or None if it can (always for
+    # the None of an identity without parameter).
     if ident.s_domain is not None and s.real <= ident.s_domain + DOMAIN_MARGIN:
         return f"outside Re(s) > {ident.s_domain:g}"
     for point in ident.excluded_points:
@@ -508,6 +504,55 @@ def _effective_tol(ident: Identity, tol: float | None) -> float:
     if not effective_tol > 0.0:
         raise ValueError("tol must be positive")
     return effective_tol
+
+
+def _evaluate(
+    ident: Identity, points: list[complex | None], tol: float | None
+) -> Iterator[VerificationReport]:
+    # Reports at evaluable points.  Each route runs once over all of them,
+    # and a report's elapsed is its share of that time.
+    tol = _effective_tol(ident, tol)
+    start = time.perf_counter()
+    try:
+        sides = list(zip(ident.lhs(points, tol), ident.rhs(points, tol)))
+    except (EulerLabError, ArithmeticError):
+        if len(points) == 1:
+            raise
+        # Point by point, so the error raised is the first failing point's,
+        # as a verify call there raises it.
+        sides = [pair for s in points for pair in zip(ident.lhs([s], tol), ident.rhs([s], tol))]
+    elapsed = (time.perf_counter() - start) / len(points)
+    for s, pair in zip(points, sides):
+        (lhs, lhs_evals, lhs_ok), (rhs, rhs_evals, rhs_ok) = map(_outcome, pair)
+        abs_err = abs(lhs - rhs)
+        yield VerificationReport(
+            id=ident.id,
+            s=s,
+            lhs=complex(lhs),
+            rhs=complex(rhs),
+            abs_err=abs_err,
+            rel_err=abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None,
+            tol=tol,
+            passed=abs_err <= tol and lhs_ok and rhs_ok,
+            lhs_route=ident.lhs_route,
+            rhs_route=ident.rhs_route,
+            evaluations=lhs_evals + rhs_evals,
+            elapsed=elapsed,
+        )
+
+
+def _reports(
+    ident: Identity, points: Sequence[complex | None], tol: float | None
+) -> list[VerificationReport | SkippedPoint]:
+    # One entry per point, in order: the single report builder of verify,
+    # grid and verify_all.  _evaluate is lazy, so a sweep with no
+    # evaluable point neither runs a route nor checks tol.
+    reasons = [_check_point(ident, s) for s in points]
+    reports = _evaluate(ident, [s for s, r in zip(points, reasons) if r is None], tol)
+    return [
+        next(reports) if reason is None else SkippedPoint(ident.id, s, reason)
+        for s, reason in zip(points, reasons)
+    ]
 
 
 def verify(
@@ -524,72 +569,10 @@ def verify(
         raise ValueError(f"identity {token} requires a parameter s")
     if not ident.parameterized and s is not None:
         raise ValueError(f"identity {token} is not parameterized")
-    if s is not None:
-        s = complex(s)
-        reason = _check_point(ident, s)
-        if reason is not None:
-            raise DomainError(reason)
-    effective_tol = _effective_tol(ident, tol)
-    start = time.perf_counter()
-    batched = (_BATCH.get() or {}).get((token, effective_tol, s))
-    if batched is None:
-        batched = ident.lhs(s, effective_tol), ident.rhs(s, effective_tol)
-    (lhs, lhs_evals, lhs_ok), (rhs, rhs_evals, rhs_ok) = map(_outcome, batched)
-    elapsed = time.perf_counter() - start
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None
-    return VerificationReport(
-        id=token,
-        s=s,
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        tol=effective_tol,
-        passed=abs_err <= effective_tol and lhs_ok and rhs_ok,
-        lhs_route=ident.lhs_route,
-        rhs_route=ident.rhs_route,
-        evaluations=lhs_evals + rhs_evals,
-        elapsed=elapsed,
-    )
-
-
-# Route values a sweep computed in one batch, keyed by (identity id, tol,
-# s) and read by that sweep's own verify calls.  A context variable, so
-# concurrent callers never see each other's batch.
-_BATCH: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "eulerlab_route_batch", default=None
-)
-
-
-def _route_batch(ident: Identity, points: list[complex], tol: float | None):
-    # The batch for _BATCH, or None where the sweep runs point by point.
-    if ident.lhs_many is None or len(points) < _BATCH_MIN_POINTS:
-        return None
-    effective_tol = _effective_tol(ident, tol)
-    try:
-        lhs = ident.lhs_many(points, effective_tol)
-        rhs = ident.rhs_many(points, effective_tol)
-    except (EulerLabError, ArithmeticError):
-        # The point-by-point loop raises the same error at its point.
-        return None
-    return {(ident.id, effective_tol, s): pair for s, pair in zip(points, zip(lhs, rhs))}
-
-
-def _evaluate_points(
-    ident: Identity, points: Sequence[complex], tol: float | None
-) -> list[VerificationReport | SkippedPoint]:
-    reasons = [_check_point(ident, s) for s in points]
-    evaluable = [s for s, reason in zip(points, reasons) if reason is None]
-    token = _BATCH.set(_route_batch(ident, evaluable, tol))
-    try:
-        return [
-            verify(ident.id, s, tol) if reason is None
-            else SkippedPoint(ident.id, s, reason)
-            for s, reason in zip(points, reasons)
-        ]
-    finally:
-        _BATCH.reset(token)
+    entry, = _reports(ident, [None if s is None else complex(s)], tol)
+    if isinstance(entry, SkippedPoint):
+        raise DomainError(entry.reason)
+    return entry
 
 
 def grid(
@@ -606,7 +589,7 @@ def grid(
     ident = get_identity(token)
     if not ident.parameterized:
         raise ValueError(f"identity {token} is not parameterized")
-    return _evaluate_points(ident, _grid_points(re_range, im_range), tol)
+    return _reports(ident, _grid_points(re_range, im_range), tol)
 
 
 def verify_all(
@@ -619,11 +602,7 @@ def verify_all(
         get_identity(token)
     entries: list[VerificationReport | SkippedPoint] = []
     for ident in list_identities():
-        tol = overrides.get(ident.id)
-        if ident.parameterized:
-            entries.extend(_evaluate_points(ident, ident.points, tol))
-        else:
-            entries.append(verify(ident.id, None, tol))
+        entries.extend(_reports(ident, ident.points or (None,), overrides.get(ident.id)))
     return entries
 
 

@@ -1,9 +1,10 @@
 """Gamma, the alternating zeta function, zeta, and their derivatives.
 
 Gamma uses the 9-term Lanczos approximation (g = 7) on the right
-half-plane and the reflection formula elsewhere.  The alternating zeta
-function eta is summed by the Euler-transformation double sum; zeta and
-its derivative are obtained from eta through the factor 1 - 2**(1-s).
+half-plane and the reflection formula, with sin(pi s) reduced exactly,
+elsewhere.  The alternating zeta function eta is summed by the
+Euler-transformation double sum; zeta and its derivative are obtained
+from eta through the factor 1 - 2**(1-s).
 The pole of zeta at s = 1 is removed by ring extrapolation in
 ``zeta_minus_pole``.
 
@@ -127,13 +128,13 @@ def gamma(s: complex) -> complex:
         raise PoleError("pole of Gamma")
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        sine = cmath.sin(math.pi * s)
+        sine = _sin_pi(s)
         try:
             return math.pi / (sine * gamma(1.0 - s))
         except DomainError:
             pass
         # |ratio| goes into the exponent, so a subnormal result is rounded once
-        ratio = math.pi / _sin_pi(s)
+        ratio = math.pi / sine
         size = abs(ratio)
         value = ratio / size * cmath.exp(math.log(size) - _log_gamma(1.0 - s))
         if value == 0.0:

@@ -213,6 +213,33 @@ class TestBatchedSweep:
         assert entries[0].rhs == rhs_eq15(-1.00005)
         grid_matches_verify(entries)
 
+    def test_sweep_calls_each_batched_route_once(self, monkeypatch):
+        calls = []
+        for name in ("I_plus", "I_plus_many", "rhs_eq15", "rhs_eq15_many"):
+            original = getattr(integral_forms, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(integral_forms, name, counting)
+        entries = grid("eq15", (0.0, 1.75, 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) == engine._BATCH_MIN_POINTS
+        assert sorted(calls) == ["I_plus_many", "rhs_eq15_many"]
+        calls.clear()
+        verify("eq15", 0.5 + 1j)
+        assert sorted(calls) == ["I_plus", "rhs_eq15"]
+
+    def test_sweep_below_the_batch_size_runs_point_by_point(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("batched route called")
+
+        monkeypatch.setattr(integral_forms, "I_plus_many", refuse)
+        monkeypatch.setattr(integral_forms, "rhs_eq15_many", refuse)
+        entries = grid("eq15", (0.0, 1.5, 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) == engine._BATCH_MIN_POINTS - 1
+        grid_matches_verify(entries)
+
     def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch):
         points = engine._grid_points((0.0, 2.0, 0.25), (0.0, 0.0, 1.0))
         bad = points[3]

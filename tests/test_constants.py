@@ -7,10 +7,12 @@ from eulerlab.constants import (
     euler_gamma_series,
     glaisher_limit,
     glaisher_zeta,
+    ln2_series,
     ln_4_over_pi,
     stirling_ratio,
     wallis_partial,
 )
+from eulerlab.core_numerics import sum_series
 from eulerlab.special_functions import zeta, zeta_prime
 
 from conftest import EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI
@@ -67,6 +69,22 @@ class TestLn4OverPi:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             ln_4_over_pi(10, method="magic")
+
+
+class TestLn2Series:
+    @pytest.mark.parametrize("n", [1, 2, 7, 10**5])
+    def test_equals_the_term_by_term_sum_exactly(self, n):
+        reference = sum_series(
+            lambda k: (1.0 if k % 2 else -1.0) / k, 1e-300, n, alternating=True
+        )
+        estimate = ln2_series(n)
+        assert estimate.value == reference.value
+        assert estimate.terms_or_n == reference.terms_used == n
+        assert estimate.error_bound == reference.remainder_bound
+
+    def test_rejects_non_positive_n(self):
+        with pytest.raises(ValueError):
+            ln2_series(0)
 
 
 class TestWallis:
@@ -146,8 +164,6 @@ class TestDualRoutes:
         )
 
     def test_ln2_bridge(self):
-        from eulerlab.core_numerics import sum_series
-
         r = sum_series(
             lambda n: (1.0 if n % 2 else -1.0) / n, 1e-5, 10**6, alternating=True
         )

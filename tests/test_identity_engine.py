@@ -1,12 +1,14 @@
 import json
 import math
+import time
+from dataclasses import replace
 
 import pytest
 
-from eulerlab import constants
+from eulerlab import constants, integral_forms, special_functions
 from eulerlab import identity_engine as engine
 from eulerlab.core_numerics import integrate_unit_square
-from eulerlab.errors import DomainError
+from eulerlab.errors import DomainError, IntegrandError
 from eulerlab.identity_engine import (
     SkippedPoint,
     VerificationReport,
@@ -161,6 +163,46 @@ class TestGrid:
                 assert entry.s.real > -3.0
                 assert abs(entry.s - (-1.0)) >= engine.EXCLUSION_RADIUS
                 assert abs(entry.s - (-2.0)) >= engine.EXCLUSION_RADIUS
+
+    @pytest.mark.parametrize("token, s", [
+        ("eq12", 0.5 + 0.5j),
+        ("eq15", -1.5 + 0.25j),
+        ("eq16", 1.5 - 2j),
+        ("eq17", -0.5 + 1j),
+        ("eq18", 2.0 + 1j),
+    ])
+    def test_one_point_grid_equals_verify(self, token, s):
+        entry, = grid(token, (s.real, s.real, 1.0), (s.imag, s.imag, 1.0))
+        assert replace(entry, elapsed=0.0) == replace(verify(token, s), elapsed=0.0)
+
+    def test_sweep_raises_the_first_failing_points_error(self, monkeypatch):
+        # lhs fails at a later point than rhs; the sweep raises what
+        # verify raises at the first failing point, as point by point
+        fermi_dirac, eta = integral_forms.fermi_dirac, special_functions.eta
+
+        def lhs(s, tol):
+            if s == 3 + 0j:
+                raise IntegrandError(f"lhs failed at s = {s}")
+            return fermi_dirac(s, tol)
+
+        def rhs(s, *args):
+            if s == 2 + 0j:
+                raise DomainError(f"rhs failed at s = {s}")
+            return eta(s, *args)
+
+        monkeypatch.setattr(integral_forms, "fermi_dirac", lhs)
+        monkeypatch.setattr(special_functions, "eta", rhs)
+        with pytest.raises(DomainError, match=r"rhs failed at s = \(2\+0j\)"):
+            verify("eq18", 2.0)
+        with pytest.raises(DomainError, match=r"rhs failed at s = \(2\+0j\)"):
+            grid("eq18", (1.0, 4.0, 1.0), (0.0, 0.0, 1.0))
+
+    def test_sweep_shares_the_routes_time_among_its_reports(self):
+        start = time.perf_counter()
+        entries = grid("eq12", (0.0, 1.0, 0.5), (0.0, 0.0, 1.0))
+        wall = time.perf_counter() - start
+        assert len({e.elapsed for e in entries}) == 1
+        assert 0.0 < sum(e.elapsed for e in entries) <= wall
 
 
 @pytest.fixture(scope="module")

@@ -86,6 +86,18 @@ class TestGamma:
             assert abs(gamma(s) - expected) <= 1e-12 * abs(expected) + 1e-322
             assert gamma(s.conjugate()) == gamma(s).conjugate()
 
+    @pytest.mark.parametrize("s", [
+        -5 + 1e-9j, -50 + 1e-9j, -4.999999999, -50.000000001, -1 + 1e-12j,
+        -3 - 1e-10j, -100.000001, -140 + 1e-6j,
+    ])
+    def test_reflection_next_to_a_pole(self, s):
+        # sin(pi s) is reduced exactly; formed as sin(pi * s) its rounding
+        # gave 2e-7 (-5+1e-9j) to 4e-5 (-1+1e-12j) relative error here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expected = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
+        assert abs(gamma(s) - expected) <= 1e-13 * abs(expected)
+
     def test_log_space_power_up_to_gammas_own_overflow(self):
         # the Lanczos power alone overflows from about s = 142.25, where
         # it used to come back as inf and turn the value into nan
