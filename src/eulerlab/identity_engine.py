@@ -18,7 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import constants, core_numerics, integral_forms, special_functions
 from .errors import DomainError, EulerLabError, PoleError
@@ -507,11 +507,10 @@ def _effective_tol(ident: Identity, tol: float | None) -> float:
 
 
 def _evaluate(
-    ident: Identity, points: list[complex | None], tol: float | None
-) -> Iterator[VerificationReport]:
-    # Reports at evaluable points.  Each route runs once over all of them,
-    # and a report's elapsed is its share of that time.
-    tol = _effective_tol(ident, tol)
+    ident: Identity, points: list[complex | None], tol: float
+) -> list[tuple[tuple[RouteValue, RouteValue], float]]:
+    # Both route values at each point, with the point's share of their
+    # time.  Each route runs once over all the points.
     start = time.perf_counter()
     try:
         sides = list(zip(ident.lhs(points, tol), ident.rhs(points, tol)))
@@ -522,57 +521,59 @@ def _evaluate(
         # as a verify call there raises it.
         sides = [pair for s in points for pair in zip(ident.lhs([s], tol), ident.rhs([s], tol))]
     elapsed = (time.perf_counter() - start) / len(points)
-    for s, pair in zip(points, sides):
-        (lhs, lhs_evals, lhs_ok), (rhs, rhs_evals, rhs_ok) = map(_outcome, pair)
-        abs_err = abs(lhs - rhs)
-        yield VerificationReport(
-            id=ident.id,
-            s=s,
-            lhs=complex(lhs),
-            rhs=complex(rhs),
-            abs_err=abs_err,
-            rel_err=abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None,
-            tol=tol,
-            passed=abs_err <= tol and lhs_ok and rhs_ok,
-            lhs_route=ident.lhs_route,
-            rhs_route=ident.rhs_route,
-            evaluations=lhs_evals + rhs_evals,
-            elapsed=elapsed,
-        )
+    return [(pair, elapsed) for pair in sides]
 
 
 def _reports(
     ident: Identity, points: Sequence[complex | None], tol: float | None
 ) -> list[VerificationReport | SkippedPoint]:
-    # One entry per point, in order: the single report builder of verify,
-    # grid and verify_all.  _evaluate is lazy, so a sweep with no
-    # evaluable point neither runs a route nor checks tol.
+    # One entry per point, in order, for grid and verify_all.  Points are
+    # validated here once, tol only if some point is evaluable, and verify
+    # makes each report from the point's route values.
     reasons = [_check_point(ident, s) for s in points]
-    reports = _evaluate(ident, [s for s, r in zip(points, reasons) if r is None], tol)
+    evaluable = [s for s, r in zip(points, reasons) if r is None]
+    if evaluable:
+        tol = _effective_tol(ident, tol)
+    sides = iter(_evaluate(ident, evaluable, tol) if evaluable else ())
     return [
-        next(reports) if reason is None else SkippedPoint(ident.id, s, reason)
+        verify(ident.id, s, tol, _sides=next(sides))
+        if reason is None else SkippedPoint(ident.id, s, reason)
         for s, reason in zip(points, reasons)
     ]
 
 
 def verify(
-    token: str, s: complex | None = None, tol: float | None = None
+    token: str, s: complex | None = None, tol: float | None = None, *, _sides=None
 ) -> VerificationReport:
     """Evaluate both routes of one identity and report the comparison.
 
     Numeric disagreement never raises; it comes back as pass=False, as
     does a quadrature route that did not converge.
     Unknown tokens, missing/superfluous s, and domain violations raise.
+    Every report of ``grid`` and ``verify_all`` is made here too: they
+    pass ``_sides``, an entry of ``_evaluate`` at a point they checked.
     """
     ident = get_identity(token)
-    if ident.parameterized and s is None:
-        raise ValueError(f"identity {token} requires a parameter s")
-    if not ident.parameterized and s is not None:
-        raise ValueError(f"identity {token} is not parameterized")
-    entry, = _reports(ident, [None if s is None else complex(s)], tol)
-    if isinstance(entry, SkippedPoint):
-        raise DomainError(entry.reason)
-    return entry
+    if _sides is None:
+        if ident.parameterized and s is None:
+            raise ValueError(f"identity {token} requires a parameter s")
+        if not ident.parameterized and s is not None:
+            raise ValueError(f"identity {token} is not parameterized")
+        s = None if s is None else complex(s)
+        reason = _check_point(ident, s)
+        if reason is not None:
+            raise DomainError(reason)
+        tol = _effective_tol(ident, tol)
+        _sides, = _evaluate(ident, [s], tol)
+    pair, elapsed = _sides
+    (lhs, lhs_evals, lhs_ok), (rhs, rhs_evals, rhs_ok) = map(_outcome, pair)
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else None
+    passed = abs_err <= tol and lhs_ok and rhs_ok
+    return VerificationReport(
+        ident.id, s, complex(lhs), complex(rhs), abs_err, rel_err, tol, passed,
+        ident.lhs_route, ident.rhs_route, lhs_evals + rhs_evals, elapsed,
+    )
 
 
 def grid(

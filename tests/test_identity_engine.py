@@ -197,6 +197,26 @@ class TestGrid:
         with pytest.raises(DomainError, match=r"rhs failed at s = \(2\+0j\)"):
             grid("eq18", (1.0, 4.0, 1.0), (0.0, 0.0, 1.0))
 
+    def test_every_sweep_report_is_made_by_verify(self, monkeypatch):
+        # A sweep checks each point once and returns what verify made from
+        # the batched route values, so counts read at verify see every report.
+        made, checked = [], []
+        verify_, check_point = engine.verify, engine._check_point
+        monkeypatch.setattr(engine, "verify", lambda *a, **k: made.append(verify_(*a, **k)) or made[-1])
+        monkeypatch.setattr(engine, "_check_point", lambda *a: checked.append(a) or check_point(*a))
+        entries = grid("eq15", (-3.5, 2.5, 0.5), (0.0, 0.0, 1.0))
+        reports = [e for e in entries if isinstance(e, VerificationReport)]
+        assert len(reports) >= engine._BATCH_MIN_POINTS
+        assert len(checked) == len(entries) > len(reports)
+        assert all(a is b for a, b in zip(made, reports)) and len(made) == len(reports)
+
+    def test_a_bad_point_is_reported_before_a_bad_tol(self):
+        with pytest.raises(DomainError):
+            verify("eq15", s=-3.5, tol=-1.0)
+        assert all(isinstance(e, SkippedPoint) for e in grid("eq15", (-4.0, -3.5, 0.5), (0.0, 0.0, 1.0), tol=-1.0))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            grid("eq15", (-3.5, 0.5, 4.0), (0.0, 0.0, 1.0), tol=0.0)
+
     def test_sweep_shares_the_routes_time_among_its_reports(self):
         start = time.perf_counter()
         entries = grid("eq12", (0.0, 1.0, 0.5), (0.0, 0.0, 1.0))
