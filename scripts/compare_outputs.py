@@ -7,9 +7,11 @@ Usage:
 For each checkout the script runs the CLI from that checkout's ``src/``
 in a fresh subprocess: ``all`` as text, json and csv; every ``const``
 (name, method) pair with its default ``--n`` in the same three formats;
-``verify`` as json and csv at the points of ``VERIFY_POINTS``; and one
-grid each of eq15, eq12 and eq18 as json.  It compares stdout and the exit code of
-every command and exits 1 if any differ, naming each differing command.
+``verify`` as json and csv at the points of ``VERIFY_POINTS``; one
+grid each of eq15, eq12 and eq18 as json; and ``eval`` of every
+function at the points of ``EVAL_POINTS`` as json and csv.  It compares
+stdout and the exit code of every command and exits 1 if any differ,
+naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
 """
 
@@ -48,6 +50,12 @@ VERIFY_POINTS = (
     ("eq18", "0.2+0.5i"),
 )
 
+EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
+
+# A complex point, a negative argparse takes as a number, and a positive
+# integer.
+EVAL_POINTS = ("0.5+1i", "-2.5", "3")
+
 COMMANDS = (
     [["all", f"--format={fmt}"] for fmt in FORMATS]
     + [
@@ -64,6 +72,12 @@ COMMANDS = (
         ["grid", "eq15", "--re=-2.5:3:0.5", "--im=0:2:1", "--format=json"],
         ["grid", "eq12", "--re=-1.5:3:0.5", "--im=0:1:1", "--format=json"],
         ["grid", "eq18", "--re=0.25:4:0.25", "--im=0:1:0.5", "--format=json"],
+    ]
+    + [
+        ["eval", function, s, f"--format={fmt}"]
+        for function in EVAL_FUNCTIONS
+        for s in EVAL_POINTS
+        for fmt in ("json", "csv")
     ]
 )
 

@@ -294,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_grid)
 
     p_eval = sub.add_parser("eval", help="evaluate a special function")
+    # argparse takes only -N and -N.N for negative numbers, not -0.5+1i or -1e-3
+    p_eval._negative_number_matcher = _COMPLEX_RE
     p_eval.add_argument("function", choices=sorted(_EVAL_FUNCTIONS))
     p_eval.add_argument("s", help="argument as RE, RE+IMi or RE-IMi")
     add_common(p_eval)

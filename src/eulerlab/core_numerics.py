@@ -8,7 +8,7 @@ above -1).  Semi-infinite integrals of exponentially decaying integrands
 are truncated at an analytically bounded tail.  Non-convergence is
 reported in the result, never raised.
 
-A single integral walks each refinement level node by node.  Many
+``integrate_finite`` walks each refinement level node by node.  Many
 integrals of one family (``integrate_semi_infinite_many``) take every
 level as points x nodes arrays, with the walk's evaluations, truncation
 and verdict.  An endpoint singularity whose exponent is close to -1
@@ -99,12 +99,12 @@ class ProductIntegrand:
 # endpoint singularities with exponents near -1 into overflow while
 # carrying weights ~1e-276.  Truncating here can only matter for
 # exponents within ~0.1 of -1, and that case is detected by the
-# unresolved-tail accounting in _tanh_sinh.
+# unresolved-tail accounting in integrate_finite.
 _DELTA_FLOOR = 1e-280
 
 
 @functools.cache
-def _nodes(level: int) -> tuple[tuple[float, float], ...]:
+def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
     h = 0.5 ** level
     ks = range(0, int(_T_CAP / h) + 1) if level == 0 else range(1, int(_T_CAP / h) + 1, 2)
     nodes = []
@@ -116,7 +116,7 @@ def _nodes(level: int) -> tuple[tuple[float, float], ...]:
         if delta < _DELTA_FLOOR:
             break
         weight = _HALF_PI * math.cosh(t) * delta * (2.0 - delta)
-        nodes.append((delta, weight))
+        nodes.append((delta, weight, t))
     return tuple(nodes)
 
 
@@ -146,8 +146,7 @@ def _walk_level(
     lo_done = hi_done = False
     lo_small = hi_small = 0
     lo_last = hi_last = 0.0
-    for i, (delta, weight) in enumerate(_nodes(level)):
-        t = (i if level == 0 else 2 * i + 1) * h
+    for delta, weight, t in _nodes(level):
         w = halfspan * weight
         if not hi_done:
             x = b - halfspan * delta
@@ -189,45 +188,6 @@ def _walk_level(
     return level_sum, evals, tail
 
 
-def _tanh_sinh(
-    f: Integrand,
-    a: float,
-    b: float,
-    tol: float,
-    max_level: int = MAX_LEVEL,
-) -> tuple[complex, list[float], int, bool]:
-    """Refine the tanh-sinh trapezoid sum until two levels agree within tol.
-
-    Returns (value, per-level error estimates, evaluations, converged).
-    The estimate at level L is |S_L - S_(L-1)|.
-    """
-    # Contributions below this are treated as tail and truncate the node walk.
-    thresh = tol * 1e-3
-    evals = 0
-    total = 0.0 + 0.0j
-    estimates: list[float] = []
-    converged = False
-    # Largest unresolved tail of any level; a sum that misses real mass
-    # must not converge.
-    unresolved = 0.0
-
-    for level in range(max_level + 1):
-        h = 0.5 ** level
-        level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)
-        evals += level_evals
-        unresolved = max(unresolved, tail)
-        previous = total
-        total = level_sum * h if level == 0 else 0.5 * total + level_sum * h
-        if level >= 1:
-            estimates.append(abs(total - previous))
-            if level >= 2 and estimates[-1] <= tol and unresolved == 0.0:
-                converged = True
-                break
-    if unresolved > 0.0 and estimates:
-        estimates[-1] = max(estimates[-1], unresolved)
-    return total, estimates, evals, converged
-
-
 # Nodes x rows evaluated per integrand call of the batched ladder, which
 # keeps each complex working array at 128 KB or less on every level but
 # the deepest two, where one row alone exceeds it.  Doubling it saves
@@ -238,10 +198,7 @@ _BLOCK_ELEMENTS = 1 << 13
 @functools.cache
 def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (delta, weight, t) of _nodes(level) as arrays
-    h = 0.5 ** level
-    table = np.array(_nodes(level))
-    k = np.arange(len(table)) if level == 0 else 2 * np.arange(len(table)) + 1
-    return table[:, 0], table[:, 1], k * h
+    return tuple(np.array(_nodes(level)).T)
 
 
 def _walk_side(
@@ -334,7 +291,7 @@ def _rows_level(
 def _tanh_sinh_rows(
     f: RowIntegrand, params: np.ndarray, a: float, b: float, tols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ladder of _tanh_sinh for many integrands over one interval.
+    """The ladder of integrate_finite for many integrands over one interval.
 
     Row i integrates ``f(params[i], .)`` to ``tols[i]``; every level is
     one _rows_level call for the active rows.  Converged rows leave the
@@ -378,18 +335,35 @@ def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> Quadrature
     Endpoint singularities that are integrable (log powers, algebraic
     with exponent > -1) are handled by the double-exponential node
     clustering; f is never evaluated at a or b.  ``converged`` means two
-    successive refinement levels differed by at most tol.  A NaN or
-    infinity from f raises IntegrandError; running out of refinement
-    levels does not raise, it returns ``converged=False`` with the best
-    estimate.
+    successive levels (from level 2 on) differed by at most tol, the
+    error estimate.  A NaN or infinity from f raises IntegrandError;
+    running out of levels returns ``converged=False`` with the last
+    difference, raised to the largest unresolved tail.
     """
     if not a < b:
         raise ValueError(f"integration bounds must satisfy a < b, got ({a}, {b})")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    value, estimates, evals, converged = _tanh_sinh(f, a, b, tol)
-    estimate = estimates[-1] if estimates else math.inf
-    return QuadratureResult(value, estimate, evals, converged)
+    # Contributions below this are treated as tail and truncate the node walk.
+    thresh = tol * 1e-3
+    evals = 0
+    total = 0.0 + 0.0j
+    estimate = math.inf
+    # Largest unresolved tail of any level; a sum that misses real mass
+    # must not converge.
+    unresolved = 0.0
+    for level in range(MAX_LEVEL + 1):
+        h = 0.5 ** level
+        level_sum, level_evals, tail = _walk_level(f, a, b, level, thresh)
+        evals += level_evals
+        unresolved = max(unresolved, tail)
+        previous = total
+        total = level_sum * h if level == 0 else 0.5 * total + level_sum * h
+        if level >= 1:
+            estimate = abs(total - previous)
+            if level >= 2 and estimate <= tol and unresolved == 0.0:
+                return QuadratureResult(total, estimate, evals, True)
+    return QuadratureResult(total, max(estimate, unresolved), evals, False)
 
 
 def _tail_bound(T: float, p: float) -> float:
@@ -519,16 +493,14 @@ def integrate_unit_square(
 
     def sliced(y: float) -> complex:
         nonlocal inner_evals, inner_excess
-        value, estimates, evals, converged = _tanh_sinh(
-            lambda x: f(x, y), 0.0, 1.0, inner_tol
-        )
-        inner_evals += evals
-        if not converged and estimates:
+        inner = integrate_finite(lambda x: f(x, y), 0.0, 1.0, inner_tol)
+        inner_evals += inner.evaluations
+        if not inner.converged:
             # Unconverged slices sit next to a boundary singularity; weight
             # their residual by the outer measure they can influence
             # (tanh-sinh outer weight <= ~150 * distance to the boundary).
-            inner_excess += estimates[-1] * 150.0 * min(y, 1.0 - y)
-        return value
+            inner_excess += inner.abs_error_estimate * 150.0 * min(y, 1.0 - y)
+        return inner.value
 
     outer = integrate_finite(sliced, 0.0, 1.0, outer_tol)
     return QuadratureResult(
@@ -569,11 +541,3 @@ def sum_series(
             break
     bound = abs(term(n + 1)) if alternating else None
     return SeriesResult(total, n, bound, converged)
-
-
-def refinement_history(
-    f: Integrand, a: float, b: float, tol: float, max_level: int = MAX_LEVEL
-) -> Sequence[float]:
-    """Per-level error estimates of the tanh-sinh ladder (for diagnostics)."""
-    _, estimates, _, _ = _tanh_sinh(f, a, b, tol, max_level)
-    return estimates

@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .constants import euler_gamma_series, ln_4_over_pi
 from .core_numerics import (
     QuadratureResult,
     SeriesResult,
@@ -407,16 +408,12 @@ def termwise_series_oracle(kernel: SignedKernel, n_terms: int) -> SeriesResult:
 
     Termwise integration of the geometric expansion of the square
     integrals produces exactly these series, so they are an independent
-    route to the plus/minus kernel values at s = -1.
+    route to the plus/minus kernel values at s = -1.  They are the
+    ``constants`` series of ln(4/pi) and of Euler's gamma (bound unknown).
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    terms = 1.0 / n - np.log1p(1.0 / n)
     if kernel is SignedKernel.PLUS:
-        terms[1::2] *= -1.0
-        m = n_terms + 1.0
-        bound = 1.0 / m - math.log1p(1.0 / m)
+        series = ln_4_over_pi(n_terms, "series")
+        bound = series.error_bound
     else:
-        bound = None
-    return SeriesResult(float(np.sum(terms)), n_terms, bound, True)
+        series, bound = euler_gamma_series(n_terms), None
+    return SeriesResult(series.value, n_terms, bound, True)

@@ -121,7 +121,8 @@ def gamma(s: complex) -> complex:
     Where the reflection's Gamma(1 - s) overflows (real s below about
     -170.6) the reflection is divided in log space, so subnormal values
     down to about s = -177 are returned too.  Raises DomainError where
-    Gamma overflows (real s above about 171.6) or underflows to zero.
+    Gamma overflows (real s above about 171.6, or |s| below about
+    5.6e-309) or underflows to zero.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
@@ -130,9 +131,14 @@ def gamma(s: complex) -> complex:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
         sine = _sin_pi(s)
         try:
-            return math.pi / (sine * gamma(1.0 - s))
+            value = math.pi / (sine * gamma(1.0 - s))
         except DomainError:
             pass
+        else:
+            # a subnormal sine next to 0 leaves the quotient infinite
+            if not cmath.isfinite(value):
+                raise DomainError(f"Gamma overflows at s = {s}")
+            return value
         # |ratio| goes into the exponent, so a subnormal result is rounded once
         ratio = math.pi / sine
         size = abs(ratio)

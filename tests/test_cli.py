@@ -246,6 +246,12 @@ class TestExitCodeMatrix:
             (["eval", "zeta_prime", "-5"], 1),
             (["verify", "eq16", "--s=172"], 2),
             (["verify", "eq18", "--s=180"], 2),
+            (["eval", "gamma", "1e-320"], 2),
+            (["verify", "eq16", "--s=1e-320", "--format=json"], 2),
+            (["eval", "eta", "-0.5+0.25i"], 0),
+            (["eval", "zeta", "-1e-3"], 0),
+            (["eval", "eta", "--", "-0.5+0.25i"], 0),
+            (["eval", "eta", "--bogus"], 2),
             (["all", "--tol-override", "bad"], 2),
             (["all", "--tol-override", "eq999=1e-6"], 2),
         ],

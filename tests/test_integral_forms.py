@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eulerlab import constants
 from eulerlab.core_numerics import integrate_unit_square
 from eulerlab.errors import DomainError
 from eulerlab.integral_forms import (
@@ -208,6 +209,19 @@ class TestTermwiseOracle:
     def test_plus_converges_within_bound(self):
         r = termwise_series_oracle(SignedKernel.PLUS, 10**5)
         assert abs(r.value - LN_4_OVER_PI) <= r.remainder_bound
+
+    @pytest.mark.parametrize("n", [1, 7, 10**5])
+    def test_equals_the_constants_series(self, n):
+        plus = termwise_series_oracle(SignedKernel.PLUS, n)
+        minus = termwise_series_oracle(SignedKernel.MINUS, n)
+        ln_4_over_pi = constants.ln_4_over_pi(n, "series")
+        assert (plus.value, plus.remainder_bound) == (
+            ln_4_over_pi.value, ln_4_over_pi.error_bound
+        )
+        assert (minus.value, minus.remainder_bound) == (
+            constants.euler_gamma_series(n).value, None
+        )
+        assert plus.terms_used == minus.terms_used == n
 
 
 class TestReductionExactness:
