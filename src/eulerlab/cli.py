@@ -25,17 +25,9 @@ _COMPLEX_RE = _re.compile(
     r"(?:([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
 )
 
-# eval prints 15 significant digits, so the series run tighter than the
-# library default truncation.
-_EVAL_OPTS = special_functions.EvalOptions(tol=1e-15, max_terms=128)
-
-_EVAL_FUNCTIONS = {
-    "gamma": lambda s: special_functions.gamma(s),
-    "zeta": lambda s: special_functions.zeta(s, _EVAL_OPTS),
-    "eta": lambda s: special_functions.eta(s, _EVAL_OPTS),
-    "eta_prime": lambda s: special_functions.eta_prime(s, _EVAL_OPTS),
-    "zeta_prime": lambda s: special_functions.zeta_prime(s, _EVAL_OPTS),
-}
+# Looked up on `special_functions` at call time, so wrappers installed
+# on the module after import see the calls.
+_EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
 
 
 def _closed_form(value: float):
@@ -180,7 +172,7 @@ def cmd_grid(args) -> tuple[int, str, str]:
 def cmd_eval(args) -> tuple[int, str, str]:
     s = parse_complex(args.s)
     try:
-        value = _EVAL_FUNCTIONS[args.function](s)
+        value = getattr(special_functions, args.function)(s)
     except (PoleError, IllConditionedError) as exc:
         return 1, "", f"{exc}\n"
     if args.format == "json":
@@ -296,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a special function")
     # argparse takes only -N and -N.N for negative numbers, not -0.5+1i or -1e-3
     p_eval._negative_number_matcher = _COMPLEX_RE
-    p_eval.add_argument("function", choices=sorted(_EVAL_FUNCTIONS))
+    p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
     p_eval.add_argument("s", help="argument as RE, RE+IMi or RE-IMi")
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import EvalOptions, zeta, zeta_prime
+from .special_functions import zeta, zeta_prime
 
 METHODS = ("series", "limit_ratio", "closed_form", "zeta_route", "euler_formula")
-
-# zeta evaluations inside the reference gamma route run tighter than the
-# library default; their residual sets the 1e-13 floor in its bound.
-_REFERENCE_OPTS = EvalOptions(tol=1e-15, max_terms=128)
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,10 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
         raise ValueError("n_terms must be at least 2")
     total = math.log(4.0) - math.log(math.pi)
     for n in range(2, n_terms + 1):
-        term = 2.0 * zeta(float(n), _REFERENCE_OPTS).real / (2.0**n * n)
+        term = 2.0 * zeta(float(n)).real / (2.0**n * n)
         total += term if n % 2 == 0 else -term
-    tail = zeta(float(n_terms + 1), _REFERENCE_OPTS).real / (
-        2.0**n_terms * (n_terms + 1)
-    )
+    tail = zeta(float(n_terms + 1)).real / (2.0**n_terms * (n_terms + 1))
+    # 1e-13 covers the rounding of the zeta values
     return ConstantEstimate(total, "euler_formula", n_terms, tail + 1e-13)
 
 

@@ -51,8 +51,6 @@ from .core_numerics import (
 )
 from .errors import DomainError
 from .special_functions import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     eta,
     eta_many,
     eta_prime,
@@ -307,8 +305,8 @@ def _rhs_eq15_from_eta(s: complex, eta_s2: complex, eta_s1: complex) -> complex:
     return gamma(s + 2.0) * bracket
 
 
-def _rhs_eq15_generic(s: complex, opts: EvalOptions) -> complex:
-    return _rhs_eq15_from_eta(s, eta(s + 2.0, opts), eta(s + 1.0, opts))
+def _rhs_eq15_generic(s: complex) -> complex:
+    return _rhs_eq15_from_eta(s, eta(s + 2.0), eta(s + 1.0))
 
 
 def _rhs_eq15_is_generic(s: complex) -> bool:
@@ -317,15 +315,15 @@ def _rhs_eq15_is_generic(s: complex) -> bool:
     )
 
 
-def _rhs_eq15_limit(point: float, opts: EvalOptions) -> complex:
+def _rhs_eq15_limit(point: float) -> complex:
     if point == -1.0:
         # limit value eta(1) - 2 eta'(0) = ln 2 - ln(pi/2) = ln(4/pi)
-        return eta(1.0, opts) - 2.0 * eta_prime(0.0, opts)
+        return eta(1.0) - 2.0 * eta_prime(0.0)
     # point == -2.0: limit value eta'(0) - 1/2 + 2 eta'(-1)
-    return eta_prime(0.0, opts) - 0.5 + 2.0 * eta_prime(-1.0, opts)
+    return eta_prime(0.0) - 0.5 + 2.0 * eta_prime(-1.0)
 
 
-def rhs_eq15(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def rhs_eq15(s: complex) -> complex:
     """Closed form gamma(s+2) [eta(s+2) + (1 - 2 eta(s+1))/(s+1)].
 
     The bracket has removable singularities at s = -1 and s = -2; the
@@ -339,21 +337,19 @@ def rhs_eq15(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
         w = s - point
         dist = abs(w)
         if dist == 0.0:
-            return _rhs_eq15_limit(point, opts)
+            return _rhs_eq15_limit(point)
         if dist < _EXPANSION_RADIUS:
             direction = w / dist
             step = _SLOPE_STEP * direction
             slope = (
-                _rhs_eq15_generic(point + step, opts)
-                - _rhs_eq15_generic(point - step, opts)
+                _rhs_eq15_generic(point + step)
+                - _rhs_eq15_generic(point - step)
             ) / (2.0 * step)
-            return _rhs_eq15_limit(point, opts) + w * slope
-    return _rhs_eq15_generic(s, opts)
+            return _rhs_eq15_limit(point) + w * slope
+    return _rhs_eq15_generic(s)
 
 
-def rhs_eq15_many(
-    points: Sequence[complex], opts: EvalOptions = DEFAULT_OPTIONS
-) -> list[complex]:
+def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
     """rhs_eq15 at every point, with both eta panels summed at once.
 
     Points at or within the expansion radius of -1 and -2 (and points
@@ -363,16 +359,16 @@ def rhs_eq15_many(
     generic = [_rhs_eq15_is_generic(p) for p in s]
     panel = [p for p, g in zip(s, generic) if g]
     etas = zip(
-        eta_many([p + 2.0 for p in panel], opts).tolist(),
-        eta_many([p + 1.0 for p in panel], opts).tolist(),
+        eta_many([p + 2.0 for p in panel]).tolist(),
+        eta_many([p + 1.0 for p in panel]).tolist(),
     )
     return [
-        _rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p, opts)
+        _rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p)
         for p, g in zip(s, generic)
     ]
 
 
-def rhs_eq12(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def rhs_eq12(s: complex) -> complex:
     """Closed form gamma(s+2) [zeta(s+2) - 1/(s+1)].
 
     The bracket is exactly the pole-removed zeta at s+2, so the limit
@@ -382,7 +378,7 @@ def rhs_eq12(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     s = complex(s)
     if s.real <= -2.0:
         raise DomainError("outside Re(s) > -2")
-    return gamma(s + 2.0) * zeta_minus_pole(s + 2.0, opts)
+    return gamma(s + 2.0) * zeta_minus_pole(s + 2.0)
 
 
 def beukers_reduced(order: int, tol: float) -> QuadratureResult:

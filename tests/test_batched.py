@@ -176,9 +176,9 @@ class TestRhsPanel:
         limits = []
         original = integral_forms._rhs_eq15_limit
 
-        def counting(point, opts):
+        def counting(point):
             limits.append(point)
-            return original(point, opts)
+            return original(point)
 
         monkeypatch.setattr(integral_forms, "_rhs_eq15_limit", counting)
         near = -1.0 + 5e-5j

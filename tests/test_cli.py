@@ -95,6 +95,29 @@ class TestEval:
         assert code == 1
         assert "Re(s) = -4" in err
 
+    def test_gamma_at_large_imaginary_part(self, capsys):
+        # sin(pi s) overflows here; this printed a traceback and exited 1
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "eval", "gamma", "0.2+300i", "--format=json")
+        assert code == 0
+        value = json.loads(out)["value"]
+        with mpmath.workdps(30):
+            expected = complex(mpmath.gamma(mpmath.mpc(0.2, 300)))
+        assert abs(complex(value["re"], value["im"]) - expected) <= 1e-12 * abs(expected)
+
+    def test_gamma_underflow_exits_two(self, capsys):
+        # this printed 0 and exited 0
+        code, _, err = run(capsys, "eval", "gamma", "0.6+1000i")
+        assert code == 2
+        assert "underflows to zero" in err
+
+    def test_eta_below_minus_two(self, capsys):
+        # a fixed 1e-15 truncation kept summing rounding noise and
+        # printed -0.0878411208008592, 8e-11 off
+        code, out, _ = run(capsys, "eval", "eta", "-2.5")
+        assert code == 0
+        assert abs(float(out) - -0.0878411207213628) <= 1e-12
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "eval", "eta", "1", "--format=json")
         payload = json.loads(out)
@@ -252,6 +275,10 @@ class TestExitCodeMatrix:
             (["eval", "zeta", "-1e-3"], 0),
             (["eval", "eta", "--", "-0.5+0.25i"], 0),
             (["eval", "eta", "--bogus"], 2),
+            (["eval", "gamma", "0.2+300i"], 0),
+            (["eval", "gamma", "-3.3+240i"], 0),
+            (["eval", "gamma", "0.6+1000i"], 2),
+            (["verify", "eq16", "--s=0.2+300i"], 0),
             (["all", "--tol-override", "bad"], 2),
             (["all", "--tol-override", "eq999=1e-6"], 2),
         ],

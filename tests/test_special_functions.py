@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import random
 
@@ -7,9 +8,12 @@ import pytest
 
 from eulerlab.core_numerics import integrate_semi_infinite
 from eulerlab.errors import DomainError, IllConditionedError, PoleError
+from eulerlab.integral_forms import rhs_eq12, rhs_eq15, rhs_eq15_many
 from eulerlab.special_functions import (
+    _LOG_K1,
     _SCALED_BINOMIALS,
-    EvalOptions,
+    _SIGNS,
+    _TABLE_SIZE,
     _alternating_powers,
     _euler_transform,
     eta,
@@ -119,6 +123,21 @@ class TestGamma:
             assert abs(lhs - s * gamma(s)) / abs(lhs) <= 1e-12
             checked += 1
 
+    @pytest.mark.parametrize("s", [0.2 + 300j, 0.2 - 300j, -3.3 + 240j, 0.4 + 460j])
+    def test_large_imaginary_part(self, s):
+        # sin(pi s) overflows from about |Im(s)| = 226; it raised a bare
+        # OverflowError here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expected = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
+        assert abs(gamma(s) - expected) <= 1e-12 * abs(expected) + 1e-322
+
+    @pytest.mark.parametrize("s", [0.6 + 1000j, 0.6 + 500j, 0.4 + 480j, -3.3 - 500j])
+    def test_underflow_raises_domain_error(self, s):
+        # 0.6+1000j came back as 0j
+        with pytest.raises(DomainError, match="underflows to zero"):
+            gamma(s)
+
     def test_reflection_consistency(self):
         for re in [-2.7, -1.4, -0.3, 0.2, 0.8]:
             for im in [0.0, 0.6, 1.7]:
@@ -128,71 +147,94 @@ class TestGamma:
                 assert abs(product - expected) / abs(expected) <= 1e-11
 
 
-def euler_transform_loop(weights, opts):
+EPS = np.finfo(float).eps
+
+
+def euler_transform_loop(weights):
     """Row-by-row reference for _euler_transform: add outer terms until
-    three consecutive ones fall below opts.tol."""
+    three consecutive ones fall below max(16 eps noise_n, 1e-15), where
+    noise_n is the same row's sum over |w_k|."""
     total = 0j
     small_run = 0
-    for n in range(opts.max_terms):
-        term = sum(math.comb(n, k) * 2.0 ** -(n + 1) * weights[k] for k in range(n + 1))
+    for n in range(len(weights)):
+        row = [math.comb(n, k) * 2.0 ** -(n + 1) for k in range(n + 1)]
+        term = sum(b * w for b, w in zip(row, weights))
+        noise = sum(b * abs(w) for b, w in zip(row, weights))
         total += term
-        small_run = small_run + 1 if abs(term) < opts.tol else 0
+        small_run = small_run + 1 if abs(term) < max(16 * EPS * noise, 1e-15) else 0
         if small_run == 3:
             break
     return total
 
 
+def unit_weight():
+    weights = np.zeros(_TABLE_SIZE, dtype=complex)
+    weights[0] = 1.0
+    return weights
+
+
+def cancelling_weights():
+    # (-1)**k 1e12 plus 1 at k = 0: outer terms 5e11 + 1/2, then exactly
+    # 2**-(n+1) while the rows' noise scale stays near 5e11
+    weights = 1e12 * _SIGNS.astype(complex)
+    weights[0] += 1.0
+    return weights
+
+
+def growing_weights():
+    # 2**k: outer terms (3/2)**n / 2 grow and are never small
+    return 2.0 ** np.arange(_TABLE_SIZE) + 0j
+
+
 class TestEta:
-    @pytest.mark.parametrize(
-        "opts",
-        [EvalOptions(), EvalOptions(max_terms=16), EvalOptions(tol=1e-10, max_terms=40)],
-    )
-    def test_matches_row_by_row_loop(self, opts):
+    @pytest.mark.parametrize("re_lo, re_hi", [(-1.0, 4.0), (-4.0, -1.0)])
+    def test_matches_row_by_row_loop(self, re_lo, re_hi):
         # eta and eta' weights; the summation order differs, so allow a
-        # few dozen ulps of the O(1) result
+        # few dozen ulps of the O(1) result, or of the noise scale where
+        # the rows cancel
         rng = random.Random(0xB10)
-        log_k1 = np.log(np.arange(1, opts.max_terms + 1))
         for _ in range(10):
-            s = complex(rng.uniform(-1.0, 4.0), rng.uniform(0.0, 2.0))
-            powers = _alternating_powers(s, opts.max_terms)
-            for weights in (powers, -log_k1 * powers):
-                fast = _euler_transform(weights, opts)
-                assert abs(fast - euler_transform_loop(list(weights), opts)) <= 1e-14
+            s = complex(rng.uniform(re_lo, re_hi), rng.uniform(0.0, 2.0))
+            powers = _alternating_powers(s)
+            for weights in (powers, -_LOG_K1 * powers):
+                noise = (_SCALED_BINOMIALS @ np.abs(weights)).max()
+                bound = max(1e-14, 16 * EPS * noise)
+                fast = _euler_transform(weights)
+                assert abs(fast - euler_transform_loop(list(weights))) <= bound
 
     @pytest.mark.parametrize(
-        "terms,expected",
+        "make_weights, expected, rel",
         [
-            ([1, 0, 0, 2, 4, 0, 0, 0, 8] + [0] * 7, 7.0),  # stops after 0, 0, 0
-            ([1, 0, 0] * 5 + [1], 6.0),  # never three small terms: sums all 16
+            # terms 2**-(n+1) fall below the 1e-15 floor at n = 49, 50, 51
+            (unit_weight, 1.0 - 2.0**-52, 0.0),
+            # 2**-(n+1) falls below 16 eps times the noise scale 5e11 at
+            # n = 9, 10, 11 (a fixed tolerance of 1e-13 would run to n = 45)
+            (cancelling_weights, 5e11 + 1.0 - 2.0**-12, 0.0),
+            # never three small terms: sums all 128 rows
+            (growing_weights, 1.5**_TABLE_SIZE - 1.0, 1e-15),
         ],
+        ids=["floor", "noise", "never_small"],
     )
-    def test_stopping_rule(self, terms, expected):
-        # weights for which the outer terms are `terms`, up to rounding
-        weights = np.linalg.solve(_SCALED_BINOMIALS[:16, :16], np.array(terms, complex))
-        opts = EvalOptions(tol=1e-10, max_terms=16)
-        assert abs(_euler_transform(weights, opts) - expected) <= 1e-9
+    def test_stopping_rule(self, make_weights, expected, rel):
+        value = _euler_transform(make_weights())
+        assert abs(value - expected) <= rel * expected
 
     def test_matrix_columns_follow_their_own_stopping_rule(self):
-        columns = [
-            [1, 0, 0, 2, 4, 0, 0, 0, 8] + [0] * 7,  # stops after 0, 0, 0
-            [1, 0, 0] * 5 + [1],  # never three small terms: sums all 16
-        ]
-        weights = np.linalg.solve(
-            _SCALED_BINOMIALS[:16, :16], np.array(columns, complex).T
-        )
-        opts = EvalOptions(tol=1e-10, max_terms=16)
-        assert np.abs(_euler_transform(weights, opts) - [7.0, 6.0]).max() <= 1e-9
+        weights = np.stack([unit_weight(), cancelling_weights(), growing_weights()], axis=1)
+        value = _euler_transform(weights)
+        assert value[0] == 1.0 - 2.0**-52
+        assert value[1] == 5e11 + 1.0 - 2.0**-12
+        assert abs(value[2] - (1.5**_TABLE_SIZE - 1.0)) <= 1e-15 * 1.5**_TABLE_SIZE
 
     def test_panel_matches_single_points(self):
         # one matrix product instead of one per point: only the
         # summation order of the product differs
         rng = random.Random(0xB10)
         points = [complex(rng.uniform(-1.0, 4.0), rng.uniform(0.0, 2.0)) for _ in range(40)]
-        for opts in (EvalOptions(), EvalOptions(tol=1e-10, max_terms=40)):
-            panel = eta_many(points, opts)
-            assert panel.shape == (40,)
-            for s, value in zip(points, panel):
-                assert abs(value - eta(s, opts)) <= 1e-14
+        panel = eta_many(points)
+        assert panel.shape == (40,)
+        for s, value in zip(points, panel):
+            assert abs(value - eta(s)) <= 1e-14
         assert eta_many([]).shape == (0,)
 
     def test_special_values(self):
@@ -212,17 +254,16 @@ class TestEta:
             )
             assert abs(eta(s) - bracket) <= 1e-12 + abs((n + 1) ** -complex(s).real)
 
-    def test_custom_options(self):
-        opts = EvalOptions(tol=1e-15, max_terms=100)
-        assert abs(eta(1.0, opts) - math.log(2.0)) <= 5e-15
+    def test_default_accuracy(self):
+        assert abs(eta(1.0) - math.log(2.0)) <= 5e-15
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            EvalOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            EvalOptions(max_terms=8)
-        with pytest.raises(ValueError, match="at most 128"):
-            EvalOptions(max_terms=129)
+    @pytest.mark.parametrize("f", [
+        eta, eta_many, eta_prime, zeta, zeta_prime, zeta_minus_pole,
+        rhs_eq12, rhs_eq15, rhs_eq15_many,
+    ])
+    def test_no_truncation_argument(self, f):
+        # the sum stops by its own rounding scale; only the point is an input
+        assert len(inspect.signature(f).parameters) == 1
 
 
 class TestEtaPrime:
@@ -320,8 +361,7 @@ class TestFunctionalEquationBand:
             assert abs(zeta(-9.0 + d) + 1.0 / 132.0) <= 1e-10
 
     def test_band_edge_keeps_the_sum(self):
-        m = EvalOptions().max_terms
-        assert eta(-4.0) == _euler_transform(_alternating_powers(-4.0 + 0j, m), EvalOptions())
+        assert eta(-4.0) == _euler_transform(_alternating_powers(-4.0 + 0j))
 
     def test_eta_many_matches_eta(self):
         points = [-8.5 + 0j, 0.5 + 1j, -20.0 + 5j, -4.0 + 0j, -4.0001 + 0.3j]
@@ -410,8 +450,5 @@ class TestAgainstMpmath:
                 assert abs(f(s) - expected) <= 2e-13 * abs(expected)
 
     def test_zeta_at_integers(self, mp):
-        opts = EvalOptions(tol=1e-15)
-        worst = max(
-            abs(zeta(float(n), opts) - float(mp.zeta(n))) for n in range(2, 52)
-        )
+        worst = max(abs(zeta(float(n)) - float(mp.zeta(n))) for n in range(2, 52))
         assert worst <= 2e-15
