@@ -115,10 +115,11 @@ def gamma(s: complex) -> complex:
 
     Where the Lanczos power t**(s - 1/2) alone overflows (on the real
     axis from about s = 142.25) it is combined with exp(-t) in log space.
-    Where the reflection's Gamma(1 - s) or sin(pi s) overflows (real s
-    below about -170.6, |Im(s)| above about 226) the reflection is
-    divided in log space, so subnormal values down to about s = -177 are
-    returned too.  Raises DomainError where Gamma overflows (real s above
+    Where the reflection's Gamma(1 - s), sin(pi s) or their product
+    overflows (real s below about -170.6, |Im(s)| above about 226, or
+    Gamma(s) below about 1e-308 in size) the reflection is divided in
+    log space, so subnormal values down to about s = -177 are returned
+    too.  Raises DomainError where Gamma overflows (real s above
     about 171.6, or |s| below about 5.6e-309) or underflows to zero (for
     Re(s) near 1/2 from about |Im(s)| = 470).
     """
@@ -128,16 +129,18 @@ def gamma(s: complex) -> complex:
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
         try:
-            value = math.pi / (_sin_pi(s) * gamma(1.0 - s))
+            product = _sin_pi(s) * gamma(1.0 - s)
         except (OverflowError, DomainError):  # sin(pi s) or Gamma(1 - s)
-            pass
-        else:
+            product = complex(math.inf)
+        if cmath.isfinite(product):
+            value = math.pi / product
             # a subnormal sine next to 0 leaves the quotient infinite
             if not cmath.isfinite(value):
                 raise DomainError(f"Gamma overflows at s = {s}")
             return value
-        # sin(pi s) = e**g b; g and |pi / b| go into the exponent, so a
-        # subnormal result is rounded once
+        # A factor or their product overflowed.  sin(pi s) = e**g b; g
+        # and |pi / b| go into the exponent, so a subnormal result is
+        # rounded once.
         g, b = _sin_pi_scaled(s)
         ratio = math.pi / b
         size = abs(ratio)
@@ -145,7 +148,7 @@ def gamma(s: complex) -> complex:
         if value == 0.0:
             raise DomainError(
                 f"Gamma(s) underflows to zero at s = {s}: the reflection's "
-                f"Gamma(1 - s) or sin(pi s) overflows"
+                f"Gamma(1 - s), sin(pi s) or their product overflows"
             )
         return value
     x, t, acc = _lanczos(s)
@@ -201,6 +204,10 @@ def _scaled_binomial_table(size: int) -> np.ndarray:
 
 
 _SCALED_BINOMIALS = _scaled_binomial_table(_TABLE_SIZE)
+# The outer terms come from a complex product with a complex copy of the
+# table: real products on the real and imaginary parts round differently,
+# and leave the reference Euler-gamma and Glaisher routes an ulp or more
+# further from their constants.
 _COMPLEX_BINOMIALS = _SCALED_BINOMIALS.astype(complex)
 _LOG_K1 = np.log(np.arange(1, _TABLE_SIZE + 1, dtype=float))  # log(k+1)
 _SIGNS = np.where(np.arange(_TABLE_SIZE) % 2 == 0, 1.0, -1.0)  # (-1)**k

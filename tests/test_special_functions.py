@@ -11,7 +11,6 @@ from eulerlab.errors import DomainError, IllConditionedError, PoleError
 from eulerlab.integral_forms import rhs_eq12, rhs_eq15, rhs_eq15_many
 from eulerlab.special_functions import (
     _LOG_K1,
-    _SCALED_BINOMIALS,
     _SIGNS,
     _TABLE_SIZE,
     _alternating_powers,
@@ -123,16 +122,26 @@ class TestGamma:
             assert abs(lhs - s * gamma(s)) / abs(lhs) <= 1e-12
             checked += 1
 
-    @pytest.mark.parametrize("s", [0.2 + 300j, 0.2 - 300j, -3.3 + 240j, 0.4 + 460j])
-    def test_large_imaginary_part(self, s):
-        # sin(pi s) overflows from about |Im(s)| = 226; it raised a bare
-        # OverflowError here
+    @pytest.mark.parametrize(
+        "s",
+        [
+            # sin(pi s) overflows from about |Im(s)| = 226; it raised a
+            # bare OverflowError here
+            0.2 + 300j, 0.2 - 300j, -3.3 + 240j, 0.4 + 460j,
+            # sin(pi s) and Gamma(1 - s) are finite but their product is
+            # not; the quotient came back nan (raising "overflows") or 0j
+            -120 + 100j, -120 - 100j, -169.9 + 1.9j, -170.5 + 0.5j,
+        ],
+    )
+    def test_log_space_reflection_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             expected = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
         assert abs(gamma(s) - expected) <= 1e-12 * abs(expected) + 1e-322
 
-    @pytest.mark.parametrize("s", [0.6 + 1000j, 0.6 + 500j, 0.4 + 480j, -3.3 - 500j])
+    @pytest.mark.parametrize(
+        "s", [0.6 + 1000j, 0.6 + 500j, 0.4 + 480j, -3.3 - 500j, -150 + 50j, -140 + 120j]
+    )
     def test_underflow_raises_domain_error(self, s):
         # 0.6+1000j came back as 0j
         with pytest.raises(DomainError, match="underflows to zero"):
@@ -153,18 +162,21 @@ EPS = np.finfo(float).eps
 def euler_transform_loop(weights):
     """Row-by-row reference for _euler_transform: add outer terms until
     three consecutive ones fall below max(16 eps noise_n, 1e-15), where
-    noise_n is the same row's sum over |w_k|."""
+    noise_n is the same row's sum over |w_k|.  Returns the sum and the
+    largest noise_n of the rows added."""
     total = 0j
     small_run = 0
+    largest_noise = 0.0
     for n in range(len(weights)):
         row = [math.comb(n, k) * 2.0 ** -(n + 1) for k in range(n + 1)]
         term = sum(b * w for b, w in zip(row, weights))
         noise = sum(b * abs(w) for b, w in zip(row, weights))
         total += term
+        largest_noise = max(largest_noise, noise)
         small_run = small_run + 1 if abs(term) < max(16 * EPS * noise, 1e-15) else 0
         if small_run == 3:
             break
-    return total
+    return total, largest_noise
 
 
 def unit_weight():
@@ -187,20 +199,23 @@ def growing_weights():
 
 
 class TestEta:
-    @pytest.mark.parametrize("re_lo, re_hi", [(-1.0, 4.0), (-4.0, -1.0)])
-    def test_matches_row_by_row_loop(self, re_lo, re_hi):
-        # eta and eta' weights; the summation order differs, so allow a
-        # few dozen ulps of the O(1) result, or of the noise scale where
-        # the rows cancel
+    @pytest.mark.parametrize(
+        "re_lo, re_hi, noise_ulps",
+        # a few dozen ulps of the O(1) result; where the rows cancel, also
+        # 16 ulps of the largest noise scale among the rows summed
+        [(-1.0, 4.0, 0.0), (-4.0, -1.0, 16 * EPS)],
+        ids=["re_-1_to_4", "re_-4_to_-1"],
+    )
+    def test_matches_row_by_row_loop(self, re_lo, re_hi, noise_ulps):
+        # eta and eta' weights; only the summation order differs
         rng = random.Random(0xB10)
         for _ in range(10):
             s = complex(rng.uniform(re_lo, re_hi), rng.uniform(0.0, 2.0))
             powers = _alternating_powers(s)
             for weights in (powers, -_LOG_K1 * powers):
-                noise = (_SCALED_BINOMIALS @ np.abs(weights)).max()
-                bound = max(1e-14, 16 * EPS * noise)
-                fast = _euler_transform(weights)
-                assert abs(fast - euler_transform_loop(list(weights))) <= bound
+                expected, noise = euler_transform_loop(list(weights))
+                bound = max(1e-14, noise_ulps * noise)
+                assert abs(_euler_transform(weights) - expected) <= bound
 
     @pytest.mark.parametrize(
         "make_weights, expected, rel",
