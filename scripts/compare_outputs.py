@@ -6,7 +6,8 @@ Usage:
 
 For each checkout the script runs the CLI from that checkout's ``src/``
 in a fresh subprocess: ``all`` as text, json and csv; every ``const``
-(name, method) pair with its default ``--n`` in the same three formats;
+(name, method) pair with its default ``--n`` in the same three formats,
+and the series routes at the ``--n`` of ``CONST_N`` as json;
 ``verify`` as json and csv at the points of ``VERIFY_POINTS``; one
 grid each of eq15, eq12 and eq18 as json; and ``eval`` of every
 function at the points of ``EVAL_POINTS`` as json and csv.  It compares
@@ -37,6 +38,15 @@ CONST_PAIRS = (
     ("ln2", "series"),
 )
 
+# Term counts away from the defaults whose blocked sums (constants._BLOCK)
+# cross leaf boundaries, and a prime n for the hyperfactorial sum.
+CONST_N = (
+    ("gamma", "series", 32769),
+    ("gamma", "series", 65543),
+    ("ln4pi", "series", 98305),
+    ("glaisher", "limit_ratio", 99991),
+)
+
 # One interior point and one within 0.45 of the domain edge (where the
 # quadratures subtract the endpoint singularity) per quadrature identity,
 # and eq15 inside the expansion radius of its removable singularity.
@@ -62,6 +72,10 @@ COMMANDS = (
         ["const", name, f"--method={method}", f"--format={fmt}"]
         for name, method in CONST_PAIRS
         for fmt in FORMATS
+    ]
+    + [
+        ["const", name, f"--method={method}", f"--n={n}", "--format=json"]
+        for name, method, n in CONST_N
     ]
     + [
         ["verify", token, f"--s={s}", f"--format={fmt}"]

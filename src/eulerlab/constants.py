@@ -5,16 +5,25 @@ term count or limit index, and an error bound where one is known.  All
 factorial-sized quantities are evaluated in log space; the hyperfactorial
 sum is accumulated with math.fsum so the limit-route error is dominated
 by the limit itself, not by rounding.
+
+The long partial sums (Euler's gamma series, the Wallis log-product and
+the ln(4/pi) series) are evaluated in blocks of at most _BLOCK terms, so
+no temporary outgrows the cache.  The value is still the float that
+``np.sum`` gives over the whole term array: numpy adds a contiguous array
+pairwise, splitting at half the length rounded down to a multiple of 8,
+and _pairwise_sum walks that same tree, sums each leaf of at most _BLOCK
+terms with ``np.sum`` and adds the leaf sums back up in the tree's order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import zeta, zeta_prime
+from .special_functions import _eta_zeta_factor, eta_many, zeta, zeta_prime
 
 METHODS = ("series", "limit_ratio", "closed_form", "zeta_route", "euler_formula")
 
@@ -31,6 +40,50 @@ class ConstantEstimate:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+# 2**14 float64 terms, 128 KB a temporary, reused from leaf to leaf.  With
+# glibc malloc, 256 KB temporaries of a route called on its own are mapped
+# afresh for every leaf: about 4,800 page faults a 10**6-term sum, which
+# then takes 2.5 times as long.
+_BLOCK = 2**14
+
+
+def _pairwise_sum(terms: Callable[[int, int], np.ndarray], count: int) -> float:
+    """float(np.sum(terms(1, count + 1))), evaluated one leaf at a time.
+
+    ``terms(lo, hi)`` returns the terms of n = lo, ..., hi - 1.
+    """
+
+    def node(lo: int, size: int) -> float:
+        if size <= _BLOCK:
+            return float(np.sum(terms(lo, lo + size)))
+        half = size // 2
+        half -= half % 8
+        return node(lo, half) + node(lo + half, size - half)
+
+    return node(1, count)
+
+
+def _gamma_terms(lo: int, hi: int) -> np.ndarray:
+    # 1/n - ln((n+1)/n) for n = lo, ..., hi - 1
+    inv = 1.0 / np.arange(lo, hi, dtype=float)
+    return inv - np.log1p(inv)
+
+
+def _alternate(terms: np.ndarray, lo: int) -> np.ndarray:
+    # negate the terms of even n; the block starts at n = lo
+    terms[lo % 2 :: 2] *= -1.0
+    return terms
+
+
+def _ln_4_over_pi_terms(lo: int, hi: int) -> np.ndarray:
+    return _alternate(_gamma_terms(lo, hi), lo)
+
+
+def _wallis_logs(lo: int, hi: int) -> np.ndarray:
+    # (-1)**(n-1) ln((n+1)/n) for n = lo, ..., hi - 1
+    return _alternate(np.log1p(1.0 / np.arange(lo, hi, dtype=float)), lo)
+
+
 def euler_gamma_series(n_terms: int) -> ConstantEstimate:
     """Partial sum of sum_n (1/n - ln((n+1)/n)); converges to Euler's gamma.
 
@@ -38,9 +91,7 @@ def euler_gamma_series(n_terms: int) -> ConstantEstimate:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    inv = 1.0 / n
-    value = float(np.sum(inv - np.log1p(inv)))
+    value = _pairwise_sum(_gamma_terms, n_terms)
     return ConstantEstimate(value, "series", n_terms, 0.5 / n_terms)
 
 
@@ -48,13 +99,20 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
     """Euler's gamma from ln(4/pi) + 2 sum_{n>=2} (-1)**n zeta(n)/(2**n n).
 
     Terms decay like 2**-n, so 50 terms already exhaust double
-    precision; this is the library's reference route for gamma.
+    precision; this is the library's reference route for gamma.  The
+    summed zeta values come from one ``eta_many`` call.  Some of them are
+    an ulp or two off the scalar ``zeta``, but for every N up to 200 the
+    total is the float that scalar calls give; the tail of the error
+    bound, an ulp-sensitive product, keeps the scalar ``zeta``.
     """
     if n_terms < 2:
         raise ValueError("n_terms must be at least 2")
+    # eta(2), ..., eta(N) by one matrix product.  It takes eta(N + 1) as
+    # well: a product of one column (N = 2) rounds eta(2) differently.
+    etas = eta_many([float(n) for n in range(2, n_terms + 2)]).real.tolist()
     total = math.log(4.0) - math.log(math.pi)
-    for n in range(2, n_terms + 1):
-        term = 2.0 * zeta(float(n)).real / (2.0**n * n)
+    for n, value in enumerate(etas[:-1], start=2):
+        term = 2.0 * (value / _eta_zeta_factor(n)) / (2.0**n * n)
         total += term if n % 2 == 0 else -term
     tail = zeta(float(n_terms + 1)).real / (2.0**n_terms * (n_terms + 1))
     # 1e-13 covers the rounding of the zeta values
@@ -74,10 +132,7 @@ def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
         raise ValueError(f"unsupported method {method!r} for ln(4/pi)")
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    terms = 1.0 / n - np.log1p(1.0 / n)
-    terms[1::2] *= -1.0
-    value = float(np.sum(terms))
+    value = _pairwise_sum(_ln_4_over_pi_terms, n_terms)
     m = n_terms + 1.0
     bound = 1.0 / m - math.log1p(1.0 / m)
     return ConstantEstimate(value, "series", n_terms, bound)
@@ -102,10 +157,7 @@ def wallis_partial(n_factors: int) -> float:
     """Partial product of ((n+1)/n)**(-1)**(n-1); converges to pi/2."""
     if n_factors < 1:
         raise ValueError("n_factors must be positive")
-    n = np.arange(1, n_factors + 1, dtype=float)
-    logs = np.log1p(1.0 / n)
-    logs[1::2] *= -1.0
-    return float(math.exp(np.sum(logs)))
+    return math.exp(_pairwise_sum(_wallis_logs, n_factors))
 
 
 def glaisher_limit(n: int) -> ConstantEstimate:
@@ -122,7 +174,10 @@ def glaisher_limit(n: int) -> ConstantEstimate:
     if n > 10**6:
         raise ValueError("n capped at 10**6")
     k = np.arange(1, n + 1, dtype=float)
-    log_ratio = math.fsum(k * np.log(k / n)) + n * n / 4.0 - math.log(n) / 12.0
+    # fsum is correctly rounded: a list gives the float that iterating the
+    # array's numpy scalars gives, without making them
+    log_sum = math.fsum((k * np.log(k / n)).tolist())
+    log_ratio = log_sum + n * n / 4.0 - math.log(n) / 12.0
     bound = 10.0 / n + 2.5e-16 * n * n
     return ConstantEstimate(math.exp(log_ratio), "limit_ratio", n, bound)
 

@@ -1,8 +1,14 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from eulerlab.constants import (
+    _BLOCK,
+    _ln_4_over_pi_terms,
+    _pairwise_sum,
+    _wallis_logs,
     euler_formula_gamma,
     euler_gamma_series,
     glaisher_limit,
@@ -16,6 +22,83 @@ from eulerlab.core_numerics import sum_series
 from eulerlab.special_functions import zeta, zeta_prime
 
 from conftest import EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI
+
+
+def _one_array_sums(count):
+    # the constants' series as single whole-array numpy sums
+    n = np.arange(1, count + 1, dtype=float)
+    gamma_terms = 1.0 / n - np.log1p(1.0 / n)
+    ln4pi_terms = gamma_terms.copy()
+    ln4pi_terms[1::2] *= -1.0
+    logs = np.log1p(1.0 / n)
+    logs[1::2] *= -1.0
+    return float(np.sum(gamma_terms)), float(np.sum(ln4pi_terms)), math.exp(np.sum(logs))
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize(
+        "count",
+        [1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 10**6],
+    )
+    def test_equals_the_whole_array_sum_exactly(self, count):
+        # random signs and magnitudes over 16 decades: any other order of
+        # addition rounds differently
+        rng = np.random.default_rng(count)
+        values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-8.0, 8.0, count)
+        assert _pairwise_sum(lambda lo, hi: values[lo - 1 : hi - 1], count) == float(
+            np.sum(values)
+        )
+
+    @pytest.mark.parametrize("count", [_BLOCK + 1, 2 * _BLOCK + 3])
+    def test_routes_equal_their_one_array_formula(self, count):
+        gamma, ln4pi, wallis = _one_array_sums(count)
+        assert euler_gamma_series(count).value == gamma
+        assert ln_4_over_pi(count).value == ln4pi
+        assert wallis_partial(count) == wallis
+
+    @pytest.mark.parametrize("lo", [1, 2, 9, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize(
+        "terms, unsigned",
+        [
+            (_ln_4_over_pi_terms, lambda n: 1.0 / n - np.log1p(1.0 / n)),
+            (_wallis_logs, lambda n: np.log1p(1.0 / n)),
+        ],
+    )
+    def test_block_signs_follow_the_global_parity(self, terms, unsigned, lo):
+        # leaves of the pairwise tree start at n = 1 mod 8; a block may
+        # start on either parity all the same
+        hi = lo + 101
+        whole = unsigned(np.arange(1, hi, dtype=float))
+        whole[1::2] *= -1.0
+        assert np.array_equal(terms(lo, hi), whole[lo - 1 :])
+
+    @pytest.mark.parametrize(
+        "route", [lambda: euler_gamma_series(10**6), lambda: wallis_partial(10**6)]
+    )
+    def test_million_term_routes_stay_below_two_mib(self, route):
+        # whole-array temporaries of 10**6 terms peak at 23-31 MiB
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestRegistryConstantBits:
+    # the floats of `eulerlab all`, as one whole-array np.sum gives them
+    def test_euler_gamma_series(self):
+        assert euler_gamma_series(10**6).value == 0.5772151649019496
+
+    def test_wallis_partial(self):
+        assert wallis_partial(10**6) == 1.5707955413977144
+
+    def test_euler_formula_gamma(self):
+        assert euler_formula_gamma(50).value == 0.5772156649015331
+
+    def test_glaisher_limit(self):
+        assert glaisher_limit(10**5).value == 1.282427432156447
 
 
 class TestEulerGammaSeries:
@@ -43,6 +126,17 @@ class TestEulerFormulaGamma:
         est = euler_formula_gamma(50)
         assert abs(est.value - EULER_GAMMA) <= 1e-13
         assert abs(est.value - EULER_GAMMA) <= est.error_bound
+
+    @pytest.mark.parametrize("n_terms", range(2, 61))
+    def test_equals_the_scalar_zeta_loop(self, n_terms):
+        total = math.log(4.0) - math.log(math.pi)
+        for n in range(2, n_terms + 1):
+            term = 2.0 * zeta(float(n)).real / (2.0**n * n)
+            total += term if n % 2 == 0 else -term
+        tail = zeta(float(n_terms + 1)).real / (2.0**n_terms * (n_terms + 1))
+        est = euler_formula_gamma(n_terms)
+        assert est.value == total
+        assert est.error_bound == tail + 1e-13
 
     def test_term_step_identity(self):
         # value(N+1) - value(N) is +-zeta(N+1)/(2^N (N+1))
