@@ -11,6 +11,7 @@ precision and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re as _re
@@ -67,7 +68,10 @@ def parse_complex(text: str) -> complex:
     if not match:
         raise UsageError(f"cannot parse complex literal {text!r}")
     re_part, im_part = match.groups()
-    return complex(float(re_part), float(im_part) if im_part else 0.0)
+    value = complex(float(re_part), float(im_part) if im_part else 0.0)
+    if not cmath.isfinite(value):
+        raise UsageError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_range(text: str) -> tuple[float, float, float]:
@@ -78,6 +82,8 @@ def parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"range must be numeric LO:HI:STEP, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"range must be finite LO:HI:STEP, got {text!r}")
     if step <= 0:
         raise UsageError("range STEP must be positive")
     return lo, hi, step

@@ -1,8 +1,9 @@
 """Registry binding each verifiable identity to two evaluation routes.
 
 Every entry pairs a left-hand route with an algorithmically independent
-right-hand route (the two self-checks of single functions excepted) and,
-for parameterized identities, carries the points ``verify_all`` runs.
+right-hand route (the test suite measures which library functions both
+sides call) and, for parameterized identities, carries the points
+``verify_all`` runs.
 Reports are machine-readable and never raise on numeric disagreement;
 pass/fail is decided by absolute error against the identity's
 tolerance, and a route whose quadrature did not converge fails.  All
@@ -27,6 +28,8 @@ EXCLUSION_RADIUS = 1e-6
 # Quadrature-backed routes keep a margin above the mathematical domain edge.
 DOMAIN_MARGIN = 0.01
 PANEL_SEED = 0x5EED
+# Largest sweep ``grid`` accepts, and the most values one axis builds.
+MAX_GRID_POINTS = 10**6
 
 # A route value is (value, evaluations), or the QuadratureResult of a
 # quadrature, whose convergence the verdict needs too.  A route takes a
@@ -46,12 +49,9 @@ _BATCH_MIN_POINTS = 8
 class Identity:
     """One registry entry: what the identity states, and how to check it.
 
-    ``lhs``/``rhs`` are the two routes; ``lhs_ops``/``rhs_ops`` name the
-    operations each route calls directly (the audit surface for route
-    independence); ``self_check`` marks the two single-function
-    consistency relations whose sides necessarily share that function.
-    ``points`` are the parameter values ``verify_all`` runs; an identity
-    is parameterized exactly when it has them.
+    ``lhs``/``rhs`` are the two routes.  ``points`` are the parameter
+    values ``verify_all`` runs; an identity is parameterized exactly
+    when it has them.
     """
 
     id: str
@@ -61,12 +61,9 @@ class Identity:
     default_tol: float
     lhs_route: str
     rhs_route: str
-    lhs_ops: tuple[str, ...]
-    rhs_ops: tuple[str, ...]
     lhs: Route
     rhs: Route
     points: tuple[complex, ...] = ()
-    self_check: bool = False
 
     @property
     def parameterized(self) -> bool:
@@ -189,7 +186,11 @@ def _eq12_rhs(s, tol):
 
 def _eq14_lhs(s, tol):
     # Richardson extrapolation in eps**2 of the symmetrized pole-removed
-    # zeta at s = 1 +- {0.1, 0.05, 0.025}.
+    # zeta at s = 1 +- {0.1, 0.05, 0.025}.  In exact arithmetic this is
+    # zeta_minus_pole(1.0): all six values lie on its ring cubic, so each
+    # level returns the cubic's constant term.  The stack costs 12 zeta
+    # calls against the ring's 4, and rounds to ...773 against ...772;
+    # it stays because that ulp moves eq14's abs_err further from gamma.
     zmp = special_functions.zeta_minus_pole
     e0, e1, e2 = (
         0.5 * (zmp(1.0 + eps) + zmp(1.0 - eps)) for eps in (0.1, 0.05, 0.025)
@@ -251,6 +252,8 @@ def _stirling_lhs(s, tol):
 # --- parameter points ------------------------------------------------------
 
 def _range_values(lo: float, hi: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("range bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("step must be positive")
     values = []
@@ -259,6 +262,8 @@ def _range_values(lo: float, hi: float, step: float) -> list[float]:
         v = lo + k * step
         if v > hi + 1e-9 * step:
             break
+        if k == MAX_GRID_POINTS:
+            raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points")
         values.append(v)
         k += 1
     return values
@@ -268,8 +273,10 @@ def _grid_points(
     re_range: tuple[float, float, float], im_range: tuple[float, float, float]
 ) -> tuple[complex, ...]:
     # Row-major, re fastest.
-    res = _range_values(*re_range)
-    return tuple(complex(r, i) for i in _range_values(*im_range) for r in res)
+    res, ims = _range_values(*re_range), _range_values(*im_range)
+    if len(res) * len(ims) > MAX_GRID_POINTS:
+        raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points")
+    return tuple(complex(r, i) for i in ims for r in res)
 
 
 def _seeded_panel(
@@ -309,8 +316,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-9,
             "minus-kernel quadrature at s = -1",
             "geometrically convergent zeta series for Euler's constant",
-            ("integral_forms.I_minus",),
-            ("constants.euler_formula_gamma",),
             _pointwise(_eq2_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
@@ -319,8 +324,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-9,
             "plus-kernel quadrature at s = -1",
             "closed form ln 4 - ln pi",
-            ("integral_forms.I_plus",),
-            ("constants.ln_4_over_pi",),
             _pointwise(_eq3_lhs), _pointwise(_eq3_rhs),
         ),
         Identity(
@@ -329,8 +332,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 2e-6,
             "harmonic-rate series sum_n (1/n - ln((n+1)/n)), 10^6 terms",
             "ln(4/pi) + 2 sum (-1)^n zeta(n)/(2^n n), 50 terms",
-            ("constants.euler_gamma_series",),
-            ("constants.euler_formula_gamma",),
             _pointwise(_eq4_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
@@ -339,8 +340,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-10,
             "reduced quadrature of (-ln u)/(1-u)",
             "closed form pi^2/6",
-            ("integral_forms.beukers_reduced",),
-            (),
             _pointwise(_eq6_lhs), _closed_form(math.pi**2 / 6.0),
         ),
         Identity(
@@ -349,8 +348,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-10,
             "reduced quadrature of (-ln u)^2/(2(1-u))",
             "zeta(3) by the alternating-series continuation",
-            ("integral_forms.beukers_reduced",),
-            ("special_functions.zeta",),
             _pointwise(_eq7_lhs), _pointwise(_eq7_rhs),
         ),
         Identity(
@@ -359,8 +356,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-8,
             "plus-kernel quadrature at s = -2",
             "closed form from ln A = 1/12 - zeta'(-1)",
-            ("integral_forms.I_plus",),
-            ("constants.glaisher_zeta",),
             _pointwise(_eq9_lhs), _pointwise(_eq9_rhs),
         ),
         Identity(
@@ -369,8 +364,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-3,
             "hyperfactorial ratio at n = 10^5",
             "exp(1/12 - zeta'(-1))",
-            ("constants.glaisher_limit",),
-            ("constants.glaisher_zeta",),
             _pointwise(_eq10_lhs), _pointwise(_eq10_rhs),
         ),
         Identity(
@@ -379,8 +372,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-5,
             "alternating harmonic partial sum, 10^5 terms",
             "closed form ln 2",
-            ("constants.ln2_series",),
-            (),
             _pointwise(_eq11_lhs), _closed_form(math.log(2.0)),
         ),
         Identity(
@@ -389,9 +380,6 @@ _REGISTRY: dict[str, Identity] = {
             -2.0, (-1.0 + 0.0j,), 1e-8,
             "minus-kernel quadrature",
             "Gamma(s+2) times pole-removed zeta at s+2",
-            ("integral_forms.I_minus",),
-            ("integral_forms.rhs_eq12", "special_functions.gamma",
-             "special_functions.zeta_minus_pole"),
             _pointwise(_eq12_lhs), _pointwise(_eq12_rhs),
             points=_grid_points((-1.5, 3.0, 0.5), (0.0, 1.0, 1.0)),
         ),
@@ -401,8 +389,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-6,
             "Richardson extrapolation of pole-removed zeta to s = 1",
             "geometrically convergent zeta series for Euler's constant",
-            ("special_functions.zeta_minus_pole",),
-            ("constants.euler_formula_gamma",),
             _pointwise(_eq14_lhs), _pointwise(_gamma_reference),
         ),
         Identity(
@@ -411,9 +397,6 @@ _REGISTRY: dict[str, Identity] = {
             -3.0, (-1.0 + 0.0j, -2.0 + 0.0j), 1e-8,
             "plus-kernel quadrature",
             "Gamma(s+2) times the eta bracket",
-            ("integral_forms.I_plus",),
-            ("integral_forms.rhs_eq15", "special_functions.gamma",
-             "special_functions.eta", "special_functions.eta_prime"),
             _eq15_lhs, _eq15_rhs,
             points=_grid_points((-2.5, 3.0, 0.5), (0.0, 2.0, 1.0)),
         ),
@@ -423,11 +406,8 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-12,
             "Gamma(s+1)/s",
             "Gamma(s)",
-            ("special_functions.gamma",),
-            ("special_functions.gamma",),
             _pointwise(_eq16_lhs), _pointwise(_eq16_rhs),
             points=tuple(functional_equation_panel()),
-            self_check=True,
         ),
         Identity(
             "eq17",
@@ -435,11 +415,8 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-11,
             "eta by the Euler-transformation sum",
             "(1 - 2^(1-s)) zeta(s)",
-            ("special_functions.eta",),
-            ("special_functions.zeta",),
             _pointwise(_eq17_lhs), _pointwise(_eq17_rhs),
             points=tuple(product_relation_panel()),
-            self_check=True,
         ),
         Identity(
             "eq18",
@@ -447,8 +424,6 @@ _REGISTRY: dict[str, Identity] = {
             0.0, (), 1e-9,
             "Fermi-Dirac-type quadrature",
             "Gamma(s) eta(s)",
-            ("integral_forms.fermi_dirac",),
-            ("special_functions.gamma", "special_functions.eta"),
             _pointwise(_eq18_lhs), _pointwise(_eq18_rhs),
             points=(1 + 0j, 2 + 0j, 3.5 + 0j, 2 + 1j),
         ),
@@ -458,8 +433,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-6,
             "partial product, 10^6 factors",
             "closed form pi/2",
-            ("constants.wallis_partial",),
-            (),
             _pointwise(_wallis_lhs), _closed_form(math.pi / 2.0),
         ),
         Identity(
@@ -468,8 +441,6 @@ _REGISTRY: dict[str, Identity] = {
             None, (), 1e-4,
             "factorial ratio at n = 10^5",
             "closed form sqrt(2 pi)",
-            ("constants.stirling_ratio",),
-            (),
             _pointwise(_stirling_lhs), _closed_form(math.sqrt(2.0 * math.pi)),
         ),
     )
@@ -585,7 +556,8 @@ def grid(
     """Sweep a rectangular grid of s values (row-major, re fastest).
 
     Points outside the identity's domain or inside an exclusion radius
-    come back as SkippedPoint markers, not errors.
+    come back as SkippedPoint markers, not errors.  A non-finite bound,
+    or more than MAX_GRID_POINTS points, raises ValueError first.
     """
     ident = get_identity(token)
     if not ident.parameterized:

@@ -49,7 +49,8 @@ At large Im(s) the error follows that of zeta(1 - s): 1.4e-12 at
 -5+455i, 4.3e-11 at -5+600i.  There eta and zeta raise DomainError
 where the value or a factor of the functional equation overflows (real
 s below about -218.5 for eta and -260 for zeta), and the derivatives
-eta_prime and zeta_prime raise IllConditionedError.
+eta_prime and zeta_prime raise IllConditionedError.  Every function
+raises DomainError for an argument with a non-finite part.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+
+
+def _finite(s: complex) -> complex:
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"non-finite argument s = {s}")
+    return s
 
 
 def _lanczos(s: complex) -> tuple[complex, complex, complex]:
@@ -123,7 +131,7 @@ def gamma(s: complex) -> complex:
     about 171.6, or |s| below about 5.6e-309) or underflows to zero (for
     Re(s) near 1/2 from about |Im(s)| = 470).
     """
-    s = complex(s)
+    s = _finite(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise PoleError("pole of Gamma")
     if s.real < 0.5:
@@ -240,7 +248,7 @@ def eta(s: complex) -> complex:
     Below Re(s) = -4 it is (1 - 2**(1-s)) zeta(s) by the functional
     equation of zeta.
     """
-    s = complex(s)
+    s = _finite(s)
     if s.real < _REFLECT_BELOW:
         return _zeta_reflected(s, eta_factor=True)
     return _euler_transform(_alternating_powers(s))
@@ -256,6 +264,8 @@ def eta_many(points: Sequence[complex]) -> np.ndarray:
     sum near 256 KB however many points there are.
     """
     s = np.asarray(points, dtype=complex)
+    if not np.isfinite(s).all():
+        raise DomainError(f"non-finite argument among s = {s[~np.isfinite(s)]}")
     values = np.empty(len(s), dtype=complex)
     reflected = s.real < _REFLECT_BELOW
     for i in np.flatnonzero(reflected):
@@ -272,7 +282,7 @@ def eta_prime(s: complex) -> complex:
 
     Raises IllConditionedError below Re(s) = -4, where the sum cancels.
     """
-    s = complex(s)
+    s = _finite(s)
     _reject_cancelling_sum(s)
     return _euler_transform(-_LOG_K1 * _alternating_powers(s))
 
@@ -345,7 +355,7 @@ def zeta(s: complex) -> complex:
     Below Re(s) = -4 it comes from zeta(1 - s) by the functional
     equation; DomainError where that overflows double precision.
     """
-    s = complex(s)
+    s = _finite(s)
     _reject_bad_points(s)
     if s.real < _REFLECT_BELOW:
         return _zeta_reflected(s)
@@ -357,7 +367,7 @@ def zeta_prime(s: complex) -> complex:
 
     Raises IllConditionedError below Re(s) = -4, like eta_prime.
     """
-    s = complex(s)
+    s = _finite(s)
     _reject_bad_points(s)
     _reject_cancelling_sum(s)
     f = _eta_zeta_factor(s)
@@ -374,7 +384,7 @@ def zeta_minus_pole(s: complex) -> complex:
     directions), evaluated at |s-1|.  At s = 1 this returns the
     extrapolated limit itself.
     """
-    s = complex(s)
+    s = _finite(s)
     d = s - 1.0
     if abs(d) >= 0.05:
         return zeta(s) - 1.0 / d

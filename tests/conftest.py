@@ -7,8 +7,14 @@ they check.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # frozen reference constants (correctly rounded doubles)
 EULER_GAMMA = 0.5772156649015329
@@ -45,3 +51,18 @@ def gamma_reference():
     from eulerlab.constants import euler_formula_gamma
 
     return euler_formula_gamma(50).value
+
+
+def run_bounded(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code *args`` with 1 GiB of address space and a 60 s
+    timeout, so a loop that never ends fails (MemoryError in the child,
+    or TimeoutExpired here) instead of hanging the suite."""
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", limit + code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )

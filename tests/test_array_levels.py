@@ -30,11 +30,6 @@ from eulerlab.integral_forms import (
 
 QUAD_TOL = 1e-9  # what the eq12/eq15/eq18 default tolerances ask of their quadrature
 
-# (scalar kernel, array kernel, domain edge, decay exponent minus Re(s))
-FAMILIES = {
-    "I_plus": (reduced_integrand_plus, reduced_integrand_plus_array, -3.0, 1.0),
-}
-
 
 def rows_of(scalar):
     # the array form of scalar(p, x), node by node
@@ -54,46 +49,21 @@ def one_row(rows, p, a, b, tol):
     )
 
 
-class TestArrayKernels:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_match_scalar_kernels_on_every_branch(self, family):
-        kernel, rows, edge, _ = FAMILIES[family]
-        s = edge + np.array([0.02 + 1j, 0.3 + 0j, 1.7 + 1.7j, 5.0 + 0j, 2.2 + 0j])
-        t = np.array([1e-279, 1e-6, 0.3, 0.4999, 0.5, 1.0, 39.0, 40.0, 40.5, 70.0])
-        values = rows(s, t)
-        assert values.shape == (len(t), len(s))
-        for i, ti in enumerate(t):
-            for j, sj in enumerate(s):
-                expected = kernel(sj, ti)
-                assert abs(values[i, j] - expected) <= 4e-15 * max(1.0, abs(expected))
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_finite_at_the_deepest_node_next_to_the_edge(self, family):
-        _, rows, edge, _ = FAMILIES[family]
-        assert np.isfinite(rows(np.array([edge + 0.0101 + 1j]), np.array([1e-279]))).all()
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_reject_non_positive_t(self, family):
-        _, rows, _, _ = FAMILIES[family]
-        with pytest.raises(ValueError):
-            rows(np.array([0.5]), np.array([0.0, 1.0]))
-
-
 class TestArrayLevels:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_deep_point_takes_array_levels(self, family):
-        # the raw kernel next to its edge takes the batched ladder to its
-        # deepest levels, as it takes the walk
-        kernel, rows, edge, shift = FAMILIES[family]
-        s = complex(edge + 0.02, 0.5)
+    def test_deep_point_takes_array_levels(self):
+        # the raw plus kernel next to its edge takes the batched ladder to
+        # its deepest levels, as it takes the walk
+        s = complex(-3.0 + 0.02, 0.5)
         level_sizes = []
 
         def recording_rows(params, x):
             level_sizes.append(len(x))
-            return rows(params, x)
+            return reduced_integrand_plus_array(params, x)
 
-        batched, = integrate_semi_infinite_many(recording_rows, [s], QUAD_TOL, [s.real + shift])
-        plain = integrate_semi_infinite(functools.partial(kernel, s), QUAD_TOL, s.real + shift)
+        batched, = integrate_semi_infinite_many(recording_rows, [s], QUAD_TOL, [s.real + 1.0])
+        plain = integrate_semi_infinite(
+            functools.partial(reduced_integrand_plus, s), QUAD_TOL, s.real + 1.0
+        )
         assert max(level_sizes) >= len(core_numerics._nodes(6))
         assert batched.evaluations == plain.evaluations > 0
         assert batched.converged == plain.converged

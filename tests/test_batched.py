@@ -60,8 +60,12 @@ def raw_batch(points):
 
 class TestArrayKernel:
     def test_matches_scalar_kernel_on_every_branch(self):
-        s = np.array([0.5 + 1j, -2.5 + 0.3j, 2.0 + 0j, -1.2 + 0j])
-        t = np.array([1e-250, 1e-6, 0.3, 0.5, 1.0, 39.0, 40.5, 55.0])
+        # the last five points sit at offsets from the domain edge Re(s) = -3
+        s = np.concatenate((
+            [0.5 + 1j, -2.5 + 0.3j, 2.0 + 0j, -1.2 + 0j],
+            -3.0 + np.array([0.02 + 1j, 0.3 + 0j, 1.7 + 1.7j, 5.0 + 0j, 2.2 + 0j]),
+        ))
+        t = np.array([1e-279, 1e-250, 1e-6, 0.3, 0.4999, 0.5, 1.0, 39.0, 40.0, 40.5, 55.0, 70.0])
         values = reduced_integrand_plus_array(s, t)
         assert values.shape == (len(t), len(s))
         for i, ti in enumerate(t):
@@ -69,9 +73,10 @@ class TestArrayKernel:
                 expected = reduced_integrand_plus(sj, ti)
                 assert abs(values[i, j] - expected) <= 1e-15 * max(1.0, abs(expected))
 
-    def test_folded_power_stays_finite_at_the_deepest_nodes(self):
+    @pytest.mark.parametrize("s", [-2.98 + 1j, -3.0 + 0.0101 + 1j])
+    def test_folded_power_stays_finite_at_the_deepest_nodes(self, s):
         # t**s alone overflows here for Re(s) near -3; t**(s+2) does not
-        values = reduced_integrand_plus_array(np.array([-2.98 + 1j]), np.array([1e-279]))
+        values = reduced_integrand_plus_array(np.array([s]), np.array([1e-279]))
         assert np.isfinite(values).all()
 
     def test_rejects_non_positive_t(self):

@@ -5,7 +5,7 @@ import pytest
 
 from eulerlab.cli import _CONST_METHODS, fmt_complex, main, parse_complex, parse_range
 
-from conftest import EQ9_VALUE, EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI
+from conftest import EQ9_VALUE, EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI, run_bounded
 
 TRUE_CONSTANTS = {
     "gamma": EULER_GAMMA,
@@ -281,12 +281,34 @@ class TestExitCodeMatrix:
             (["verify", "eq16", "--s=0.2+300i"], 0),
             (["all", "--tol-override", "bad"], 2),
             (["all", "--tol-override", "eq999=1e-6"], 2),
+            (["eval", "zeta", "1e999"], 2),
+            (["eval", "eta", "-1e999"], 2),
+            (["eval", "zeta", "1+1e999i"], 2),
+            (["verify", "eq17", "--s=1e999"], 2),
         ],
     )
     def test_matrix(self, capsys, argv, expected):
         code = main(argv)
         capsys.readouterr()
         assert code == expected
+
+    # Unbounded sweeps: a subprocess with capped memory and time, so that
+    # a grid that never ends fails instead of hanging.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "eq15", "--re=nan:1:1", "--im=0:0:1"],
+            ["grid", "eq15", "--re=0:inf:1", "--im=0:0:1"],
+            ["grid", "eq15", "--re=0:1:1", "--im=0:0:nan"],
+            ["grid", "eq12", "--re=0:1:1e-300", "--im=0:0:1"],
+            ["grid", "eq15", "--re=0:1:0.001", "--im=0:1:0.001"],
+        ],
+    )
+    def test_unbounded_grid(self, argv):
+        code = "import sys\nfrom eulerlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = run_bounded(code, *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
 
 
 class TestOutOption:

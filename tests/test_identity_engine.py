@@ -1,5 +1,9 @@
+import functools
+import importlib
+import inspect
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -27,7 +31,51 @@ from eulerlab.integral_forms import (
     termwise_series_oracle,
 )
 
-CORE_OPS_PREFIX = "core_numerics."
+from conftest import run_bounded
+
+LIBRARY = ("constants", "core_numerics", "integral_forms", "special_functions")
+
+# Library functions both routes of an identity call, where that is the
+# point of the identity.  Every other identity shares none.
+SHARED_BY_DESIGN = {
+    # the functional equation relates gamma to itself
+    "eq16": {"special_functions.gamma"},
+    # zeta is eta divided by 1 - 2**(1-s)
+    "eq17": {"special_functions.eta"},
+    # the gamma reference sums zeta(n); an Euler-Maclaurin zeta would part them
+    "eq14": {"special_functions.eta", "special_functions.zeta"},
+}
+
+
+@pytest.fixture
+def library_calls(monkeypatch):
+    """Record the qualified name of every library function called.
+
+    Modules that import a function by name hold their own binding, so
+    every binding in every ``eulerlab`` module is replaced.
+    """
+    calls = set()
+
+    def recording(qualname, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.add(qualname)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {}
+    for layer in LIBRARY:
+        module = importlib.import_module(f"eulerlab.{layer}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                wrappers[fn] = recording(f"{layer}.{name}", fn)
+    for modname, module in list(sys.modules.items()):
+        if modname == "eulerlab" or modname.startswith("eulerlab."):
+            for name, fn in list(vars(module).items()):
+                if inspect.isfunction(fn) and fn in wrappers:
+                    monkeypatch.setattr(module, name, wrappers[fn])
+    return calls
 
 
 class TestRegistry:
@@ -51,12 +99,23 @@ class TestRegistry:
                 assert ident.id in ("eq12", "eq15")
                 assert set(ident.excluded_points) <= {-1 + 0j, -2 + 0j}
 
-    def test_route_independence_metadata(self):
+    def test_route_independence_metadata(self, library_calls):
+        # Each side runs on its first point alone, then on all its points,
+        # so eq15's scalar routes and its batch both count.
         for ident in list_identities():
-            if ident.self_check:
-                continue
-            shared = set(ident.lhs_ops) & set(ident.rhs_ops)
-            assert all(op.startswith(CORE_OPS_PREFIX) for op in shared), ident.id
+            points = [s for s in ident.points if engine._check_point(ident, s) is None]
+            called = []
+            for route in (ident.lhs, ident.rhs):
+                library_calls.clear()
+                for batch in (points[:1], points) if points else ([None],):
+                    route(batch, ident.default_tol)
+                called.append(set(library_calls))
+            shared = {f for f in called[0] & called[1] if not f.startswith("core_numerics.")}
+            public = {f for f in shared if not f.split(".")[1].startswith("_")}
+            if ident.id in SHARED_BY_DESIGN:
+                assert public == SHARED_BY_DESIGN[ident.id], ident.id
+            else:
+                assert shared == set(), ident.id
 
     def test_default_points(self):
         by_id = {ident.id: ident for ident in list_identities()}
@@ -76,8 +135,7 @@ class TestVerify:
         assert report.abs_err == abs(report.lhs - report.rhs)
         assert report.tol == 1e-9
 
-    def test_eq3_rhs_calls_the_declared_op(self, monkeypatch):
-        # rhs_ops names constants.ln_4_over_pi; the route must call it
+    def test_eq3_rhs_calls_ln_4_over_pi(self, monkeypatch):
         calls = []
         original = constants.ln_4_over_pi
 
@@ -216,6 +274,39 @@ class TestGrid:
         assert all(isinstance(e, SkippedPoint) for e in grid("eq15", (-4.0, -3.5, 0.5), (0.0, 0.0, 1.0), tol=-1.0))
         with pytest.raises(ValueError, match="tol must be positive"):
             grid("eq15", (-3.5, 0.5, 4.0), (0.0, 0.0, 1.0), tol=0.0)
+
+    def test_unbounded_ranges_raise_before_any_point(self):
+        # in a subprocess with capped memory and time: a sweep that never
+        # ends fails instead of hanging
+        proc = run_bounded(
+            """
+from eulerlab import identity_engine as engine
+
+def evaluate(*args):
+    raise AssertionError("a point was evaluated")
+
+engine._evaluate = evaluate
+nan, inf = float("nan"), float("inf")
+for re_range, im_range in [
+    ((nan, 1.0, 1.0), (0.0, 0.0, 1.0)),
+    ((0.0, inf, 1.0), (0.0, 0.0, 1.0)),
+    ((-inf, 1.0, 1.0), (0.0, 0.0, 1.0)),
+    ((0.0, 1.0, 1.0), (0.0, 0.0, nan)),
+    ((0.0, 1.0, 1e-300), (0.0, 0.0, 1.0)),
+    ((0.0, 1.0, 0.001), (0.0, 1.0, 0.001)),
+]:
+    try:
+        engine.grid("eq15", re_range, im_range)
+    except ValueError as exc:
+        print(exc)
+    else:
+        raise AssertionError(re_range, im_range)
+"""
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == 4 * ["range bounds and step must be finite"] + 2 * [
+            f"a grid holds at most {engine.MAX_GRID_POINTS} points"
+        ]
 
     def test_sweep_shares_the_routes_time_among_its_reports(self):
         start = time.perf_counter()

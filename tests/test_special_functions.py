@@ -400,6 +400,18 @@ class TestFunctionalEquationBand:
             f(s)
 
 
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(1.0, math.inf),
+                                   complex(0.5, math.nan), complex(-math.inf, 2.0)])
+    @pytest.mark.parametrize("f", [gamma, eta, eta_prime, zeta, zeta_prime, zeta_minus_pole,
+                                   lambda s: eta_many([2.0, s])],
+                             ids=["gamma", "eta", "eta_prime", "zeta", "zeta_prime",
+                                  "zeta_minus_pole", "eta_many"])
+    def test_raises_domain_error(self, f, s):
+        with pytest.raises(DomainError, match="non-finite argument"):
+            f(s)
+
+
 class TestAgainstMpmath:
     """Regression bounds against mpmath at 30 digits.
 
