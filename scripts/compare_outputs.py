@@ -8,8 +8,10 @@ For each checkout the script runs the CLI from that checkout's ``src/``
 in a fresh subprocess: ``all`` as text, json and csv; every ``const``
 (name, method) pair with its default ``--n`` in the same three formats,
 and the series routes at the ``--n`` of ``CONST_N`` as json;
-``verify`` as json and csv at the points of ``VERIFY_POINTS``; one
-grid each of eq15, eq12 and eq18 as json; and ``eval`` of every
+``verify`` as json and csv at the points of ``VERIFY_POINTS``; the
+grids of ``GRIDS`` as json and csv (csv does not go through the JSON
+writer, so a grid that differs in json alone isolates the writer from
+a value change); and ``eval`` of every
 function at the points of ``EVAL_POINTS`` as json and csv.  It compares
 stdout and the exit code of every command and exits 1 if any differ,
 naming each differing command.
@@ -60,6 +62,14 @@ VERIFY_POINTS = (
     ("eq18", "0.2+0.5i"),
 )
 
+# One sweep per quadrature identity, each large enough for the batched
+# routes.
+GRIDS = (
+    ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
+    ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
+    ("eq18", "--re=0.25:4:0.25", "--im=0:1:0.5"),
+)
+
 EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
 
 # A complex point, a negative argparse takes as a number, and a positive
@@ -83,9 +93,9 @@ COMMANDS = (
         for fmt in ("json", "csv")
     ]
     + [
-        ["grid", "eq15", "--re=-2.5:3:0.5", "--im=0:2:1", "--format=json"],
-        ["grid", "eq12", "--re=-1.5:3:0.5", "--im=0:1:1", "--format=json"],
-        ["grid", "eq18", "--re=0.25:4:0.25", "--im=0:1:0.5", "--format=json"],
+        ["grid", token, re, im, f"--format={fmt}"]
+        for token, re, im in GRIDS
+        for fmt in ("json", "csv")
     ]
     + [
         ["eval", function, s, f"--format={fmt}"]

@@ -38,10 +38,12 @@ MAX_GRID_POINTS = 10**6
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# From this many points on, eq15's routes run the batched ladder and eta
-# panel instead of point by point.  Measured on a shared 2-core x86-64
-# VM, both routes: 1 point 0.3-0.55 ms scalar against 1.1-2.1 ms
-# batched, even at 6-8 points, 16 points 3.7-6.8 ms against 1.8-3.3 ms.
+# From this many points on, the eq12, eq15 and eq18 quadratures run the
+# batched ladder, and eq15's rhs its eta panel, instead of point by
+# point.  Measured by ``scripts/batch_threshold.py`` on a shared 2-core
+# x86-64 VM, scalar against batched per family: 1 point 0.2-0.4 ms
+# against 0.9-2.0 ms, 6 points 1.1-1.3 times slower batched, 8 points
+# 0.84-0.86, 16 points 0.51-0.53.  One threshold serves all three.
 _BATCH_MIN_POINTS = 8
 
 
@@ -176,8 +178,16 @@ def _eq11_lhs(s, tol):
     return complex(est.value), est.terms_or_n
 
 
-def _eq12_lhs(s, tol):
-    return integral_forms.I_minus(s, _quad_tol(tol))
+def _quadrature(points, tol, single, many):
+    # The quadrature route single at each point, or its batch many from
+    # _BATCH_MIN_POINTS points on.
+    if len(points) >= _BATCH_MIN_POINTS:
+        return many(points, _quad_tol(tol))
+    return [single(s, _quad_tol(tol)) for s in points]
+
+
+def _eq12_lhs(points, tol):
+    return _quadrature(points, tol, integral_forms.I_minus, integral_forms.I_minus_many)
 
 
 def _eq12_rhs(s, tol):
@@ -201,9 +211,7 @@ def _eq14_lhs(s, tol):
 
 
 def _eq15_lhs(points, tol):
-    if len(points) >= _BATCH_MIN_POINTS:
-        return integral_forms.I_plus_many(points, _quad_tol(tol))
-    return [integral_forms.I_plus(s, _quad_tol(tol)) for s in points]
+    return _quadrature(points, tol, integral_forms.I_plus, integral_forms.I_plus_many)
 
 
 def _eq15_rhs(points, tol):
@@ -233,8 +241,8 @@ def _eq17_rhs(s, tol):
     return (1.0 - 2.0 ** (1.0 - s)) * special_functions.zeta(s), 0
 
 
-def _eq18_lhs(s, tol):
-    return integral_forms.fermi_dirac(s, _quad_tol(tol))
+def _eq18_lhs(points, tol):
+    return _quadrature(points, tol, integral_forms.fermi_dirac, integral_forms.fermi_dirac_many)
 
 
 def _eq18_rhs(s, tol):
@@ -380,7 +388,7 @@ _REGISTRY: dict[str, Identity] = {
             -2.0, (-1.0 + 0.0j,), 1e-8,
             "minus-kernel quadrature",
             "Gamma(s+2) times pole-removed zeta at s+2",
-            _pointwise(_eq12_lhs), _pointwise(_eq12_rhs),
+            _eq12_lhs, _pointwise(_eq12_rhs),
             points=_grid_points((-1.5, 3.0, 0.5), (0.0, 1.0, 1.0)),
         ),
         Identity(
@@ -424,7 +432,7 @@ _REGISTRY: dict[str, Identity] = {
             0.0, (), 1e-9,
             "Fermi-Dirac-type quadrature",
             "Gamma(s) eta(s)",
-            _pointwise(_eq18_lhs), _pointwise(_eq18_rhs),
+            _eq18_lhs, _pointwise(_eq18_rhs),
             points=(1 + 0j, 2 + 0j, 3.5 + 0j, 2 + 1j),
         ),
         Identity(
@@ -472,8 +480,8 @@ def _check_point(ident: Identity, s: complex | None) -> str | None:
 
 def _effective_tol(ident: Identity, tol: float | None) -> float:
     effective_tol = ident.default_tol if tol is None else float(tol)
-    if not effective_tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < effective_tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return effective_tol
 
 
@@ -615,8 +623,58 @@ def report_to_dict(entry: VerificationReport | SkippedPoint) -> dict:
     }
 
 
+def _json_template(keys: tuple[str, ...]) -> str:
+    return "  {\n" + ",\n".join(f'    "{key}": %s' for key in keys) + "\n  }"
+
+
+# to_json writes report_to_dict's fixed shape through these templates:
+# json.dumps(indent=2) runs the standard library's pure-Python encoder.
+_JSON_REPORT = _json_template((
+    "id", "s", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass",
+    "lhs_route", "rhs_route", "evaluations",
+))
+_JSON_SKIPPED = _json_template(("id", "s", "skipped", "reason"))
+_JSON_COMPLEX = '{\n      "re": %s,\n      "im": %s\n    }'
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(x: float | int | bool | None) -> str:
+    # what json.dumps writes for one float, int, bool or None
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _JSON_SPECIAL.get(text, text)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return int.__repr__(x)
+
+
+def _json_complex(z: complex | None) -> str:
+    if z is None:
+        return "null"
+    return _JSON_COMPLEX % (_json_scalar(z.real), _json_scalar(z.imag))
+
+
 def to_json(entries: Sequence[VerificationReport | SkippedPoint]) -> str:
-    return json.dumps([report_to_dict(e) for e in entries], indent=2)
+    """``json.dumps([report_to_dict(e) for e in entries], indent=2)``, byte for byte."""
+    if not entries:
+        return "[]"
+    text = json.encoder.encode_basestring_ascii
+    items = []
+    for e in entries:
+        if isinstance(e, SkippedPoint):
+            items.append(
+                _JSON_SKIPPED % (text(e.id), _json_complex(e.s), "true", text(e.reason))
+            )
+            continue
+        items.append(_JSON_REPORT % (
+            text(e.id), _json_complex(e.s), _json_complex(e.lhs), _json_complex(e.rhs),
+            _json_scalar(e.abs_err), _json_scalar(e.rel_err), _json_scalar(e.tol),
+            _json_scalar(e.passed), text(e.lhs_route), text(e.rhs_route),
+            _json_scalar(e.evaluations),
+        ))
+    return "[\n" + ",\n".join(items) + "\n]"
 
 
 CSV_HEADER = "id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"

@@ -25,8 +25,9 @@ Integration, 2.12):
 The remainder behaves like t**(Re(s+c)+1) and is regular.  The subtracted
 term is elementary (no gamma, zeta or eta), so the quadrature routes stay
 independent of the closed forms they are checked against.
-``I_plus_many`` evaluates every level of a sweep as points x nodes
-arrays through ``reduced_integrand_plus_array``.
+``I_plus_many``, ``I_minus_many`` and ``fermi_dirac_many`` evaluate every
+level of a sweep as points x nodes arrays through each family's array
+kernel.
 """
 
 from __future__ import annotations
@@ -123,6 +124,25 @@ def _power_array(t: np.ndarray, s: np.ndarray, exponent: np.ndarray) -> np.ndarr
     return exponent
 
 
+def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray):
+    # values[i, j] * factors[0][i] * ... / divisor[i] in place, scaling the
+    # real and imaginary parts separately, as complex-by-real products and
+    # quotients do
+    parts = values.view(float).reshape(*values.shape, 2)
+    for factor in factors:
+        parts *= factor[:, None, None]
+    parts /= divisor[:, None, None]
+    return values
+
+
+def _array_arguments(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(s, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    if not (t > 0.0).all():
+        raise ValueError("t must be positive")
+    return s, t
+
+
 def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """reduced_integrand_plus at every (t[i], s[j]), as a (len(t), len(s)) array.
 
@@ -132,10 +152,7 @@ def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     power.  Only the elementwise exp, log and power of numpy may round
     differently from the math module's.
     """
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    if not (t > 0.0).all():
-        raise ValueError("t must be positive")
+    s, t = _array_arguments(s, t)
     small = t < 0.5
     large = t > 40.0
     with np.errstate(over="ignore"):
@@ -144,14 +161,8 @@ def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         num[small] = _residual_series(t[small])
         extra = np.where(large, et, 1.0)
         den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
-    values = _power_array(t, s, np.where(small[:, None], s + 2.0, s))
-    # scale the real and imaginary parts separately, as complex-by-real
-    # products and quotients do
-    parts = values.view(float).reshape(*values.shape, 2)
-    parts *= num[:, None, None]
-    parts *= extra[:, None, None]
-    parts /= den[:, None, None]
-    return values
+    power = _power_array(t, s, np.where(small[:, None], s + 2.0, s))
+    return _scale_rows(power, (num, extra), den)
 
 
 def reduced_integrand_minus(s: complex, t: float) -> complex:
@@ -168,6 +179,26 @@ def reduced_integrand_minus(s: complex, t: float) -> complex:
             _power(t, s + 1.0) * _residual_series(t) * (t / math.expm1(t))
         )
     return _power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
+
+
+def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """reduced_integrand_minus at every (t[i], s[j]), as a (len(t), len(s)) array.
+
+    The same branches and operations as the scalar form, as in
+    ``reduced_integrand_plus_array``.
+    """
+    s, t = _array_arguments(s, t)
+    small = t < 0.5
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(t)
+        num = np.expm1(-t) + t
+        num[small] = _residual_series(t[small])
+        # multiplying or dividing by 1.0 is exact: each branch keeps its
+        # own operations
+        ratio = np.where(small, t / em1, 1.0)
+        den = np.where(small, 1.0, em1)
+    power = _power_array(t, s, np.where(small[:, None], s + 1.0, s))
+    return _scale_rows(power, (num, ratio), den)
 
 
 def integrand_2d(kernel: SignedKernel, s: complex, x: float, y: float) -> complex:
@@ -195,6 +226,22 @@ def fermi_dirac_integrand(s: complex, t: float) -> complex:
     return _power(t, s - 1.0) / (math.exp(t) + 1.0)
 
 
+def fermi_dirac_integrand_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """fermi_dirac_integrand at every (t[i], s[j]), as a (len(t), len(s)) array.
+
+    The same branches and operations as the scalar form, as in
+    ``reduced_integrand_plus_array``.
+    """
+    s, t = _array_arguments(s, t)
+    large = t > 40.0
+    with np.errstate(over="ignore"):
+        et = np.exp(-t)
+        extra = np.where(large, et, 1.0)
+        den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
+    power = _power_array(t, s, np.repeat((s - 1.0)[None, :], len(t), axis=0))
+    return _scale_rows(power, (extra,), den)
+
+
 def _residual(t: float) -> float:
     # (e**-t - 1 + t) / t**2 for 0 < t < 1
     return _residual_series(t) if t < 0.5 else (math.expm1(-t) + t) / (t * t)
@@ -219,11 +266,12 @@ class _Family(NamedTuple):
     c: float  # on (0, 1) the kernel is t**(s+c) psi(t)
     psi: Callable[[float], float]  # regular at 0, where it tends to psi0
     psi0: float
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]  # the kernel as an array
 
 
-_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25)
-_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5)
-_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5)
+_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, reduced_integrand_plus_array)
+_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, reduced_integrand_minus_array)
+_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integrand_array)
 
 # Distance Re(s) - edge below which the singular part is subtracted.
 # Measured by ``scripts/subtract_threshold.py`` (table in CHANGES.md): at
@@ -254,6 +302,24 @@ def _reduced(
     return dataclasses.replace(result, value=psi0 / (power + 1.0) + result.value)
 
 
+def _reduced_many(
+    family: _Family, single: Callable[[complex, float], QuadratureResult],
+    points: Sequence[complex], tol: float,
+) -> list[QuadratureResult]:
+    # single, the family's public scalar route, at every point (see
+    # I_plus_many).  The callers pass it by its module-level name, so a
+    # wrapper installed there, such as perfbench's tracer, sees its calls.
+    s = [complex(p) for p in points]
+    if any(p.real <= family.edge + 0.01 for p in s):
+        raise DomainError(f"outside Re(s) > {family.edge:g}")
+    batch = [p.real - family.edge >= _SUBTRACT_BELOW for p in s]
+    plain = [p for p, b in zip(s, batch) if b]
+    batched = iter(integrate_semi_infinite_many(
+        family.rows, plain, tol, [p.real + family.shift for p in plain]
+    ))
+    return [next(batched) if b else single(p, tol) for p, b in zip(s, batch)]
+
+
 def I_plus(s: complex, tol: float) -> QuadratureResult:
     """Quadrature of the plus-kernel reduced integrand over (0, inf).
 
@@ -261,25 +327,6 @@ def I_plus(s: complex, tol: float) -> QuadratureResult:
     t**(s+2)/4 at 0 is subtracted and integrated in closed form.
     """
     return _reduced(_PLUS, reduced_integrand_plus, s, tol)
-
-
-def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:
-    """I_plus at every point, refined together over points x nodes arrays.
-
-    Agrees with ``I_plus`` point by point (evaluation counts and
-    convergence included) up to the rounding of numpy's elementwise
-    functions; see ``core_numerics.integrate_semi_infinite_many``.
-    Points within _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
-    """
-    s = [complex(p) for p in points]
-    if any(p.real <= -3.0 + 0.01 for p in s):
-        raise DomainError("outside Re(s) > -3")
-    batch = [p.real - _PLUS.edge >= _SUBTRACT_BELOW for p in s]
-    plain = [p for p, b in zip(s, batch) if b]
-    batched = iter(integrate_semi_infinite_many(
-        reduced_integrand_plus_array, plain, tol, [p.real + 1.0 for p in plain]
-    ))
-    return [next(batched) if b else I_plus(p, tol) for p, b in zip(s, batch)]
 
 
 def I_minus(s: complex, tol: float) -> QuadratureResult:
@@ -298,6 +345,27 @@ def fermi_dirac(s: complex, tol: float) -> QuadratureResult:
     t**(s-1)/2 at 0 is subtracted and integrated in closed form.
     """
     return _reduced(_FERMI_DIRAC, fermi_dirac_integrand, s, tol)
+
+
+def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:
+    """I_plus at every point, refined together over points x nodes arrays.
+
+    Agrees with ``I_plus`` point by point (evaluation counts and
+    convergence included) up to the rounding of numpy's elementwise
+    functions; see ``core_numerics.integrate_semi_infinite_many``.
+    Points within _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
+    """
+    return _reduced_many(_PLUS, I_plus, points, tol)
+
+
+def I_minus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:
+    """I_minus at every point, refined together as ``I_plus_many`` does."""
+    return _reduced_many(_MINUS, I_minus, points, tol)
+
+
+def fermi_dirac_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:
+    """fermi_dirac at every point, refined together as ``I_plus_many`` does."""
+    return _reduced_many(_FERMI_DIRAC, fermi_dirac, points, tol)
 
 
 def _rhs_eq15_from_eta(s: complex, eta_s2: complex, eta_s1: complex) -> complex:

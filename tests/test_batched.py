@@ -1,13 +1,15 @@
-"""The batched eq15 sweep against the point-by-point routes it replaces.
+"""Batched sweeps against the point-by-point routes they replace.
 
-Sweeps of enough eq15 points refine every point's quadrature together
-(``integral_forms.I_plus_many``) and sum the eta panels at once
+Sweeps of enough eq12, eq15 or eq18 points refine every point's
+quadrature together (``integral_forms.I_minus_many``, ``I_plus_many``,
+``fermi_dirac_many``), and eq15 sums its eta panels at once
 (``rhs_eq15_many``); each must agree with the scalar route at every
 point, evaluation counts and convergence included.
 """
 
 import functools
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -27,6 +29,10 @@ from eulerlab.identity_engine import SkippedPoint, VerificationReport, grid, ver
 from eulerlab.integral_forms import (
     I_plus,
     I_plus_many,
+    fermi_dirac_integrand,
+    fermi_dirac_integrand_array,
+    reduced_integrand_minus,
+    reduced_integrand_minus_array,
     reduced_integrand_plus,
     reduced_integrand_plus_array,
     rhs_eq15,
@@ -34,6 +40,20 @@ from eulerlab.integral_forms import (
 )
 
 QUAD_TOL = 1e-9  # what eq15's default tolerance asks of its quadrature
+
+# (scalar kernel, array kernel, domain edge) per reduced family
+KERNELS = {
+    "plus": (reduced_integrand_plus, reduced_integrand_plus_array, -3.0),
+    "minus": (reduced_integrand_minus, reduced_integrand_minus_array, -2.0),
+    "fermi_dirac": (fermi_dirac_integrand, fermi_dirac_integrand_array, 0.0),
+}
+
+# identity -> (scalar quadrature, its batch, lowest Re(s) of a test sweep)
+QUADRATURES = {
+    "eq12": ("I_minus", "I_minus_many", 0.0),
+    "eq15": ("I_plus", "I_plus_many", 0.0),
+    "eq18": ("fermi_dirac", "fermi_dirac_many", 0.5),
+}
 
 
 def assert_same_quadrature(batched, scalar, scale=1.0):
@@ -58,30 +78,32 @@ def raw_batch(points):
     )
 
 
+@pytest.mark.parametrize("family", sorted(KERNELS))
 class TestArrayKernel:
-    def test_matches_scalar_kernel_on_every_branch(self):
-        # the last five points sit at offsets from the domain edge Re(s) = -3
-        s = np.concatenate((
-            [0.5 + 1j, -2.5 + 0.3j, 2.0 + 0j, -1.2 + 0j],
-            -3.0 + np.array([0.02 + 1j, 0.3 + 0j, 1.7 + 1.7j, 5.0 + 0j, 2.2 + 0j]),
-        ))
+    def test_matches_scalar_kernel_on_every_branch(self, family):
+        scalar, array, edge = KERNELS[family]
+        # offsets from the domain edge, real and complex
+        s = edge + np.array([3.5 + 1j, 0.5 + 0.3j, 5.0 + 0j, 1.8 + 0j,
+                             0.02 + 1j, 0.3 + 0j, 1.7 + 1.7j, 2.2 + 0j])
         t = np.array([1e-279, 1e-250, 1e-6, 0.3, 0.4999, 0.5, 1.0, 39.0, 40.0, 40.5, 55.0, 70.0])
-        values = reduced_integrand_plus_array(s, t)
+        values = array(s, t)
         assert values.shape == (len(t), len(s))
         for i, ti in enumerate(t):
             for j, sj in enumerate(s):
-                expected = reduced_integrand_plus(sj, ti)
+                expected = scalar(sj, ti)
                 assert abs(values[i, j] - expected) <= 1e-15 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("s", [-2.98 + 1j, -3.0 + 0.0101 + 1j])
-    def test_folded_power_stays_finite_at_the_deepest_nodes(self, s):
-        # t**s alone overflows here for Re(s) near -3; t**(s+2) does not
-        values = reduced_integrand_plus_array(np.array([s]), np.array([1e-279]))
+    @pytest.mark.parametrize("offset", [0.02 + 1j, 0.0101 + 1j])
+    def test_folded_power_stays_finite_at_the_deepest_nodes(self, family, offset):
+        # t**s alone overflows here next to the edge of the plus and minus
+        # families; their folded powers t**(s+2) and t**(s+1) do not
+        _, array, edge = KERNELS[family]
+        values = array(np.array([edge + offset]), np.array([1e-279]))
         assert np.isfinite(values).all()
 
-    def test_rejects_non_positive_t(self):
+    def test_rejects_non_positive_t(self, family):
         with pytest.raises(ValueError):
-            reduced_integrand_plus_array(np.array([0.5]), np.array([0.0, 1.0]))
+            KERNELS[family][1](np.array([0.5]), np.array([0.0, 1.0]))
 
 
 class TestBatchedLadder:
@@ -204,8 +226,11 @@ def grid_matches_verify(entries):
 
 
 class TestBatchedSweep:
-    def test_grid_reports_match_verify(self):
-        entries = grid("eq15", (-2.5, 3.0, 0.35), (0.0, 2.0, 0.65))
+    # the first Re(s) of eq12's and eq18's sweeps sits within
+    # _SUBTRACT_BELOW of the edge, where the batch takes the scalar route
+    @pytest.mark.parametrize("token, re_lo", [("eq15", -2.5), ("eq12", -1.95), ("eq18", 0.05)])
+    def test_grid_reports_match_verify(self, token, re_lo):
+        entries = grid(token, (re_lo, 3.0, 0.35), (0.0, 2.0, 0.65))
         assert sum(isinstance(e, VerificationReport) for e in entries) >= engine._BATCH_MIN_POINTS
         grid_matches_verify(entries)
 
@@ -236,6 +261,27 @@ class TestBatchedSweep:
         verify("eq15", 0.5 + 1j)
         assert sorted(calls) == ["I_plus", "rhs_eq15"]
 
+    @pytest.mark.parametrize("token", sorted(QUADRATURES))
+    def test_quadrature_batches_from_the_threshold_on(self, monkeypatch, token):
+        single, many, re_lo = QUADRATURES[token]
+        calls = []
+        for name in (single, many):
+            original = getattr(integral_forms, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(integral_forms, name, counting)
+        below = grid(token, (re_lo, re_lo + 1.5, 0.25), (0.0, 0.0, 1.0))
+        assert len(below) == engine._BATCH_MIN_POINTS - 1
+        assert calls == [single] * len(below)
+        calls.clear()
+        at = grid(token, (re_lo, re_lo + 1.75, 0.25), (0.0, 0.0, 1.0))
+        assert len(at) == engine._BATCH_MIN_POINTS
+        assert calls == [many]
+        grid_matches_verify(below + at)
+
     def test_sweep_below_the_batch_size_runs_point_by_point(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("batched route called")
@@ -246,10 +292,12 @@ class TestBatchedSweep:
         assert len(entries) == engine._BATCH_MIN_POINTS - 1
         grid_matches_verify(entries)
 
-    def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch):
-        points = engine._grid_points((0.0, 2.0, 0.25), (0.0, 0.0, 1.0))
-        bad = points[3]
-        original = integral_forms.I_plus
+    @pytest.mark.parametrize("token", sorted(QUADRATURES))
+    def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch, token):
+        single_name, many_name, re_lo = QUADRATURES[token]
+        ranges = ((re_lo, re_lo + 2.0, 0.25), (0.0, 0.0, 1.0))
+        bad = engine._grid_points(*ranges)[3]
+        original = getattr(integral_forms, single_name)
 
         def batch(points, tol):
             raise IntegrandError("batch failed")
@@ -259,10 +307,10 @@ class TestBatchedSweep:
                 raise IntegrandError(f"failed at s = {s}")
             return original(s, tol)
 
-        monkeypatch.setattr(integral_forms, "I_plus_many", batch)
-        monkeypatch.setattr(integral_forms, "I_plus", single)
-        with pytest.raises(IntegrandError, match=r"failed at s = \(0\.75\+0j\)"):
-            grid("eq15", (0.0, 2.0, 0.25), (0.0, 0.0, 1.0))
+        monkeypatch.setattr(integral_forms, many_name, batch)
+        monkeypatch.setattr(integral_forms, single_name, single)
+        with pytest.raises(IntegrandError, match=re.escape(f"failed at s = {bad}")):
+            grid(token, *ranges)
 
     def test_concurrent_sweeps_see_only_their_own_batch(self):
         # Each thread sweeps the same points at its own tolerance; a batch

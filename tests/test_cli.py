@@ -292,6 +292,21 @@ class TestExitCodeMatrix:
         capsys.readouterr()
         assert code == expected
 
+    # A non-finite tolerance would stop the ladder at its first level and
+    # pass any value.
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "eq3", "--tol={tol}"],
+            ["grid", "eq18", "--re=1:2:1", "--im=0:0:1", "--tol={tol}"],
+            ["all", "--tol-override", "eq3={tol}"],
+        ],
+    )
+    def test_non_finite_tol(self, capsys, argv, tol):
+        code = main([arg.format(tol=tol) for arg in argv])
+        assert (code, capsys.readouterr().out) == (2, "")
+
     # Unbounded sweeps: a subprocess with capped memory and time, so that
     # a grid that never ends fails instead of hanging.
     @pytest.mark.parametrize(

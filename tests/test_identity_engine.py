@@ -387,6 +387,50 @@ class TestSerialization:
         b = to_json([verify("eq3"), verify("eq16", s=2.5)])
         assert a == b
 
+    @staticmethod
+    def dumps(entries):
+        # the reference: what to_json writes, by the standard encoder
+        return json.dumps([engine.report_to_dict(e) for e in entries], indent=2)
+
+    def test_json_writer_matches_dumps(self):
+        odd = [
+            VerificationReport(
+                'q"\\\n\x01\u00e9\u2603', None, complex(math.nan, math.inf),
+                complex(-math.inf, -0.0), math.nan, None, 5e-324, True,
+                "tab\there", "\ud83d\ude00", 3, 0.0,
+            ),
+            SkippedPoint("eq15", complex(1e308, -0.0), 'within "radius"\\'),
+            VerificationReport("eq12", 1 + 2j, 1j, 1 + 0j, 0.0, math.inf, 1e-8,
+                               False, "", "", 0, 1.0),
+        ]
+        for entries in ([], odd, verify_all()):
+            assert to_json(entries) == self.dumps(entries)
+
+    def test_property_json_writer_matches_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        real = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
+        )
+        number = st.builds(complex, real, real)
+        text = st.text(
+            st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f'), max_size=8
+        )
+        report = st.builds(
+            VerificationReport, text, st.none() | number, number, number, real,
+            st.none() | real, real, st.booleans(), text, text,
+            st.integers(0, 10**12), real,
+        )
+        skipped = st.builds(SkippedPoint, text, number, text)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(report | skipped, max_size=4))
+        def check(entries):
+            assert to_json(entries) == self.dumps(entries)
+
+        check()
+
     def test_csv_round_trip(self):
         entries = grid("eq12", (-1.5, 0.0, 0.5), (0.0, 0.0, 1.0))
         text = to_csv(entries)
