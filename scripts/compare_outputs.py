@@ -63,18 +63,21 @@ VERIFY_POINTS = (
 )
 
 # One sweep per quadrature identity, each large enough for the batched
-# routes.
+# routes, and an eq17 sweep whose scalar eta and zeta sums start from
+# the first stage of the Euler-transform table (|Im(s)| <= 8), and from
+# the whole table above it.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
     ("eq18", "--re=0.25:4:0.25", "--im=0:1:0.5"),
+    ("eq17", "--re=-3:4:1", "--im=2:40:4"),
 )
 
 EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
 
-# A complex point, a negative argparse takes as a number, and a positive
-# integer.
-EVAL_POINTS = ("0.5+1i", "-2.5", "3")
+# A complex point, a negative argparse takes as a number, a positive
+# integer, and two points whose eta sums start from the whole table.
+EVAL_POINTS = ("0.5+1i", "-2.5", "3", "0.5+40i", "-3+70i")
 
 COMMANDS = (
     [["all", f"--format={fmt}"] for fmt in FORMATS]

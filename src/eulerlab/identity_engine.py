@@ -41,9 +41,9 @@ Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 # From this many points on, the eq12, eq15 and eq18 quadratures run the
 # batched ladder, and eq15's rhs its eta panel, instead of point by
 # point.  Measured by ``scripts/batch_threshold.py`` on a shared 2-core
-# x86-64 VM, scalar against batched per family: 1 point 0.2-0.4 ms
-# against 0.9-2.0 ms, 6 points 1.1-1.3 times slower batched, 8 points
-# 0.84-0.86, 16 points 0.51-0.53.  One threshold serves all three.
+# x86-64 VM, scalar against batched per family: 1 point 0.3-0.4 ms
+# against 1.4-2.2 ms, 6 points 1.21-1.25 times slower batched, 8 points
+# 0.88-0.93, 16 points 0.51-0.58.  One threshold serves all three.
 _BATCH_MIN_POINTS = 8
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -285,12 +286,24 @@ class TestExitCodeMatrix:
             (["eval", "eta", "-1e999"], 2),
             (["eval", "zeta", "1+1e999i"], 2),
             (["verify", "eq17", "--s=1e999"], 2),
+            # finite points whose value overflows
+            (["eval", "zeta", "1+1e-310i"], 2),
+            (["eval", "zeta_prime", "1+1e-200i"], 2),
+            (["eval", "eta", "0.5+1e308i"], 2),
+            (["verify", "eq17", "--s=1+1e-310i"], 2),
         ],
     )
     def test_matrix(self, capsys, argv, expected):
         code = main(argv)
         capsys.readouterr()
         assert code == expected
+
+    def test_huge_argument_warns_nothing(self, capsys):
+        # the weights' exponent overflows on the way to weights of 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "eta", "1e308"])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     # A non-finite tolerance would stop the ladder at its first level and
     # pass any value.

@@ -2,6 +2,7 @@ import cmath
 import inspect
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,16 @@ from eulerlab.core_numerics import integrate_semi_infinite
 from eulerlab.errors import DomainError, IllConditionedError, PoleError
 from eulerlab.integral_forms import rhs_eq12, rhs_eq15, rhs_eq15_many
 from eulerlab.special_functions import (
+    _COMPLEX_BINOMIALS,
+    _HEAD_MAX_IM,
+    _HEAD_ROWS,
     _LOG_K1,
+    _NOISE_ULPS,
+    _PANEL_POINTS,
+    _SCALED_BINOMIALS,
     _SIGNS,
     _TABLE_SIZE,
+    _TERM_FLOOR,
     _alternating_powers,
     _euler_transform,
     eta,
@@ -281,6 +289,113 @@ class TestEta:
         assert len(inspect.signature(f).parameters) == 1
 
 
+def one_pass_euler_transform(weights):
+    """The sum as it was computed before it had two stages: every row of
+    the table at once, then the stopping rule.  The values the two stages
+    must give bit for bit, and the number of rows each column sums."""
+    terms = _COMPLEX_BINOMIALS @ weights
+    noise = _SCALED_BINOMIALS @ np.abs(weights)
+    small = np.abs(terms) < np.maximum(_NOISE_ULPS * noise, _TERM_FLOOR)
+    run = small[:-2] & small[1:-1] & small[2:]
+    stop = np.where(run.any(axis=0), run.argmax(axis=0) + 3, _TABLE_SIZE)
+    if weights.ndim == 1:
+        return complex(terms[: int(stop)].sum()), int(stop)
+    return np.where(np.arange(_TABLE_SIZE)[:, None] < stop, terms, 0.0).sum(axis=0), stop
+
+
+def one_pass_eta_many(points):
+    # eta_many's blocks, each summed in one pass (no point here is reflected)
+    return np.concatenate([
+        one_pass_euler_transform(_alternating_powers(points[i : i + _PANEL_POINTS]))[0]
+        for i in range(0, len(points), _PANEL_POINTS)
+    ])
+
+
+def seeded_points(seed, count, re_band, im_band):
+    rng = np.random.default_rng(seed)
+    im = rng.uniform(*im_band, count) * rng.choice([-1.0, 1.0], count)
+    return rng.uniform(*re_band, count) + 1j * im
+
+
+RE_BANDS = [(-4.0, -1.0), (-1.0, 2.0), (2.0, 10.0)]
+IM_BANDS = [(0.0, 3.0), (10.0, 90.0)]
+
+
+class TestTwoStageSum:
+    """The table's first _HEAD_ROWS rows, then the rest only where a column
+    has not stopped: the same floats summed in the same order as one pass
+    over the whole table, so every value is equal to the bit."""
+
+    @pytest.mark.parametrize("im_band", IM_BANDS, ids=["im_0_3", "im_10_90"])
+    @pytest.mark.parametrize("re_band", RE_BANDS, ids=["re_-4_-1", "re_-1_2", "re_2_10"])
+    @pytest.mark.parametrize("columns", [1, 2, 7, 8, 30, 60, 128, 129])
+    def test_eta_many_matches_one_pass(self, columns, re_band, im_band):
+        points = seeded_points(columns, columns, re_band, im_band)
+        assert eta_many(points).tobytes() == one_pass_eta_many(points).tobytes()
+
+    def test_block_with_two_large_imaginary_parts(self):
+        # two columns at Im(s) near 50 make the whole block start from
+        # the whole table
+        points = seeded_points(128, 128, (-4.0, 10.0), (0.0, 3.0))
+        points[[17, 90]] = [0.5 + 50.0j, -2.0 - 49.5j]
+        assert eta_many(points).tobytes() == one_pass_eta_many(points).tobytes()
+
+    @pytest.mark.parametrize("im_band", IM_BANDS, ids=["im_0_3", "im_10_90"])
+    @pytest.mark.parametrize("re_band", RE_BANDS, ids=["re_-4_-1", "re_-1_2", "re_2_10"])
+    def test_eta_and_eta_prime_match_one_pass(self, re_band, im_band):
+        for s in seeded_points(7, 20, re_band, im_band).tolist():
+            powers = _alternating_powers(s)
+            assert eta(s) == one_pass_euler_transform(powers)[0]
+            assert eta_prime(s) == one_pass_euler_transform(-_LOG_K1 * powers)[0]
+
+    # |Im(s)| in [8, 30], and two points at 80 and 90: some columns stop
+    # within the first stage, some by a run of small terms across its last
+    # row, some later, and two never.
+    STAGE_TWO_PANEL = np.append(seeded_points(3, 126, (-4.0, 10.0), (8.0, 30.0)),
+                                [0.5 + 80.0j, -3.0 - 90.0j])
+
+    def test_panel_reaches_every_case(self):
+        stops = one_pass_euler_transform(_alternating_powers(self.STAGE_TWO_PANEL))[1]
+        straddling = (stops > _HEAD_ROWS) & (stops <= _HEAD_ROWS + 2)
+        assert (stops <= _HEAD_ROWS).any() and straddling.any()
+        assert ((stops > _HEAD_ROWS + 2) & (stops < _TABLE_SIZE)).any()
+        assert (stops == _TABLE_SIZE).any()
+
+    @pytest.mark.parametrize("derivative", [False, True], ids=["eta", "eta_prime"])
+    def test_second_stage_matches_one_pass(self, derivative):
+        # the start rule sends such panels to the whole table; started
+        # from the first stage anyway, the second stage must still give
+        # the one-pass values, the column sums and the scalar sums alike
+        def weigh(s, rows=slice(None)):
+            powers = _alternating_powers(s, rows)
+            if not derivative:
+                return powers
+            logs = _LOG_K1[rows, None] if isinstance(s, np.ndarray) else _LOG_K1[rows]
+            return -logs * powers
+
+        def two_stage(s):
+            return _euler_transform(weigh(s, slice(_HEAD_ROWS)), lambda rows: weigh(s, rows))
+
+        panel = self.STAGE_TWO_PANEL
+        assert two_stage(panel).tobytes() == one_pass_euler_transform(weigh(panel))[0].tobytes()
+        for s in panel.tolist():
+            assert two_stage(s) == one_pass_euler_transform(weigh(s))[0]
+
+    @pytest.mark.parametrize("derivative", [False, True], ids=["eta", "eta_prime"])
+    def test_first_stage_holds_every_stop_up_to_the_start_bound(self, derivative):
+        # The premise of _HEAD_MAX_IM: with |Im(s)| up to it and Re(s) in
+        # [-4, 10], no eta or eta' sum needs the second stage.
+        points = np.concatenate([
+            seeded_points(11, 2000, (-4.0, 10.0), (0.0, _HEAD_MAX_IM)),
+            [-4.0 + _HEAD_MAX_IM * 1j, -4.0 - _HEAD_MAX_IM * 1j, 10.0 + _HEAD_MAX_IM * 1j],
+        ])
+        for i in range(0, len(points), _PANEL_POINTS):
+            block = _alternating_powers(points[i : i + _PANEL_POINTS])
+            if derivative:
+                block = -_LOG_K1[:, None] * block
+            assert one_pass_euler_transform(block)[1].max() <= _HEAD_ROWS
+
+
 class TestEtaPrime:
     def test_value_at_zero(self):
         assert abs(eta_prime(0.0) - 0.5 * math.log(math.pi / 2.0)) <= 1e-12
@@ -429,6 +544,29 @@ class TestNonFiniteArgument:
     def test_raises_domain_error(self, f, s):
         with pytest.raises(DomainError, match="non-finite argument"):
             f(s)
+
+
+class TestNonFiniteResult:
+    # finite points whose value overflows
+    @pytest.mark.parametrize("f, s", [
+        (zeta, 1.0 + 1e-310j),
+        (zeta_prime, 1.0 + 1e-200j),
+        (eta, 0.5 + 1e308j),
+        (eta_prime, 0.5 + 1e308j),
+        (lambda s: eta_many([2.0, s]), 0.5 + 1e308j),
+    ], ids=["zeta", "zeta_prime", "eta", "eta_prime", "eta_many"])
+    def test_raises_domain_error(self, f, s):
+        with pytest.raises(DomainError, match="overflows"):
+            f(s)
+
+    def test_huge_real_part_warns_nothing(self):
+        # every weight past k = 0 underflows to 0, as it should; the
+        # overflowing exponent on the way there is no error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eta(1e308) == eta(1e4)
+            assert (eta_many([1e308, 2e307]) == eta(1e4)).all()
+            assert eta_prime(1e308) == 0.0
 
 
 class TestAgainstMpmath:
