@@ -2,16 +2,21 @@
 
 Usage:
 
-    python scripts/batch_threshold.py [--repeats 7] [--sizes 1,4,8,16]
+    python scripts/batch_threshold.py [--rounds 101] [--sizes 1,4,6,8,16]
 
 Run from the repository root (``src/`` is put on the path).  For each
 reduced family (``I_minus``, ``I_plus``, ``fermi_dirac``, at the
 quadrature tolerance of eq12, eq15 and eq18) and each sweep size n, the
-script draws n seeded points with Re(s) between 0.5 and 5 above the
-family's edge and Im(s) in [0, 2], and prints the median seconds of the
-scalar route at every point and of the ``*_many`` batch over all of
-them.  The smallest n from which the batch is cheaper in every family
-is where ``identity_engine._BATCH_MIN_POINTS`` belongs.
+script takes the first n of a seeded sequence of points with Re(s)
+between 0.5 and 5 above the family's edge and Im(s) in [0, 2].  Each
+round times the scalar route at every point and the ``*_many`` batch
+over all of them, one right after the other, alternating which goes
+first; timing the two in alternation within a round keeps the load of a
+shared machine, which drifts over seconds, out of the ratio.  The script
+prints, per family and size, the median milliseconds of each, the
+batched/scalar ratio of the medians, and the share of rounds in which
+the batch was faster.  The smallest n from which the batch is cheaper in
+every family is where ``identity_engine._BATCH_MIN_POINTS`` belongs.
 """
 
 from __future__ import annotations
@@ -35,36 +40,42 @@ FAMILIES = (
 )
 
 
-def median_seconds(call, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--sizes", default="1,4,8,16")
+    parser.add_argument("--rounds", type=int, default=101)
+    parser.add_argument("--sizes", default="1,4,6,8,16")
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
-    print("| family | points | scalar ms | batched ms | batched/scalar |")
-    print("|---|---|---|---|---|")
+    print("| family | points | scalar ms | batched ms | batched/scalar | batch faster |")
+    print("|---|---|---|---|---|---|")
     for name, edge, tol in FAMILIES:
         single = getattr(integral_forms, name)
         many = getattr(integral_forms, name + "_many")
-        rng = random.Random(1)
         for n in sizes:
+            rng = random.Random(1)
             points = [
                 complex(edge + rng.uniform(0.5, 5.0), rng.uniform(0.0, 2.0))
                 for _ in range(n)
             ]
-            scalar = median_seconds(lambda: [single(s, tol) for s in points], args.repeats)
-            batched = median_seconds(lambda: many(points, tol), args.repeats)
+            routes = {
+                "scalar": lambda: [single(s, tol) for s in points],
+                "batched": lambda: many(points, tol),
+            }
+            times: dict[str, list[float]] = {route: [] for route in routes}
+            for i in range(args.rounds):
+                order = list(routes.items())
+                for route, call in order if i % 2 == 0 else order[::-1]:
+                    times[route].append(seconds(call))
+            scalar, batched = (statistics.median(times[route]) for route in routes)
+            wins = sum(b < a for a, b in zip(times["scalar"], times["batched"])) / args.rounds
             print(f"| {name} | {n} | {scalar * 1e3:.2f} | {batched * 1e3:.2f} "
-                  f"| {batched / scalar:.2f} |")
+                  f"| {batched / scalar:.2f} | {wins:.0%} |")
     return 0
 
 

@@ -65,12 +65,18 @@ VERIFY_POINTS = (
 # One sweep per quadrature identity, each large enough for the batched
 # routes, and an eq17 sweep whose scalar eta and zeta sums start from
 # the first stage of the Euler-transform table (|Im(s)| <= 8), and from
-# the whole table above it.
+# the whole table above it.  The last three are dense enough for the
+# batched ladder to take several blocks per level: the grid_eq15
+# benchmark sweep, eq15 where its values reach 3e6, and eq18 from its
+# domain edge.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
     ("eq18", "--re=0.25:4:0.25", "--im=0:1:0.5"),
     ("eq17", "--re=-3:4:1", "--im=2:40:4"),
+    ("eq15", "--re=-2.5:3:0.05", "--im=0:2:0.1"),
+    ("eq15", "--re=3:9.5:0.1", "--im=0:3:0.5"),
+    ("eq18", "--re=0.011:1.5:0.02", "--im=0:2:0.2"),
 )
 
 EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")

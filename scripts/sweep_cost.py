@@ -1,0 +1,133 @@
+"""Time the batched quadrature ladder in two checkouts, in alternating calls.
+
+Usage:
+
+    python scripts/sweep_cost.py PARENT_DIR CHANGE_DIR [--rounds 30]
+
+Both checkouts' ``src/eulerlab`` packages are loaded into one process
+under two names, so that both sides share the interpreter, numpy and
+BLAS.  The cases are three ``grid`` sweeps (the 111 x 21 eq15 sweep of
+the ``grid_eq15`` benchmark workload, and eq12 and eq18 sweeps from
+next to their domain edges out to Re(s) = 4) and registry-sized batches
+of the eq12, eq15 and eq18 left-hand sides (``BATCHES``).  For each case each round times one call on each side,
+alternating which side goes first; the script prints, per case, the
+median over rounds of each side's milliseconds, the change/parent ratio
+of the medians, and the share of rounds in which the change was
+faster.  Timing the two sides in alternation within a round keeps the
+load of a shared machine, which drifts over seconds, out of the ratio.
+
+It also prints, per case and side, the integrand elements (nodes x
+points) the family's array kernel evaluates in one call of the case, and
+the number of kernel calls: counts that do not depend on the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# (identity, re range, im range) of each sweep
+SWEEPS = {
+    "grid eq15 111x21": ("eq15", (-2.5, 3.0, 0.05), (0.0, 2.0, 0.1)),
+    "grid eq12 75x11": ("eq12", (-1.99, 4.0, 0.08), (0.0, 1.0, 0.1)),
+    "grid eq18 80x11": ("eq18", (0.011, 4.0, 0.05), (0.0, 1.0, 0.1)),
+}
+# Registry-sized batches: the left-hand sides of eq12 and eq15 over their
+# default points, and of eq18 over 12 points (its 4 default points stay
+# below the batch threshold, point by point).
+BATCHES = {"eq12": None, "eq15": None, "eq18": [complex(0.5 * k, 0.5) for k in range(1, 13)]}
+FAMILIES = ("_PLUS", "_MINUS", "_FERMI_DIRAC")
+
+
+def load(checkout: Path, name: str):
+    """checkout's eulerlab package, imported as package name."""
+    package = checkout.resolve() / "src" / "eulerlab"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.identity_engine")
+
+
+def cases(engine) -> dict:
+    result = {
+        case: (lambda args=args: engine.grid(*args)) for case, args in SWEEPS.items()
+    }
+    for token, points in BATCHES.items():
+        ident = engine.get_identity(token)
+        # the points a sweep evaluates: inside the domain, off the exclusions
+        points = [s for s in points or ident.points if engine._check_point(ident, s) is None]
+        result[f"batch {token} lhs ({len(points)} points)"] = (
+            lambda ident=ident, points=points: ident.lhs(points, ident.default_tol)
+        )
+    return result
+
+
+def elements(engine, call) -> tuple[int, int]:
+    """(integrand elements, kernel calls) of the family array kernels in one call."""
+    forms = sys.modules[engine.__name__.rpartition(".")[0] + ".integral_forms"]
+    count = [0, 0]
+    saved = {name: getattr(forms, name) for name in FAMILIES}
+
+    def counting(rows):
+        def wrapped(params, x):
+            count[0] += len(params) * len(x)
+            count[1] += 1
+            return rows(params, x)
+
+        return wrapped
+
+    try:
+        for name, family in saved.items():
+            setattr(forms, name, family._replace(rows=counting(family.rows)))
+        call()
+    finally:
+        for name, family in saved.items():
+            setattr(forms, name, family)
+    return count[0], count[1]
+
+
+def seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--rounds", type=int, default=30)
+    args = parser.parse_args(argv)
+    engines = {
+        "parent": load(args.parent, "eulerlab_parent"),
+        "change": load(args.change, "eulerlab_change"),
+    }
+    calls = {side: cases(engine) for side, engine in engines.items()}
+    print("| case | parent ms | change ms | change/parent | change faster "
+          "| parent elements (calls) | change elements (calls) |")
+    print("|---|---|---|---|---|---|---|")
+    for case, parent_call in calls["parent"].items():
+        change_call = calls["change"][case]
+        counts = {side: elements(engines[side], calls[side][case]) for side in engines}
+        times: dict[str, list[float]] = {"parent": [], "change": []}
+        for i in range(args.rounds):
+            order = [("parent", parent_call), ("change", change_call)]
+            for side, call in order if i % 2 == 0 else order[::-1]:
+                times[side].append(seconds(call) * 1e3)
+        p, c = statistics.median(times["parent"]), statistics.median(times["change"])
+        faster = sum(b < a for a, b in zip(times["parent"], times["change"])) / args.rounds
+        print(f"| {case} | {p:.2f} | {c:.2f} | {c / p:.3f} | {faster:.0%} | "
+              + " | ".join(f"{n:,} ({k})" for n, k in counts.values()) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,9 +11,11 @@ reported in the result, never raised.
 ``integrate_finite`` walks each refinement level node by node.  Many
 integrals of one family (``integrate_semi_infinite_many``) take every
 level as points x nodes arrays, with the walk's evaluations, truncation
-and verdict.  An endpoint singularity whose exponent is close to -1
-exhausts the ladder; callers that know its leading power subtract it and
-integrate the regular remainder (``integrate_semi_infinite_split``).
+and verdict; past level 0 a side reaches about twice the nodes it summed
+the level before, and rows with no stop there walk it again, whole.  An
+endpoint singularity whose exponent is close to -1 exhausts the ladder;
+callers that know its leading power subtract it and integrate the
+regular remainder (``integrate_semi_infinite_split``).
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def _walk_level(
             if x >= b or x <= a:
                 hi_done = True
             else:
-                contrib = w * _check_finite(f(x), x)
+                fx = f(x)
+                contrib = w * (fx if fx * 0.0 == 0.0 else _check_finite(fx, x))
                 evals += 1
                 level_sum += contrib
                 hi_last = abs(contrib) * h
@@ -168,7 +171,8 @@ def _walk_level(
             if x <= a or x >= b:
                 lo_done = True
             else:
-                contrib = w * _check_finite(f(x), x)
+                fx = f(x)
+                contrib = w * (fx if fx * 0.0 == 0.0 else _check_finite(fx, x))
                 evals += 1
                 level_sum += contrib
                 lo_last = abs(contrib) * h
@@ -188,10 +192,11 @@ def _walk_level(
     return level_sum, evals, tail
 
 
-# Nodes x rows evaluated per integrand call of the batched ladder, which
-# keeps each complex working array at 128 KB or less on every level but
-# the deepest two, where one row alone exceeds it.  Doubling it saves
-# about a tenth of a 2329-point eq15 sweep and adds 0.3 MB to its peak.
+# Nodes x rows of a block of the batched ladder: _BLOCK_ELEMENTS // (2 r)
+# rows, where r is the most nodes a side of them reaches (past level 0,
+# 2 c + 2 for c summed at the level before: each level halves the step).
+# Each complex working array stays at 128 KB or less on every level but
+# the deepest two, where one row alone exceeds it.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -201,42 +206,74 @@ def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array(_nodes(level)).T)
 
 
+@functools.lru_cache(maxsize=2 * (MAX_LEVEL + 1))
+def _level_sides(level: int, a: float, b: float) -> tuple[tuple, tuple]:
+    # (nodes, weights, t, valid) of the hi and lo side of a level on (a, b),
+    # whose first valid nodes lie inside; the cache holds two ladders
+    halfspan = 0.5 * (b - a)
+    delta, weight, t = _node_arrays(level)
+    w = halfspan * weight
+    x_hi = b - halfspan * delta
+    # Level 0's first node (t = 0) is the midpoint, visited once.
+    lo = 1 if level == 0 else 0
+    x_lo = (a + halfspan * delta)[lo:]
+    valid = [int(inside.argmin()) if not inside.all() else len(inside)
+             for inside in ((x_hi < b) & (x_hi > a), (x_lo > a) & (x_lo < b))]
+    return (x_hi, w, t, valid[0]), (x_lo, w[lo:], t[lo:], valid[1])
+
+
 def _walk_side(
     f: RowIntegrand,
     params: np.ndarray,
-    x: np.ndarray,
-    w: np.ndarray,
-    t: np.ndarray,
+    side: tuple[np.ndarray, np.ndarray, np.ndarray, int],
     h: float,
     thresh: np.ndarray,
-    inside: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One side of one ladder level for a block of rows.
+    reach: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first reach (2 <= reach <= valid) nodes of a side for a block of rows.
 
     Mirrors the per-side walk of _walk_level: a side stops before its
     first node outside the interval, or after the second of two
     consecutive contributions below thresh at t >= 1.  Returns the
     contributions with everything past each row's stop zeroed, the
-    count of summed nodes, and the unresolved tail: the last
-    contribution (times h) of a row that ran out of nodes while still
-    above thresh, else 0.
+    count of summed nodes, the unresolved tail (the last contribution
+    (times h) of a row that ran out of nodes while still above thresh,
+    else 0), and the rows left open: no stop within reach < valid.
     """
-    n = len(x)
-    valid = int(inside.argmin()) if not inside.all() else n
-    fx = np.asarray(f(params, x[:valid]), dtype=complex)
-    contrib = w[:valid, None] * fx
+    x, w, t, valid = side
+    fx = np.asarray(f(params, x[:reach]), dtype=complex)
+    contrib = w[:reach, None] * fx
     mag = np.abs(contrib) * h
-    small = (mag < thresh) & (t[:valid, None] >= 1.0)
+    small = (mag < thresh) & (t[:reach, None] >= 1.0)
     pair = small[1:] & small[:-1]
     paired = pair.any(axis=0)
-    summed = np.where(paired, pair.argmax(axis=0) + 2, valid)
-    kept = np.arange(valid)[:, None] < summed
+    summed = np.where(paired, pair.argmax(axis=0) + 2, reach)
+    kept = np.arange(reach)[:, None] < summed
     bad = kept & ~np.isfinite(fx)
     if bad.any():
         node = int(bad.any(axis=1).argmax())
         raise IntegrandError(f"integrand invalid: non-finite value at x={float(x[node])!r}")
-    open_rows = ~paired & (valid == n) & (mag[-1] >= thresh)
-    return np.where(kept, contrib, 0.0), summed, np.where(open_rows, mag[-1], 0.0)
+    tail = np.where(~paired & (reach == len(x)) & (mag[-1] >= thresh), mag[-1], 0.0)
+    return np.where(kept, contrib, 0.0), summed, tail, ~paired & (reach < valid)
+
+
+def _blocks(reach: np.ndarray | None, rows: np.ndarray, valid: list[int]):
+    # (rows, hi reach, lo reach) of each block of a level: whole sides
+    # without reach, else the rows in order of reach where there is more
+    # than one block
+    tops = valid if reach is None else reach.max(axis=1).tolist()
+    step = max(1, _BLOCK_ELEMENTS // (2 * max(tops)))
+    if reach is None or step >= len(rows):
+        for start in range(0, len(rows), step):
+            yield rows[start : start + step], *tops
+        return
+    need = reach.max(axis=0)
+    order = np.argsort(-need)
+    start = 0
+    while start < len(order):
+        block = order[start : start + max(1, _BLOCK_ELEMENTS // (2 * int(need[order[start]])))]
+        start += len(block)
+        yield rows[block], *reach[:, block].max(axis=1).tolist()
 
 
 def _rows_level(
@@ -246,46 +283,48 @@ def _rows_level(
     b: float,
     level: int,
     thresh: np.ndarray,
+    sides: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One ladder level for every row of params, as arrays.
 
-    Evaluates every node of each side for a block of rows in one call
-    of f, applies _walk_level's per-side truncation with array
-    operations (_walk_side), so a row sums and counts exactly the nodes
-    the node-by-node walk visits, adds them in the same order, and
-    raises IntegrandError only for a non-finite value at one of them.
-    Returns arrays (level sums, nodes summed, unresolved tails).
+    Evaluates the nodes of each side for a block of rows in one call of
+    f, applies _walk_level's per-side truncation with array operations
+    (_walk_side), so a row sums and counts exactly the nodes the
+    node-by-node walk visits, adds them in the same order, and raises
+    IntegrandError only for a non-finite value at one of them.  sides,
+    if given, holds each row's nodes summed per side (hi, lo) at the
+    level before, which set its reach, and gets this level's.  Returns
+    arrays (level sums, nodes summed, unresolved tails).
     """
     h = 0.5 ** level
-    halfspan = 0.5 * (b - a)
-    delta, weight, t = _node_arrays(level)
-    w = halfspan * weight
-    x_hi = b - halfspan * delta
-    x_lo = a + halfspan * delta
-    # Level 0's first node (t = 0) is the midpoint, visited once.
-    lo = slice(1 if level == 0 else 0, None)
-    inside_hi = (x_hi < b) & (x_hi > a)
-    inside_lo = (x_lo > a) & (x_lo < b)
-    sums = np.zeros(len(params), dtype=complex)
-    counts = np.zeros(len(params), dtype=np.int64)
-    tails = np.zeros(len(params))
-    block = max(1, _BLOCK_ELEMENTS // (2 * len(delta)))
-    for start in range(0, len(params), block):
-        rows = slice(start, start + block)
-        p, th = params[rows], thresh[rows]
-        with np.errstate(all="ignore"):
-            hi = _walk_side(f, p, x_hi, w, t, h, th, inside_hi)
-            lo_side = _walk_side(f, p, x_lo[lo], w[lo], t[lo], h, th, inside_lo[lo])
-        # Sum in the walk's order: hi_i then lo_i, node by node.  An
-        # accumulation adds sequentially for any number of rows (a
-        # one-row sum would be pairwise).
-        walk = np.zeros((len(delta), 2, len(p)), dtype=complex)
-        walk[: len(hi[0]), 0] = hi[0]
-        walk[lo.start : lo.start + len(lo_side[0]), 1] = lo_side[0]
-        sums[rows] = np.add.accumulate(walk.reshape(-1, len(p)), axis=0)[-1]
-        counts[rows] = hi[1] + lo_side[1]
-        tails[rows] = np.maximum(hi[2], lo_side[2])
-    return sums, counts, tails
+    walks = _level_sides(level, a, b)
+    lo = 1 if level == 0 else 0
+    valid = [walks[0][3], walks[1][3]]
+    rows = np.arange(len(params))
+    reach = (np.minimum(2 * sides + 2, np.array(valid)[:, None])
+             if sides is not None and level > 0 else None)
+    sums, tails = np.zeros(len(rows), dtype=complex), np.zeros(len(rows))
+    counts = np.zeros((2, len(rows)), dtype=np.int64) if sides is None else sides
+    while len(rows):
+        open_rows = []
+        for block, r_hi, r_lo in _blocks(reach, rows, valid):
+            p, th = params[block], thresh[block]
+            with np.errstate(all="ignore"):
+                hi = _walk_side(f, p, walks[0], h, th, r_hi)
+                lo_side = _walk_side(f, p, walks[1], h, th, r_lo)
+            # Sum in the walk's order: hi_i then lo_i, node by node.  An
+            # accumulation adds sequentially for any number of rows (a
+            # one-row sum would be pairwise).
+            walk = np.zeros((max(r_hi, lo + r_lo), 2, len(p)), dtype=complex)
+            walk[:r_hi, 0] = hi[0]
+            walk[lo : lo + r_lo, 1] = lo_side[0]
+            sums[block] = np.add.accumulate(walk.reshape(-1, len(p)), axis=0)[-1]
+            counts[0, block], counts[1, block] = hi[1], lo_side[1]
+            tails[block] = np.maximum(hi[2], lo_side[2])
+            open_rows.append(block[hi[3] | lo_side[3]])
+        # The second pass walks the rows left open whole.
+        rows, reach = np.concatenate(open_rows), None
+    return sums, counts[0] + counts[1], tails
 
 
 def _tanh_sinh_rows(
@@ -306,10 +345,11 @@ def _tanh_sinh_rows(
     converged = np.zeros(rows, dtype=bool)
     unresolved = np.zeros(rows)
     active = np.arange(rows)
+    sides = np.zeros((2, rows), dtype=np.int64)  # per active row, see _rows_level
     for level in range(MAX_LEVEL + 1):
         h = 0.5 ** level
         level_sum, counts, tails = _rows_level(
-            f, params[active], a, b, level, thresh[active]
+            f, params[active], a, b, level, thresh[active], sides
         )
         evals[active] += counts
         unresolved[active] = np.maximum(unresolved[active], tails)
@@ -322,6 +362,7 @@ def _tanh_sinh_rows(
                 done = (estimate[active] <= tols[active]) & (unresolved[active] == 0.0)
                 converged[active[done]] = True
                 active = active[~done]
+                sides = sides[:, ~done]
         if not len(active):
             break
     stuck = unresolved > 0.0

@@ -39,11 +39,11 @@ RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
 # From this many points on, the eq12, eq15 and eq18 quadratures run the
-# batched ladder, and eq15's rhs its eta panel, instead of point by
-# point.  Measured by ``scripts/batch_threshold.py`` on a shared 2-core
-# x86-64 VM, scalar against batched per family: 1 point 0.3-0.4 ms
-# against 1.4-2.2 ms, 6 points 1.21-1.25 times slower batched, 8 points
-# 0.88-0.93, 16 points 0.51-0.58.  One threshold serves all three.
+# batched ladder, and eq15's rhs its eta panel, instead of point by point.
+# Two ``scripts/batch_threshold.py`` runs on a shared 2-core x86-64 VM,
+# batched over scalar time per family: 1 point 4.8-6.7, 6 points 1.10-1.58,
+# 8 points 0.84-1.16, 12 points 0.67-0.87.  The break-even is 8 to 12
+# points; 8 stays, since moving it changes eq18's bytes in ``eulerlab all``.
 _BATCH_MIN_POINTS = 8
 
 

@@ -86,12 +86,11 @@ def _power(t: float, s: complex) -> complex:
     return cmath.exp(s * math.log(t))
 
 
-def _residual_series(t: float) -> float:
-    # (e**-t - 1 + t) / t**2, for t < 0.5
-    acc = 0.0
-    for c in reversed(_RESIDUAL_COEFFS):
-        acc = acc * t + c
-    return 0.5 * acc
+def _residual_series(t: float | np.ndarray) -> float | np.ndarray:
+    # (e**-t - 1 + t) / t**2, for t < 0.5 (elementwise): Horner's rule
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _RESIDUAL_COEFFS
+    acc = ((((((c12 * t + c11) * t + c10) * t + c9) * t + c8) * t + c7) * t + c6) * t
+    return 0.5 * ((((((acc + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
 
 
 def reduced_integrand_plus(s: complex, t: float) -> complex:

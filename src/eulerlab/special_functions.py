@@ -109,9 +109,9 @@ def _lanczos(s: complex) -> tuple[complex, complex, complex]:
     # (x, t, series) of Gamma(s) = sqrt(2 pi) t**(x + 1/2) e**-t series,
     # x = s - 1, t = x + g + 1/2, for Re(s) >= 1/2
     x = s - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + k)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
+    acc = (c0 + c1 / (x + 1) + c2 / (x + 2) + c3 / (x + 3) + c4 / (x + 4)
+           + c5 / (x + 5) + c6 / (x + 6) + c7 / (x + 7) + c8 / (x + 8))
     return x, x + _LANCZOS_G + 0.5, acc
 
 

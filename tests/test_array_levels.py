@@ -5,6 +5,12 @@ many integrals as one array call per side (``_rows_level``).  Every such
 level must visit, count and sum the nodes the scalar walk does: same
 evaluations and verdicts, values within rounding, and the same rules for
 non-finite values and unresolved tails.
+
+Past level 0 a level evaluates each side only as far as its rows reach
+(twice the nodes the side summed at the level before, plus 2), and
+walks the rows with no stop there again over the whole side.  Its
+results must be those of evaluating every side whole, to the bit: the
+reference below is that whole-side ladder.
 """
 
 import functools
@@ -20,10 +26,12 @@ from eulerlab.core_numerics import (
     integrate_semi_infinite,
     integrate_semi_infinite_many,
 )
+from eulerlab import identity_engine, integral_forms
 from eulerlab.errors import IntegrandError
 from eulerlab.integral_forms import (
     I_minus,
     reduced_integrand_minus,
+    reduced_integrand_minus_array,
     reduced_integrand_plus,
     reduced_integrand_plus_array,
 )
@@ -189,3 +197,224 @@ class TestUnresolvedTail:
         assert result.converged
         assert result.evaluations < 1000
         assert abs(result.value - complex(exact)) <= QUAD_TOL
+
+
+# --- the whole-side ladder, as it was before reach: the reference ---------
+
+def whole_walk_side(f, params, x, w, t, h, thresh, inside):
+    n = len(x)
+    valid = int(inside.argmin()) if not inside.all() else n
+    fx = np.asarray(f(params, x[:valid]), dtype=complex)
+    contrib = w[:valid, None] * fx
+    mag = np.abs(contrib) * h
+    small = (mag < thresh) & (t[:valid, None] >= 1.0)
+    pair = small[1:] & small[:-1]
+    paired = pair.any(axis=0)
+    summed = np.where(paired, pair.argmax(axis=0) + 2, valid)
+    kept = np.arange(valid)[:, None] < summed
+    bad = kept & ~np.isfinite(fx)
+    if bad.any():
+        node = int(bad.any(axis=1).argmax())
+        raise IntegrandError(f"integrand invalid: non-finite value at x={float(x[node])!r}")
+    open_rows = ~paired & (valid == n) & (mag[-1] >= thresh)
+    return np.where(kept, contrib, 0.0), summed, np.where(open_rows, mag[-1], 0.0)
+
+
+def whole_rows_level(f, params, a, b, level, thresh):
+    h = 0.5 ** level
+    halfspan = 0.5 * (b - a)
+    delta, weight, t = core_numerics._node_arrays(level)
+    w = halfspan * weight
+    x_hi = b - halfspan * delta
+    x_lo = a + halfspan * delta
+    lo = slice(1 if level == 0 else 0, None)
+    inside_hi = (x_hi < b) & (x_hi > a)
+    inside_lo = (x_lo > a) & (x_lo < b)
+    sums = np.zeros(len(params), dtype=complex)
+    counts = np.zeros(len(params), dtype=np.int64)
+    tails = np.zeros(len(params))
+    block = max(1, core_numerics._BLOCK_ELEMENTS // (2 * len(delta)))
+    for start in range(0, len(params), block):
+        rows = slice(start, start + block)
+        p, th = params[rows], thresh[rows]
+        with np.errstate(all="ignore"):
+            hi = whole_walk_side(f, p, x_hi, w, t, h, th, inside_hi)
+            lo_side = whole_walk_side(f, p, x_lo[lo], w[lo], t[lo], h, th, inside_lo[lo])
+        walk = np.zeros((len(delta), 2, len(p)), dtype=complex)
+        walk[: len(hi[0]), 0] = hi[0]
+        walk[lo.start : lo.start + len(lo_side[0]), 1] = lo_side[0]
+        sums[rows] = np.add.accumulate(walk.reshape(-1, len(p)), axis=0)[-1]
+        counts[rows] = hi[1] + lo_side[1]
+        tails[rows] = np.maximum(hi[2], lo_side[2])
+    return sums, counts, tails
+
+
+def whole_tanh_sinh_rows(f, params, a, b, tols):
+    rows = len(params)
+    thresh = tols * 1e-3
+    total = np.zeros(rows, dtype=complex)
+    estimate = np.full(rows, math.inf)
+    evals = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    unresolved = np.zeros(rows)
+    active = np.arange(rows)
+    for level in range(MAX_LEVEL + 1):
+        h = 0.5 ** level
+        level_sum, counts, tails = whole_rows_level(f, params[active], a, b, level, thresh[active])
+        evals[active] += counts
+        unresolved[active] = np.maximum(unresolved[active], tails)
+        previous = total[active]
+        current = level_sum * h if level == 0 else 0.5 * previous + level_sum * h
+        total[active] = current
+        if level >= 1:
+            estimate[active] = np.abs(current - previous)
+            if level >= 2:
+                done = (estimate[active] <= tols[active]) & (unresolved[active] == 0.0)
+                converged[active[done]] = True
+                active = active[~done]
+        if not len(active):
+            break
+    stuck = unresolved > 0.0
+    estimate[stuck] = np.maximum(estimate[stuck], unresolved[stuck])
+    return total, estimate, evals, converged
+
+
+def bits(results):
+    # every field of each result, floats as their exact hex form
+    return [
+        (r.value.real.hex(), r.value.imag.hex(), r.abs_error_estimate.hex(),
+         r.evaluations, r.converged)
+        for r in results
+    ]
+
+
+def reached_and_whole(monkeypatch, rows, params, tol, hints):
+    # integrate_semi_infinite_many with reach, and with every side whole
+    reached = integrate_semi_infinite_many(rows, params, tol, hints)
+    with monkeypatch.context() as patch:
+        patch.setattr(core_numerics, "_tanh_sinh_rows", whole_tanh_sinh_rows)
+        whole = integrate_semi_infinite_many(rows, params, tol, hints)
+    return reached, whole
+
+
+def batched_points(family, re_range, im_range):
+    # the points of a grid that the family's batch takes (see _reduced_many)
+    points = identity_engine._grid_points(re_range, im_range)
+    return [s for s in points if s.real - family.edge >= integral_forms._SUBTRACT_BELOW]
+
+
+# grid_eq15's sweep without its seeded shift: 111 x 21 points
+BENCHMARK_GRID = ((-2.5, 3.0, 0.05), (0.0, 2.0, 0.1))
+
+# (family, re range, im range, quadrature tolerance) of each grid
+GRIDS = {
+    "eq15 benchmark": (integral_forms._PLUS, *BENCHMARK_GRID, QUAD_TOL),
+    "eq15 benchmark tol 1e-11": (integral_forms._PLUS, *BENCHMARK_GRID, 1e-11),
+    "eq15 values to 3e6": (integral_forms._PLUS, (3.0, 9.5, 0.1), (0.0, 3.0, 0.5), QUAD_TOL),
+    "eq12 edge to 10": (integral_forms._MINUS, (-1.55, 10.0, 0.05), (0.0, 2.0, 0.25), QUAD_TOL),
+    "eq18 edge to 10": (
+        integral_forms._FERMI_DIRAC, (0.45, 10.0, 0.05), (0.0, 2.0, 0.25), 1e-10
+    ),
+}
+
+
+def _comb_panel():
+    # x**p e**-x on (0, 50), 1e-40 times smaller at every node of levels
+    # 0-2 with t >= 1, where each side then stops after two such nodes.
+    # Level 3's nodes are all between them: a side reaches 10 nodes,
+    # and rows stop before, across and past the reach.
+    comb = np.concatenate([
+        side[0][side[2] >= 1.0]
+        for level in range(3)
+        for side in core_numerics._level_sides(level, 0.0, 50.0)
+    ])
+
+    def rows(params, x):
+        values = np.power.outer(x, params.real) * np.exp(-x)[:, None]
+        values[np.isin(x, comb)] *= 1e-40
+        return values.astype(complex)
+
+    params = np.linspace(-0.5, 4.0, 46)
+    return rows, params, 1e-10, params.real.tolist()
+
+
+class TestReach:
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_grid_matches_whole_sides_bit_for_bit(self, monkeypatch, grid):
+        family, re_range, im_range, tol = GRIDS[grid]
+        points = batched_points(family, re_range, im_range)
+        hints = [s.real + family.shift for s in points]
+        reached, whole = reached_and_whole(monkeypatch, family.rows, points, tol, hints)
+        assert len(points) > 300
+        assert bits(reached) == bits(whole)
+
+    def test_grid_evaluates_fewer_elements(self, monkeypatch):
+        # the benchmark grid: the same summed evaluations from at least 35%
+        # fewer integrand elements (nodes x points)
+        family = integral_forms._PLUS
+        points = batched_points(family, *BENCHMARK_GRID)
+        hints = [s.real + family.shift for s in points]
+        elements = []
+
+        def counting_rows(params, x):
+            elements.append(len(params) * len(x))
+            return family.rows(params, x)
+
+        reached = integrate_semi_infinite_many(counting_rows, points, QUAD_TOL, hints)
+        reached_elements, elements[:] = sum(elements), []
+        with monkeypatch.context() as patch:
+            patch.setattr(core_numerics, "_tanh_sinh_rows", whole_tanh_sinh_rows)
+            whole = integrate_semi_infinite_many(counting_rows, points, QUAD_TOL, hints)
+        assert sum(r.evaluations for r in reached) == sum(r.evaluations for r in whole)
+        assert reached_elements <= 0.65 * sum(elements)
+
+    def test_rows_past_their_reach_take_the_second_pass(self, monkeypatch):
+        rows, params, tol, hints = _comb_panel()
+        walks = []
+        walk_side = core_numerics._walk_side
+
+        def recording_walk_side(f, p, side, h, thresh, reach):
+            walked = walk_side(f, p, side, h, thresh, reach)
+            # a side is its level's step and its first node
+            walks.append(((h, float(side[0][0])), side[3], reach,
+                          p.real.tolist(), walked[1].tolist(), walked[3]))
+            return walked
+
+        monkeypatch.setattr(core_numerics, "_walk_side", recording_walk_side)
+        reached, whole = reached_and_whole(monkeypatch, rows, params, tol, hints)
+        assert bits(reached) == bits(whole)
+        # where rows were left open at their reach, the second pass finds
+        # some of them stopping by the pair across it (reach - 1, reach)
+        # and others later
+        opened = {(side, p): reach for side, valid, reach, ps, _, open_rows in walks
+                  for p, is_open in zip(ps, open_rows) if is_open}
+        again = [summed - opened[side, p] for side, valid, reach, ps, counts, _ in walks
+                 if reach == valid for p, summed in zip(ps, counts) if (side, p) in opened]
+        assert len(opened) >= 10
+        assert 1 in again and max(again) > 1
+
+    def test_negative_zero_parts_match_whole_sides(self, monkeypatch):
+        # A reached walk drops the whole walk's trailing +0.0 entries, so a
+        # level sum's zero part may keep a sign the whole walk loses; the
+        # ladder's totals are +0.0 from level 0 on either way.
+        rows, params, tol, hints = _comb_panel()
+
+        def negative_zero_rows(ps, x):
+            values = rows(ps, x)
+            values.imag = -0.0
+            return values
+
+        reached, whole = reached_and_whole(monkeypatch, negative_zero_rows, params, tol, hints)
+        assert bits(reached) == bits(whole)
+        assert all(r.value.imag.hex() == "0x0.0p+0" for r in reached)
+
+    def test_unconverged_minus_row_matches_whole_sides(self, monkeypatch):
+        # the raw minus kernel next to its edge runs out of levels with an
+        # unresolved tail, beside rows that converge
+        points = [-1.95, -1.5 + 0.5j, 0.5, 3.0 + 1.0j]
+        hints = [complex(s).real + 1.0 for s in points]
+        reached, whole = reached_and_whole(
+            monkeypatch, reduced_integrand_minus_array, points, QUAD_TOL, hints
+        )
+        assert not reached[0].converged and all(r.converged for r in reached[1:])
+        assert bits(reached) == bits(whole)

@@ -82,6 +82,16 @@ class TestIntegrateFinite:
         with pytest.raises(IntegrandError, match="integrand invalid"):
             integrate_finite(lambda t: float("nan"), 0.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(1.0, math.inf),
+                                     complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("where", [(0.0, 0.2), (0.8, 1.0)])
+    def test_non_finite_value_at_a_summed_node_rejected(self, bad, where):
+        # on either side of the interval; finite values pass through untouched
+        lo, hi = where
+        f = lambda t: bad if lo < t < hi else complex(t, -t)  # noqa: E731
+        with pytest.raises(IntegrandError, match="non-finite value at x="):
+            integrate_finite(f, 0.0, 1.0, 1e-8)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_finite(lambda t: 1.0, 1.0, 0.0, 1e-8)

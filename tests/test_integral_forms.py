@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from eulerlab import constants
+from eulerlab import constants, integral_forms
 from eulerlab.core_numerics import integrate_unit_square
 from eulerlab.errors import DomainError
 from eulerlab.integral_forms import (
@@ -49,6 +50,23 @@ class TestIntegrand2d:
 
 
 class TestReducedIntegrands:
+    def test_residual_series_is_horners_loop_bit_for_bit(self):
+        # the unrolled Horner's rule performs the loop's operations in order
+        def loop(t):
+            acc = 0.0
+            for c in reversed(integral_forms._RESIDUAL_COEFFS):
+                acc = acc * t + c
+            return 0.5 * acc
+
+        rng = random.Random(7)
+        ts = [rng.uniform(0.0, 0.5) for _ in range(500)]
+        ts += [10.0 ** rng.uniform(-300.0, -0.31) for _ in range(500)]
+        assert [integral_forms._residual_series(t).hex() for t in ts] == [
+            loop(t).hex() for t in ts
+        ]
+        array = np.array(ts)
+        assert integral_forms._residual_series(array).tobytes() == loop(array).tobytes()
+
     def test_plus_spot_value(self):
         # raw formula (t^(s+1) - 2 t^s)/(e^t + 1) + e^-t t^s at s=0, t=ln 2
         t = math.log(2.0)

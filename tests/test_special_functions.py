@@ -10,6 +10,7 @@ import pytest
 from eulerlab.core_numerics import integrate_semi_infinite
 from eulerlab.errors import DomainError, IllConditionedError, PoleError
 from eulerlab.integral_forms import rhs_eq12, rhs_eq15, rhs_eq15_many
+from eulerlab import special_functions
 from eulerlab.special_functions import (
     _COMPLEX_BINOMIALS,
     _HEAD_MAX_IM,
@@ -43,6 +44,23 @@ from conftest import (
 
 
 class TestGamma:
+    def test_lanczos_sum_is_the_loops_bit_for_bit(self):
+        # the unrolled sum performs the loop's operations in order
+        def loop(s):
+            x = s - 1.0
+            acc = special_functions._LANCZOS_COEFFS[0]
+            for k, c in enumerate(special_functions._LANCZOS_COEFFS[1:], start=1):
+                acc += c / (x + k)
+            return x, x + special_functions._LANCZOS_G + 0.5, acc
+
+        rng = random.Random(11)
+        points = [complex(rng.uniform(0.5, 200.0), rng.uniform(-300.0, 300.0))
+                  for _ in range(500)]
+        points += [complex(rng.uniform(0.5, 30.0)) for _ in range(100)]
+        assert [repr(special_functions._lanczos(s)) for s in points] == [
+            repr(loop(s)) for s in points
+        ]
+
     def test_integer_values(self):
         assert abs(gamma(1.0) - 1.0) <= 1e-14
         assert abs(gamma(5.0) - 24.0) / 24.0 <= 1e-13
