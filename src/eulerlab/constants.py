@@ -3,8 +3,9 @@
 Every route returns a ConstantEstimate carrying the method used, the
 term count or limit index, and an error bound where one is known.  All
 factorial-sized quantities are evaluated in log space; the hyperfactorial
-sum is accumulated with math.fsum so the limit-route error is dominated
-by the limit itself, not by rounding.
+sum is math.fsum's correctly rounded float, reached by exact extraction
+without a list (_exact_sum), so the limit-route error is dominated by the
+limit itself, not by rounding.  Each route caps its term count.
 
 The long partial sums (Euler's gamma series, the Wallis log-product and
 the ln(4/pi) series) are evaluated in blocks of at most _BLOCK terms, so
@@ -63,10 +64,36 @@ def _pairwise_sum(terms: Callable[[int, int], np.ndarray], count: int) -> float:
     return node(1, count)
 
 
+def _exact_sum(x: np.ndarray, scratch: np.ndarray) -> float:
+    """math.fsum(x.tolist()) without the list; overwrites x and scratch.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): with max|x| < 2**e and len(x) <= 2**m, sigma = 2**(e + m + 1)
+    splits x exactly into q = (x + sigma) - sigma, multiples of 2**(e+m-52)
+    that np.sum adds exactly in any order, and x - q, which is split in turn.
+    """
+    partials = []
+    big = float(np.abs(x, out=scratch).max(initial=0.0))
+    if not 0.0 < big < 2.0**900:  # fsum's zero sign, inf, nan and errors
+        return math.fsum(x.tolist())
+    while big:
+        e = math.frexp(big)[1] + math.frexp(x.size)[1] + 1
+        if e < -1021:  # its unit 2**(e - 53) would underflow
+            return math.fsum(partials + x[x != 0.0].tolist())
+        sigma = math.ldexp(1.0, e)
+        np.subtract(np.add(x, sigma, out=scratch), sigma, out=scratch)
+        partials.append(float(np.sum(scratch)))
+        x -= scratch
+        big = float(np.abs(x, out=scratch).max())
+    return math.fsum(partials)
+
+
 def _gamma_terms(lo: int, hi: int) -> np.ndarray:
     # 1/n - ln((n+1)/n) for n = lo, ..., hi - 1
-    inv = 1.0 / np.arange(lo, hi, dtype=float)
-    return inv - np.log1p(inv)
+    inv = np.arange(lo, hi, dtype=float)
+    np.divide(1.0, inv, out=inv)
+    terms = np.log1p(inv)
+    return np.subtract(inv, terms, out=terms)
 
 
 def _alternate(terms: np.ndarray, lo: int) -> np.ndarray:
@@ -81,16 +108,18 @@ def _ln_4_over_pi_terms(lo: int, hi: int) -> np.ndarray:
 
 def _wallis_logs(lo: int, hi: int) -> np.ndarray:
     # (-1)**(n-1) ln((n+1)/n) for n = lo, ..., hi - 1
-    return _alternate(np.log1p(1.0 / np.arange(lo, hi, dtype=float)), lo)
+    terms = np.arange(lo, hi, dtype=float)
+    np.divide(1.0, terms, out=terms)
+    return _alternate(np.log1p(terms, out=terms), lo)
 
 
 def euler_gamma_series(n_terms: int) -> ConstantEstimate:
     """Partial sum of sum_n (1/n - ln((n+1)/n)); converges to Euler's gamma.
 
-    The tail is below 1/(2N), which is reported as the error bound.
+    The tail, below 1/(2N), is reported as the error bound; N <= 10**8.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
+    if not 1 <= n_terms <= 10**8:
+        raise ValueError("n_terms must lie in [1, 10**8]")
     value = _pairwise_sum(_gamma_terms, n_terms)
     return ConstantEstimate(value, "series", n_terms, 0.5 / n_terms)
 
@@ -103,10 +132,11 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
     summed zeta values come from one ``eta_many`` call.  Some of them are
     an ulp or two off the scalar ``zeta``, but for every N up to 200 the
     total is the float that scalar calls give; the tail of the error
-    bound, an ulp-sensitive product, keeps the scalar ``zeta``.
+    bound, an ulp-sensitive product, keeps the scalar ``zeta``.  N <= 10**3
+    (2**N overflows from N = 1024).
     """
-    if n_terms < 2:
-        raise ValueError("n_terms must be at least 2")
+    if not 2 <= n_terms <= 10**3:
+        raise ValueError("n_terms must lie in [2, 10**3]")
     # eta(2), ..., eta(N) by one matrix product.  It takes eta(N + 1) as
     # well: a product of one column (N = 2) rounds eta(2) differently.
     etas = eta_many([float(n) for n in range(2, n_terms + 2)]).real.tolist()
@@ -122,7 +152,7 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
 def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
     """ln(4/pi) by its alternating series, or directly as ln 4 - ln pi.
 
-    The series remainder is bounded by the first omitted term.
+    The series remainder is below the first omitted term; N <= 10**8.
     """
     if method == "closed_form":
         return ConstantEstimate(
@@ -130,8 +160,8 @@ def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
         )
     if method != "series":
         raise ValueError(f"unsupported method {method!r} for ln(4/pi)")
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
+    if not 1 <= n_terms <= 10**8:
+        raise ValueError("n_terms must lie in [1, 10**8]")
     value = _pairwise_sum(_ln_4_over_pi_terms, n_terms)
     m = n_terms + 1.0
     bound = 1.0 / m - math.log1p(1.0 / m)
@@ -141,22 +171,23 @@ def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
 def ln2_series(n_terms: int) -> ConstantEstimate:
     """Partial sum of the alternating harmonic series 1 - 1/2 + 1/3 - ...
 
-    Converges to ln 2; the bound is the first omitted term, 1/(N+1).
+    Converges to ln 2; the bound is the first omitted term, 1/(N+1).  All
+    N terms are held in one array, so N <= 10**7.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    terms = 1.0 / n
+    if not 1 <= n_terms <= 10**7:
+        raise ValueError("n_terms must lie in [1, 10**7]")
+    terms = np.arange(1, n_terms + 1, dtype=float)
+    np.divide(1.0, terms, out=terms)
     terms[1::2] *= -1.0
     # cumsum adds in order, so the value is bit for bit the term-by-term sum
-    value = float(np.cumsum(terms)[-1])
+    value = float(np.cumsum(terms, out=terms)[-1])
     return ConstantEstimate(value, "series", n_terms, 1.0 / (n_terms + 1))
 
 
 def wallis_partial(n_factors: int) -> float:
-    """Partial product of ((n+1)/n)**(-1)**(n-1); converges to pi/2."""
-    if n_factors < 1:
-        raise ValueError("n_factors must be positive")
+    """Product of ((n+1)/n)**(-1)**(n-1) over n <= N <= 10**8; converges to pi/2."""
+    if not 1 <= n_factors <= 10**8:
+        raise ValueError("n_factors must lie in [1, 10**8]")
     return math.exp(_pairwise_sum(_wallis_logs, n_factors))
 
 
@@ -164,20 +195,19 @@ def glaisher_limit(n: int) -> ConstantEstimate:
     """Hyperfactorial ratio 1^1 2^2 ... n^n / (n**(n^2/2+n/2+1/12) e**(-n^2/4)).
 
     Evaluated in log space as fsum(k ln(k/n)) + n^2/4 - (ln n)/12, which
-    keeps the cancellation between the sum and the n^2/4 term exact.
+    keeps the cancellation between the sum and the n^2/4 term exact; the sum
+    is fsum's float, reached in two n-term arrays without a list (_exact_sum).
     The 10/n bound is empirical; the true approach is much faster.  Per-term
     log rounding across the n^2/4-scale cancellation leaves a floating point
-    floor ~2.5e-16 n^2 that overtakes 10/n beyond n ~ 3e5.
+    floor ~2.5e-16 n^2 that overtakes 10/n beyond n ~ 3e5; n <= 10**6.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 10**6:
-        raise ValueError("n capped at 10**6")
+    if not 1 <= n <= 10**6:
+        raise ValueError("n must lie in [1, 10**6]")
     k = np.arange(1, n + 1, dtype=float)
-    # fsum is correctly rounded: a list gives the float that iterating the
-    # array's numpy scalars gives, without making them
-    log_sum = math.fsum((k * np.log(k / n)).tolist())
-    log_ratio = log_sum + n * n / 4.0 - math.log(n) / 12.0
+    terms = np.divide(k, n)
+    np.log(terms, out=terms)
+    terms *= k  # k ln(k/n), the same products in place
+    log_ratio = _exact_sum(terms, k) + n * n / 4.0 - math.log(n) / 12.0
     bound = 10.0 / n + 2.5e-16 * n * n
     return ConstantEstimate(math.exp(log_ratio), "limit_ratio", n, bound)
 
@@ -189,7 +219,7 @@ def glaisher_zeta() -> ConstantEstimate:
 
 
 def stirling_ratio(n: int) -> float:
-    """n! / (n**(n+1/2) e**-n), in log space; converges to sqrt(2 pi)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """n! / (n**(n+1/2) e**-n) in log space, n <= 10**7; tends to sqrt(2 pi)."""
+    if not 1 <= n <= 10**7:
+        raise ValueError("n must lie in [1, 10**7]")
     return math.exp(math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n)

@@ -230,6 +230,10 @@ class TestConstCommand:
         assert run(capsys, "const", name) == run(capsys, "const", name, f"--method={first}")
 
 
+# The CLI as a script, for conftest.run_bounded.
+RUN_MAIN = "import sys\nfrom eulerlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
 class TestExitCodeMatrix:
     @pytest.mark.parametrize(
         "argv,expected",
@@ -333,10 +337,41 @@ class TestExitCodeMatrix:
         ],
     )
     def test_unbounded_grid(self, argv):
-        code = "import sys\nfrom eulerlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        proc = run_bounded(code, *argv)
+        proc = run_bounded(RUN_MAIN, *argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
+
+    # Term counts past a constants route's cap, in a bounded subprocess:
+    # uncapped, they run out of memory, overflow or run for hours.
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (["const", "ln2", "--method=series", "--n=10000000000"], "10**7"),
+            (["const", "gamma", "--method=euler_formula", "--n=1000000000"], "10**3"),
+            (["const", "gamma", "--method=euler_formula", "--n=2000"], "10**3"),
+            (["const", "gamma", "--method=series", "--n=100000000000000"], "10**8"),
+            (["const", "ln4pi", "--method=series", "--n=100000000000000"], "10**8"),
+            (["const", "glaisher", "--method=limit_ratio", "--n=1000001"], "10**6"),
+            (["const", "sqrt2pi", "--method=limit_ratio", "--n=" + "9" * 400], "10**7"),
+        ],
+    )
+    def test_term_count_past_the_cap(self, argv, cap):
+        proc = run_bounded(RUN_MAIN, *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert cap in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["const", "ln2", "--method=series", "--n=10000000"],
+            ["const", "gamma", "--method=euler_formula", "--n=1000"],
+            ["const", "sqrt2pi", "--method=limit_ratio", "--n=10000000"],
+        ],
+    )
+    def test_term_count_at_the_cap(self, argv):
+        proc = run_bounded(RUN_MAIN, *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestOutOption:

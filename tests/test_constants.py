@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from eulerlab.constants import (
     _BLOCK,
+    _exact_sum,
     _ln_4_over_pi_terms,
     _pairwise_sum,
     _wallis_logs,
@@ -84,6 +86,155 @@ class TestPairwiseSum:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _exact(values):
+    x = np.array(values, dtype=float)
+    return _exact_sum(x, np.empty_like(x))
+
+
+def _fsum_glaisher(n):
+    # glaisher_limit's value as it was computed with a list of the terms
+    k = np.arange(1, n + 1, dtype=float)
+    log_sum = math.fsum((k * np.log(k / n)).tolist())
+    return math.exp(log_sum + n * n / 4.0 - math.log(n) / 12.0)
+
+
+class TestExactSum:
+    def test_property_equals_fsum(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def arrays(draw):
+            # one exponent window per array, its top from 2**-1074 to 2**1000:
+            # subnormals, mixed signs, terms that cancel, and ties to even
+            top = draw(st.integers(-1074, 1000))
+            term = st.builds(
+                lambda sign, m, e: math.ldexp(sign * m, e - 52),
+                st.sampled_from([-1, 1]),
+                st.integers(0, 2**53 - 1),
+                st.integers(max(-1074, top - 200), top),
+            )
+            values = draw(st.lists(term, max_size=40))
+            if values:
+                values += [-v for v in draw(st.lists(st.sampled_from(values), max_size=40))]
+                if draw(st.booleans()):
+                    tie = draw(st.sampled_from(values))
+                    values += [tie, math.ulp(tie) / 2]
+            return draw(st.permutations(values))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(arrays())
+        def check(values):
+            assert _exact(values).hex() == math.fsum(values).hex()
+
+        check()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.0],
+            [-0.0, -0.0],
+            [1e16, 1.0, -1e16],
+            [1.0, 2.0**-53],
+            [1.0 + 2.0**-52, 2.0**-53],
+            [1.0, 2.0**-53, 5e-324],
+            [1.0, 2.0**-53, -5e-324],
+            [5e-324, 5e-324, -1e-323, 2.0**-1022],
+            [2.0**-1022, -(2.0**-1022 - 5e-324), 3e-320],
+            [1e300, -1e300, 1e-300],
+            [2.0**899, 2.0**899, -(2.0**-200)],
+            [2.0**1000, 2.0**1000, -(2.0**1000), 1.0],
+        ],
+    )
+    def test_cases_equal_fsum(self, values):
+        assert _exact(values).hex() == math.fsum(values).hex()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_long_arrays_equal_fsum(self, seed):
+        # longer than numpy's pairwise blocks, so np.sum's order is not
+        # the list's; half the terms cancel others, over up to 200 binades
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 2**17))
+        top = int(rng.integers(-1000, 900))
+        x = rng.choice([-1.0, 1.0], count) * np.ldexp(
+            rng.random(count), rng.integers(top - int(rng.integers(1, 200)), top + 1, count)
+        )
+        x[: count // 2] = -x[count - count // 2 :][::-1][: count // 2]
+        x = rng.permutation(x)
+        expected = math.fsum(x.tolist())
+        assert _exact(x).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, math.inf], [-math.inf, 2.0], [math.nan, 1.0], [math.inf, math.nan], [1e308] * 3],
+    )
+    def test_non_finite_and_overflow_as_fsum(self, values):
+        try:
+            expected = repr(math.fsum(values))
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                _exact(values)
+        else:
+            assert repr(_exact(values)) == expected
+
+    def test_opposite_infinities_raise_as_fsum(self):
+        values = [1.0, math.inf, -math.inf]
+        with pytest.raises(ValueError) as fsum_error:
+            math.fsum(values)
+        with pytest.raises(ValueError, match=re.escape(str(fsum_error.value))):
+            _exact(values)
+
+    def test_glaisher_limit_is_the_fsum_formula_for_small_n(self):
+        for n in range(1, 301):
+            assert glaisher_limit(n).value == _fsum_glaisher(n), n
+
+    @pytest.mark.parametrize("n", [10**3, 4096, 10**4, 12345, 99991, 10**5, 314159, 10**6])
+    def test_glaisher_limit_is_the_fsum_formula(self, n):
+        assert glaisher_limit(n).value == _fsum_glaisher(n)
+
+
+class TestInPlaceRoutes:
+    @pytest.mark.parametrize(
+        "route, arrays",
+        [(lambda: glaisher_limit(10**6), 2), (lambda: ln2_series(10**6), 1)],
+    )
+    def test_million_term_routes_hold_their_arrays_only(self, route, arrays):
+        # glaisher_limit holds k and its terms, ln2_series its terms; fresh
+        # temporaries and the list fsum took peaked at 6 and 3 arrays of 8 MB
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (arrays + 0.25) * 8 * 10**6
+
+
+class TestTermCountCaps:
+    @pytest.mark.parametrize(
+        "route, cap",
+        [
+            (euler_gamma_series, 10**8),
+            (lambda n: ln_4_over_pi(n, "series"), 10**8),
+            (wallis_partial, 10**8),
+            (ln2_series, 10**7),
+            (euler_formula_gamma, 10**3),
+            (glaisher_limit, 10**6),
+            (stirling_ratio, 10**7),
+        ],
+    )
+    def test_term_count_above_the_cap_is_refused(self, route, cap):
+        digits = len(str(cap)) - 1
+        for n in (cap + 1, 10**100):
+            with pytest.raises(ValueError, match=rf"10\*\*{digits}\]"):
+                route(n)
+
+    def test_euler_formula_gamma_at_its_cap(self):
+        est = euler_formula_gamma(10**3)
+        assert abs(est.value - EULER_GAMMA) <= est.error_bound
 
 
 class TestRegistryConstantBits:
