@@ -17,8 +17,10 @@ faster.  Timing the two sides in alternation within a round keeps the
 load of a shared machine, which drifts over seconds, out of the ratio.
 
 It also prints, per case and side, the integrand elements (nodes x
-points) the family's array kernel evaluates in one call of the case, and
-the number of kernel calls: counts that do not depend on the machine.
+points) the family's array kernel evaluates in one call of the case, the
+number of kernel calls, of truncations (``core_numerics._truncation``
+calls) and of ``QuadratureResult`` objects made: counts that do not
+depend on the machine.
 """
 
 from __future__ import annotations
@@ -70,11 +72,15 @@ def cases(engine) -> dict:
     return result
 
 
-def elements(engine, call) -> tuple[int, int]:
-    """(integrand elements, kernel calls) of the family array kernels in one call."""
-    forms = sys.modules[engine.__name__.rpartition(".")[0] + ".integral_forms"]
-    count = [0, 0]
+def counts(engine, call) -> tuple[int, int, int, int]:
+    """(integrand elements, kernel calls, truncations, quadrature results) of one call."""
+    package = engine.__name__.rpartition(".")[0]
+    forms = sys.modules[package + ".integral_forms"]
+    numerics = sys.modules[package + ".core_numerics"]
+    result = numerics.QuadratureResult
+    count = [0, 0, 0, 0]
     saved = {name: getattr(forms, name) for name in FAMILIES}
+    saved_truncation, saved_init = numerics._truncation, result.__init__
 
     def counting(rows):
         def wrapped(params, x):
@@ -84,14 +90,24 @@ def elements(engine, call) -> tuple[int, int]:
 
         return wrapped
 
+    def truncation(*args):
+        count[2] += 1
+        return saved_truncation(*args)
+
+    def init(*args, **kwargs):
+        count[3] += 1
+        saved_init(*args, **kwargs)
+
     try:
         for name, family in saved.items():
             setattr(forms, name, family._replace(rows=counting(family.rows)))
+        numerics._truncation, result.__init__ = truncation, init
         call()
     finally:
         for name, family in saved.items():
             setattr(forms, name, family)
-    return count[0], count[1]
+        numerics._truncation, result.__init__ = saved_truncation, saved_init
+    return tuple(count)
 
 
 def seconds(call) -> float:
@@ -112,11 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     calls = {side: cases(engine) for side, engine in engines.items()}
     print("| case | parent ms | change ms | change/parent | change faster "
-          "| parent elements (calls) | change elements (calls) |")
-    print("|---|---|---|---|---|---|---|")
+          "| parent elements (calls) | change elements (calls) "
+          "| parent truncations | change truncations | parent results | change results |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for case, parent_call in calls["parent"].items():
         change_call = calls["change"][case]
-        counts = {side: elements(engines[side], calls[side][case]) for side in engines}
+        made = {side: counts(engines[side], calls[side][case]) for side in engines}
         times: dict[str, list[float]] = {"parent": [], "change": []}
         for i in range(args.rounds):
             order = [("parent", parent_call), ("change", change_call)]
@@ -125,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         p, c = statistics.median(times["parent"]), statistics.median(times["change"])
         faster = sum(b < a for a, b in zip(times["parent"], times["change"])) / args.rounds
         print(f"| {case} | {p:.2f} | {c:.2f} | {c / p:.3f} | {faster:.0%} | "
-              + " | ".join(f"{n:,} ({k})" for n, k in counts.values()) + " |")
+              + " | ".join(f"{n[0]:,} ({n[1]})" for n in made.values()) + " | "
+              + " | ".join(f"{n[k]:,}" for k in (2, 3) for n in made.values()) + " |")
     return 0
 
 

@@ -12,7 +12,9 @@ reported in the result, never raised.
 integrals of one family (``integrate_semi_infinite_many``) take every
 level as points x nodes arrays, with the walk's evaluations, truncation
 and verdict; past level 0 a side reaches about twice the nodes it summed
-the level before, and rows with no stop there walk it again, whole.  An
+the level before, and rows with no stop there walk it again, whole.  It
+truncates once per distinct decay hint and adds the tail bounds to its
+result arrays, so each row's result, tail included, is built once.  An
 endpoint singularity whose exponent is close to -1 exhausts the ladder;
 callers that know its leading power subtract it and integrate the
 regular remainder (``integrate_semi_infinite_split``).
@@ -426,13 +428,10 @@ def _truncation(tol: float, p: float) -> tuple[float, float, float]:
     return T, tail, tol - tail if tol > tail else tol
 
 
-def _with_tail(finite: QuadratureResult, tail: float, tol: float) -> QuadratureResult:
-    return QuadratureResult(
-        finite.value,
-        finite.abs_error_estimate + tail,
-        finite.evaluations,
-        finite.converged and tail < 0.1 * tol,
-    )
+def _with_tail(estimate, converged, tail, tol):
+    # (error estimate, verdict) over (0, inf) from those over (0, T) and the
+    # tail bound beyond T: floats, or arrays of rows
+    return estimate + tail, converged & (tail < 0.1 * tol)
 
 
 def integrate_semi_infinite(
@@ -447,7 +446,9 @@ def integrate_semi_infinite(
     overflows double precision raises DomainError.
     """
     T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
-    return _with_tail(integrate_finite(f, 0.0, T, finite_tol), tail, tol)
+    finite = integrate_finite(f, 0.0, T, finite_tol)
+    estimate, converged = _with_tail(finite.abs_error_estimate, finite.converged, tail, tol)
+    return QuadratureResult(finite.value, estimate, finite.evaluations, converged)
 
 
 def integrate_semi_infinite_split(
@@ -466,13 +467,14 @@ def integrate_semi_infinite_split(
         integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol),
         integrate_finite(far, 1.0, T, 0.5 * finite_tol),
     )
-    finite = QuadratureResult(
-        sum(part.value for part in parts),
+    estimate, converged = _with_tail(
         sum(part.abs_error_estimate for part in parts),
-        sum(part.evaluations for part in parts),
-        all(part.converged for part in parts),
+        all(part.converged for part in parts), tail, tol,
     )
-    return _with_tail(finite, tail, tol)
+    return QuadratureResult(
+        sum(part.value for part in parts), estimate,
+        sum(part.evaluations for part in parts), converged,
+    )
 
 
 def integrate_semi_infinite_many(
@@ -490,24 +492,31 @@ def integrate_semi_infinite_many(
     with ``integrate_semi_infinite`` up to rounding in the integrand and
     raises the same errors.  Rows are refined together, in blocks of at
     most _BLOCK_ELEMENTS nodes x rows, so memory stays bounded at any
-    refinement level.
+    refinement level.  The truncation runs once per distinct hint, and
+    each row's result carries its tail bound.
     """
     params = np.asarray(params, dtype=complex)
-    cuts = [_truncation(tol, p) for p in decay_exponent_hints]
-    if len(cuts) != len(params):
+    hints = list(decay_exponent_hints)
+    # One truncation per distinct hint, in the order the hints come, so the
+    # first hint to fail raises.  A NaN hint, equal to nothing, is found
+    # again by identity in the list.
+    index = {p: i for i, p in enumerate(dict.fromkeys(hints))}
+    cuts = np.array([_truncation(tol, p) for p in index]).reshape(-1, 3)
+    if len(hints) != len(params):
         raise ValueError("need one decay exponent hint per parameter")
-    results: list[QuadratureResult | None] = [None] * len(params)
+    T, tail, finite_tol = cuts[[index[p] for p in hints]].T
+    values = np.empty(len(params), dtype=complex)
+    estimates, evals = np.empty(len(params)), np.empty(len(params), dtype=np.int64)
+    converged = np.empty(len(params), dtype=bool)
     # Rows with the same truncation point share their nodes.
-    for T in sorted({cut[0] for cut in cuts}):
-        rows = [i for i, cut in enumerate(cuts) if cut[0] == T]
-        finite_tols = np.array([cuts[i][2] for i in rows])
-        values, estimates, evals, converged = _tanh_sinh_rows(
-            f, params[rows], 0.0, T, finite_tols
+    for t in sorted(set(cuts[:, 0].tolist())):
+        rows = T == t
+        values[rows], estimates[rows], evals[rows], converged[rows] = _tanh_sinh_rows(
+            f, params[rows], 0.0, t, finite_tol[rows]
         )
-        for i, *finite in zip(rows, values.tolist(), estimates.tolist(),
-                              evals.tolist(), converged.tolist()):
-            results[i] = _with_tail(QuadratureResult(*finite), cuts[i][1], tol)
-    return results
+    estimates, converged = _with_tail(estimates, converged, tail, tol)
+    return list(map(QuadratureResult, values.tolist(), estimates.tolist(),
+                    evals.tolist(), converged.tolist()))
 
 
 def integrate_unit_square(

@@ -41,8 +41,8 @@ Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 # From this many points on, the eq12, eq15 and eq18 quadratures run the
 # batched ladder, and eq15's rhs its eta panel, instead of point by point.
 # Two ``scripts/batch_threshold.py`` runs on a shared 2-core x86-64 VM,
-# batched over scalar time per family: 1 point 4.8-6.7, 6 points 1.10-1.58,
-# 8 points 0.84-1.16, 12 points 0.67-0.87.  8 stays: up to 12, only ``grid``
+# batched over scalar time per family: 1 point 5.0-6.4, 6 points 1.21-1.64,
+# 8 points 0.88-1.21, 12 points 0.69-0.86.  8 stays: up to 12, only ``grid``
 # sweeps of 8-11 evaluable points would move, and no benchmark workload has one.
 _BATCH_MIN_POINTS = 8
 

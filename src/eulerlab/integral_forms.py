@@ -308,15 +308,18 @@ def _reduced_many(
     # single, the family's public scalar route, at every point (see
     # I_plus_many).  The callers pass it by its module-level name, so a
     # wrapper installed there, such as perfbench's tracer, sees its calls.
-    s = [complex(p) for p in points]
-    if any(p.real <= family.edge + 0.01 for p in s):
+    s = np.asarray(points, dtype=complex)
+    if (s.real <= family.edge + 0.01).any():
         raise DomainError(f"outside Re(s) > {family.edge:g}")
-    batch = [p.real - family.edge >= _SUBTRACT_BELOW for p in s]
-    plain = [p for p, b in zip(s, batch) if b]
-    batched = iter(integrate_semi_infinite_many(
-        family.rows, plain, tol, [p.real + family.shift for p in plain]
-    ))
-    return [next(batched) if b else single(p, tol) for p, b in zip(s, batch)]
+    batch = s.real - family.edge >= _SUBTRACT_BELOW
+    plain = s[batch]
+    batched = integrate_semi_infinite_many(
+        family.rows, plain, tol, (plain.real + family.shift).tolist()
+    )
+    if batch.all():
+        return batched
+    batched = iter(batched)
+    return [next(batched) if b else single(p, tol) for p, b in zip(s.tolist(), batch.tolist())]
 
 
 def I_plus(s: complex, tol: float) -> QuadratureResult:
@@ -376,12 +379,6 @@ def _rhs_eq15_generic(s: complex) -> complex:
     return _rhs_eq15_from_eta(s, eta(s + 2.0), eta(s + 1.0))
 
 
-def _rhs_eq15_is_generic(s: complex) -> bool:
-    return s.real > -3.0 and all(
-        abs(s - point) >= _EXPANSION_RADIUS for point in (-1.0, -2.0)
-    )
-
-
 def _rhs_eq15_limit(point: float) -> complex:
     if point == -1.0:
         # limit value eta(1) - 2 eta'(0) = ln 2 - ln(pi/2) = ln(4/pi)
@@ -422,16 +419,15 @@ def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
     Points at or within the expansion radius of -1 and -2 (and points
     outside the domain, which raise) take the scalar ``rhs_eq15``.
     """
-    s = [complex(p) for p in points]
-    generic = [_rhs_eq15_is_generic(p) for p in s]
-    panel = [p for p, g in zip(s, generic) if g]
-    etas = zip(
-        eta_many([p + 2.0 for p in panel]).tolist(),
-        eta_many([p + 1.0 for p in panel]).tolist(),
+    s = np.asarray(points, dtype=complex)
+    generic = (s.real > -3.0) & (np.abs(s + 1.0) >= _EXPANSION_RADIUS) & (
+        np.abs(s + 2.0) >= _EXPANSION_RADIUS
     )
+    panel = s[generic]
+    etas = zip(eta_many(panel + 2.0).tolist(), eta_many(panel + 1.0).tolist())
     return [
         _rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p)
-        for p, g in zip(s, generic)
+        for p, g in zip(s.tolist(), generic.tolist())
     ]
 
 

@@ -17,18 +17,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eulerlab import core_numerics
 from eulerlab import identity_engine as engine
 from eulerlab import integral_forms
 from eulerlab.core_numerics import (
+    QuadratureResult,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
 )
-from eulerlab.errors import IntegrandError
+from eulerlab.errors import DomainError, IntegrandError
 from eulerlab.identity_engine import SkippedPoint, VerificationReport, grid, verify
 from eulerlab.integral_forms import (
     I_plus,
     I_plus_many,
+    eta_many,
     fermi_dirac_integrand,
     fermi_dirac_integrand_array,
     reduced_integrand_minus,
@@ -76,6 +79,49 @@ def raw_batch(points):
     return integrate_semi_infinite_many(
         reduced_integrand_plus_array, points, QUAD_TOL, [s.real + 1.0 for s in points]
     )
+
+
+def per_point_with_tail(finite, tail, tol):
+    # the tail rule as the batch applied it row by row, on a finite result
+    return QuadratureResult(
+        finite.value,
+        finite.abs_error_estimate + tail,
+        finite.evaluations,
+        finite.converged and tail < 0.1 * tol,
+    )
+
+
+def per_point_many(f, params, tol, hints):
+    # integrate_semi_infinite_many with per-point bookkeeping: a truncation
+    # per hint, then each row's result rebuilt with its tail
+    params = np.asarray(params, dtype=complex)
+    cuts = [core_numerics._truncation(tol, p) for p in hints]
+    if len(cuts) != len(params):
+        raise ValueError("need one decay exponent hint per parameter")
+    results = [None] * len(params)
+    for T in sorted({cut[0] for cut in cuts}):
+        rows = [i for i, cut in enumerate(cuts) if cut[0] == T]
+        finite_tols = np.array([cuts[i][2] for i in rows])
+        values, estimates, evals, converged = core_numerics._tanh_sinh_rows(
+            f, params[rows], 0.0, T, finite_tols
+        )
+        for i, *finite in zip(rows, values.tolist(), estimates.tolist(),
+                              evals.tolist(), converged.tolist()):
+            results[i] = per_point_with_tail(QuadratureResult(*finite), cuts[i][1], tol)
+    return results
+
+
+def bits(result):
+    # every field of a quadrature result, floats as hex, with its type
+    return (
+        result.value.real.hex(), result.value.imag.hex(),
+        result.abs_error_estimate.hex(), result.evaluations, result.converged,
+        tuple(type(getattr(result, name)) for name in result.__dataclass_fields__),
+    )
+
+
+def complex_bits(z):
+    return (type(z), z.real.hex(), z.imag.hex())
 
 
 @pytest.mark.parametrize("family", sorted(KERNELS))
@@ -191,6 +237,177 @@ class TestBatchedLadder:
         for s, batched in zip(points, I_plus_many(points, QUAD_TOL)):
             scalar = I_plus(s, QUAD_TOL)
             assert_same_quadrature(batched, scalar, max(1.0, abs(scalar.value)))
+
+
+class TestBatchBookkeeping:
+    # (points, decay exponent hints, tolerance) on the raw plus kernel
+    CASES = {
+        "repeated hints": (
+            [0.5 + 1j, 0.5 + 0.2j, 1.5 + 0j, 0.5 + 0j, 1.5 + 2j, -1.0 + 0.5j],
+            [1.5, 1.5, 2.5, 1.5, 2.5, 0.0],
+            QUAD_TOL,
+        ),
+        "two truncation points": (
+            [0.5 + 0j, 5.5 + 0.5j, 6.0 + 0j, 0.25 + 1j], [1.5, 6.5, 7.0, 1.25], QUAD_TOL
+        ),
+        "nan hints": (
+            [0.5 + 0j, 0.5 + 1j, 1.0 + 0j, 2.0 + 0j],
+            [math.nan, 1.5, float("nan"), math.nan],
+            QUAD_TOL,
+        ),
+        "empty": ([], [], QUAD_TOL),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_point_bookkeeping_bit_for_bit(self, case):
+        points, hints, tol = self.CASES[case]
+        batched = integrate_semi_infinite_many(reduced_integrand_plus_array, points, tol, hints)
+        expected = per_point_many(reduced_integrand_plus_array, points, tol, hints)
+        assert [bits(r) for r in batched] == [bits(r) for r in expected]
+
+    def test_case_premises(self):
+        cuts = [core_numerics._truncation(QUAD_TOL, p) for p in self.CASES["two truncation points"][1]]
+        assert len({T for T, _, _ in cuts}) == 2
+        points, hints, tol = self.CASES["nan hints"]
+        results = integrate_semi_infinite_many(reduced_integrand_plus_array, points, tol, hints)
+        assert [math.isnan(r.abs_error_estimate) for r in results] == [True, False, True, True]
+        assert [r.converged for r in results] == [False, True, False, False]
+
+    def test_one_truncation_per_distinct_hint_in_order(self, monkeypatch):
+        seen = []
+        original = core_numerics._truncation
+
+        def counting(tol, p):
+            seen.append(p)
+            return original(tol, p)
+
+        monkeypatch.setattr(core_numerics, "_truncation", counting)
+        points, hints, _ = self.CASES["repeated hints"]
+        integrate_semi_infinite_many(reduced_integrand_plus_array, points, QUAD_TOL, hints)
+        assert seen == [1.5, 2.5, 0.0]
+
+    @pytest.mark.parametrize("n_points", [3, 2, 5])
+    def test_first_overflowing_hint_raises_also_for_a_length_mismatch(self, n_points):
+        points = [0.5 + 0j] * n_points
+        hints = [1.5, 500.0, 400.0]
+        for many in (integrate_semi_infinite_many, per_point_many):
+            with pytest.raises(DomainError, match=r"decay exponent 500\.0$"):
+                many(reduced_integrand_plus_array, points, QUAD_TOL, hints)
+
+    def test_length_mismatch_raises_value_error(self):
+        for many in (integrate_semi_infinite_many, per_point_many):
+            with pytest.raises(ValueError, match="one decay exponent hint per parameter"):
+                many(reduced_integrand_plus_array, [0.5 + 0j] * 3, QUAD_TOL, [1.5, 1.5])
+            with pytest.raises(ValueError, match="one decay exponent hint per parameter"):
+                many(reduced_integrand_plus_array, [], QUAD_TOL, [1.5])
+
+    @pytest.mark.parametrize("name, edge", [("I_plus", -3.0), ("I_minus", -2.0), ("fermi_dirac", 0.0)])
+    def test_mixed_subtracted_and_plain_points_keep_their_order(self, name, edge):
+        single = getattr(integral_forms, name)
+        many = getattr(integral_forms, name + "_many")
+        tol = 1e-9
+        # within _SUBTRACT_BELOW of the edge a point takes the scalar route
+        offsets = [3.5 + 1j, 0.3 + 0.2j, 2.0 + 0.3j, 0.1 + 0j, 4.5 + 0j, 0.44 + 1j]
+        points = [edge + d for d in offsets]
+        near = [d.real < integral_forms._SUBTRACT_BELOW for d in offsets]
+        batch = iter(many([s for s, n in zip(points, near) if not n], tol))
+        expected = [single(s, tol) if n else next(batch) for s, n in zip(points, near)]
+        assert [bits(r) for r in many(points, tol)] == [bits(r) for r in expected]
+
+    @pytest.mark.parametrize("name, edge", [("I_plus", -3.0), ("I_minus", -2.0), ("fermi_dirac", 0.0)])
+    def test_point_past_the_edge_raises_the_scalar_error(self, name, edge):
+        with pytest.raises(DomainError) as scalar:
+            getattr(integral_forms, name)(edge + 0.005, 1e-9)
+        with pytest.raises(DomainError) as batched:
+            getattr(integral_forms, name + "_many")([edge + 2.0, edge + 0.2, edge + 0.005, edge + 1.0], 1e-9)
+        assert str(batched.value) == str(scalar.value)
+
+
+def per_point_is_generic(s):
+    # the scalar rule for a point of rhs_eq15's eta panel
+    return s.real > -3.0 and all(
+        abs(s - point) >= integral_forms._EXPANSION_RADIUS for point in (-1.0, -2.0)
+    )
+
+
+def per_point_rhs_eq15_many(points):
+    # rhs_eq15_many with the panel chosen point by point by the scalar rule
+    s = [complex(p) for p in points]
+    generic = [per_point_is_generic(p) for p in s]
+    panel = [p for p, g in zip(s, generic) if g]
+    etas = zip(
+        eta_many([p + 2.0 for p in panel]).tolist(),
+        eta_many([p + 1.0 for p in panel]).tolist(),
+    )
+    return [
+        integral_forms._rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p)
+        for p, g in zip(s, generic)
+    ]
+
+
+class TestRhsPanelMask:
+    RADIUS = integral_forms._EXPANSION_RADIUS
+
+    def check(self, monkeypatch, points):
+        # rhs_eq15_many against the per-point panel, bit for bit, and the
+        # points it hands to the scalar route against the scalar rule
+        scalar = []
+
+        def recording(s):
+            scalar.append(s)
+            return rhs_eq15(s)
+
+        try:
+            expected = [complex_bits(v) for v in per_point_rhs_eq15_many(points)]
+        except DomainError as exc:
+            with monkeypatch.context() as m:
+                m.setattr(integral_forms, "rhs_eq15", recording)
+                with pytest.raises(DomainError) as got:
+                    rhs_eq15_many(points)
+            assert str(got.value) == str(exc)
+            return
+        with monkeypatch.context() as m:
+            m.setattr(integral_forms, "rhs_eq15", recording)
+            values = rhs_eq15_many(points)
+        assert [complex_bits(v) for v in values] == expected
+        assert scalar == [complex(p) for p in points if not per_point_is_generic(complex(p))]
+
+    def test_property_mask_equals_scalar_rule(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        r = self.RADIUS
+        # on, just inside and just outside the expansion circles
+        scale = st.sampled_from([1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0])
+        circle = st.builds(
+            lambda center, angle, k: complex(center + k * r * math.cos(angle), k * r * math.sin(angle)),
+            st.sampled_from([-1.0, -2.0]), st.floats(0.0, 2.0 * math.pi), scale,
+        )
+        axis = st.builds(
+            lambda center, sign, k: center + sign * k * r,
+            st.sampled_from([-1.0, -2.0]), st.sampled_from([1.0, -1.0, 1j, -1j]), scale,
+        )
+        exact = st.sampled_from([-1.0 + 0j, -2.0 + 0j, complex(-1.0, -0.0), -1, -2])
+        edge = st.builds(complex, st.floats(-3.0 - 1e-12, -2.9999), st.floats(-2.0, 2.0))
+        plain = st.builds(complex, st.floats(-2.99, 3.0), st.floats(-2.0, 2.0))
+        point = st.one_of(circle, axis, exact, edge, plain)
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(point, min_size=1, max_size=12))
+        def check(points):
+            self.check(monkeypatch, points)
+
+        check()
+
+    def test_cases(self, monkeypatch):
+        r = self.RADIUS
+        points = [-1.0, -2.0, -1.0 + r, -1.0 - r, complex(-1.0, r), complex(-2.0, -r),
+                  -2.0 + 0.99999999 * r, -2.0 + 1.00000001 * r, -1.0 + 5e-5j,
+                  -3.0 + 1e-12, 0.5 + 1j, 2.0, complex(-1.5, 0.3)]
+        self.check(monkeypatch, points)
+        # the panel and the scalar route both take some of these points
+        assert 0 < sum(map(per_point_is_generic, map(complex, points))) < len(points)
+        self.check(monkeypatch, [])
+        self.check(monkeypatch, [0.5, -3.0 + 0j, 1.0])
 
 
 class TestRhsPanel:
