@@ -16,7 +16,10 @@ shared machine, which drifts over seconds, out of the ratio.  The script
 prints, per family and size, the median milliseconds of each, the
 batched/scalar ratio of the medians, and the share of rounds in which
 the batch was faster.  The smallest n from which the batch is cheaper in
-every family is where ``identity_engine._BATCH_MIN_POINTS`` belongs.
+every family is where ``identity_engine._BATCH_MIN_POINTS`` belongs.  The
+last rows time eq15's right-hand side, ``rhs_eq15`` at every point
+against its eta panel ``rhs_eq15_many``, on the I_plus points; they set
+``identity_engine._ETA_PANEL_MIN_POINTS``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from eulerlab import integral_forms  # noqa: E402
 
-# (name, edge, quadrature tolerance of its identity's default tol)
+# (name, edge, quadrature tolerance of its identity's default tol, or None
+# for a route without one)
 FAMILIES = (
     ("I_minus", -2.0, 1e-9),
     ("I_plus", -3.0, 1e-9),
     ("fermi_dirac", 0.0, 1e-10),
+    ("rhs_eq15", -3.0, None),
 )
 
 
@@ -63,9 +68,10 @@ def main(argv: list[str] | None = None) -> int:
                 complex(edge + rng.uniform(0.5, 5.0), rng.uniform(0.0, 2.0))
                 for _ in range(n)
             ]
+            tail = () if tol is None else (tol,)
             routes = {
-                "scalar": lambda: [single(s, tol) for s in points],
-                "batched": lambda: many(points, tol),
+                "scalar": lambda: [single(s, *tail) for s in points],
+                "batched": lambda: many(points, *tail),
             }
             times: dict[str, list[float]] = {route: [] for route in routes}
             for i in range(args.rounds):

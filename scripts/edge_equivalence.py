@@ -11,7 +11,8 @@ point in a fresh subprocess with its own ``src/`` on the path.  Per
 seed and identity the script prints the number of points, how many
 changed their evaluation count, verdict or raised error (a change that
 must keep the quadrature's work and verdicts prints 0 there), how many
-changed their rhs, and the worst |delta lhs| and |delta rhs|.  When
+changed a bit of their lhs and of their rhs, and the worst |delta lhs|
+and |delta rhs|.  When
 mpmath imports it adds the oracle columns: per side the FAIL verdicts
 and the worst |lhs - mpmath closed form| (the closed forms of the
 workload's own check), the same for rhs, and the FAIL->PASS and
@@ -85,7 +86,7 @@ def compare(points, parent: list[dict], change: list[dict], refs) -> dict[str, d
     table: dict[str, dict] = {}
     for (token, s), old, new in zip(points, parent, change):
         row = table.setdefault(token, dict.fromkeys(
-            ("points", "changed", "rhs_changed", "lhs", "rhs", "old_fails", "new_fails",
+            ("points", "changed", "lhs_changed", "rhs_changed", "lhs", "rhs", "old_fails", "new_fails",
              "old_oracle", "new_oracle", "old_rhs_oracle", "new_rhs_oracle",
              "fail_to_pass", "pass_to_fail"), 0))
         row["points"] += 1
@@ -93,6 +94,8 @@ def compare(points, parent: list[dict], change: list[dict], refs) -> dict[str, d
             row["changed"] += old != new
             continue
         row["changed"] += (old["evaluations"], old["passed"]) != (new["evaluations"], new["passed"])
+        # JSON keeps every bit of a float, and the sign of a zero
+        row["lhs_changed"] += old["lhs"] != new["lhs"]
         row["rhs_changed"] += old["rhs"] != new["rhs"]
         row["lhs"] = max(row["lhs"], _distance(old, new, "lhs"))
         row["rhs"] = max(row["rhs"], _distance(old, new, "rhs"))
@@ -118,8 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     refs = _workloads(change).References()
     oracle = refs.mp is not None
-    changed = 0
-    header = ["seed", "identity", "points", "changed", "rhs changed", "max abs dlhs",
+    changed = lhs_changed = 0
+    header = ["seed", "identity", "points", "changed", "lhs changed", "rhs changed",
+              "max abs dlhs",
               "max abs drhs"]
     if oracle:
         header += ["parent FAILs", "parent max abs(lhs - mpmath)", "change FAILs",
@@ -132,8 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         table = compare(points, run(parent, points), run(change, points), refs)
         for token, row in sorted(table.items()):
             changed += row["changed"]
+            lhs_changed += row["lhs_changed"]
             line = (f"| {seed} | {token} | {row['points']} | {row['changed']}"
-                    f" | {row['rhs_changed']} | {row['lhs']:.2e} | {row['rhs']:.2e} |")
+                    f" | {row['lhs_changed']} | {row['rhs_changed']} | {row['lhs']:.2e}"
+                    f" | {row['rhs']:.2e} |")
             if oracle:
                 line += (f" {row['old_fails']} | {row['old_oracle']:.1e} | {row['new_fails']}"
                          f" | {row['new_oracle']:.1e} | {row['old_rhs_oracle']:.1e}"
@@ -141,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                          f" | {row['pass_to_fail']} |")
             print(line)
     print(f"{changed} points changed evaluations, verdict or error")
+    print(f"{lhs_changed} points changed a bit of their lhs")
     return 1 if changed else 0
 
 

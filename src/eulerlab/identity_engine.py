@@ -38,13 +38,14 @@ MAX_GRID_POINTS = 10**6
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# From this many points on, the eq12, eq15 and eq18 quadratures run the
-# batched ladder, and eq15's rhs its eta panel, instead of point by point.
-# Two ``scripts/batch_threshold.py`` runs on a shared 2-core x86-64 VM,
-# batched over scalar time per family: 1 point 5.0-6.4, 6 points 1.21-1.64,
-# 8 points 0.88-1.21, 12 points 0.69-0.86.  8 stays: up to 12, only ``grid``
-# sweeps of 8-11 evaluable points would move, and no benchmark workload has one.
-_BATCH_MIN_POINTS = 8
+# From this many points on, the eq12, eq15 and eq18 quadratures run the batched
+# ladder, and eq15's rhs its eta panel, instead of point by point.  Runs of
+# ``scripts/batch_threshold.py`` on a shared 2-core x86-64 VM, batched over
+# scalar time: quadratures at 16 points 0.87-1.14, 18 points 0.81-1.07, 19
+# points 0.79-1.07, 20 points 0.77-1.01 (at most 19, eq12's points in ``all``,
+# which stay batched); the eta panel at 4 points 0.67-0.68, 8 points 0.43-0.52.
+_BATCH_MIN_POINTS = 19
+_ETA_PANEL_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def _eq15_lhs(points, tol):
 
 
 def _eq15_rhs(points, tol):
-    if len(points) >= _BATCH_MIN_POINTS:
+    if len(points) >= _ETA_PANEL_MIN_POINTS:
         values = integral_forms.rhs_eq15_many(points)
     else:
         values = map(integral_forms.rhs_eq15, points)

@@ -32,10 +32,8 @@ kernel.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import enum
-import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,8 +41,10 @@ import numpy as np
 
 from .constants import euler_gamma_series, ln_4_over_pi
 from .core_numerics import (
+    PowerKernel,
     QuadratureResult,
     SeriesResult,
+    _power,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
@@ -79,13 +79,6 @@ _RESIDUAL_COEFFS = tuple(
 )
 
 
-def _power(t: float, s: complex) -> complex:
-    # t**s for real t > 0 through the real logarithm
-    if s.imag == 0.0:
-        return t**s.real
-    return cmath.exp(s * math.log(t))
-
-
 def _residual_series(t: float | np.ndarray) -> float | np.ndarray:
     # (e**-t - 1 + t) / t**2, for t < 0.5 (elementwise): Horner's rule
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _RESIDUAL_COEFFS
@@ -101,15 +94,17 @@ def reduced_integrand_plus(s: complex, t: float) -> complex:
     into the power so that neither factor over- or underflows at the
     deepest quadrature nodes.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    s = complex(s)
+    return _kernel(_PLUS, s)(t)
+
+
+def _plus_form(t: float) -> tuple[int, float, float, float]:
+    # reduced_integrand_plus(s, t) = t**(s + (0, 2)[k]) f1 f2 / d
     if t < 0.5:
-        return _power(t, s + 2.0) * _residual_series(t) / (math.exp(t) + 1.0)
+        return 1, _residual_series(t), 1.0, math.exp(t) + 1.0
     if t > 40.0:
         et = math.exp(-t)
-        return _power(t, s) * (t - 1.0 + et) * et / (1.0 + et)
-    return _power(t, s) * (math.expm1(-t) + t) / (math.exp(t) + 1.0)
+        return 0, t - 1.0 + et, et, 1.0 + et
+    return 0, math.expm1(-t) + t, 1.0, math.exp(t) + 1.0
 
 
 def _power_array(t: np.ndarray, s: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -168,16 +163,20 @@ def reduced_integrand_minus(s: complex, t: float) -> complex:
     """Integrand t**s (t - 1 + e**-t)/(e**t - 1) of the minus-kernel family.
 
     Behaves like t**(s+1)/2 as t -> 0 (integrable for Re(s) > -2); the
-    small-t branch mirrors the plus kernel's overflow-safe split.
+    small-t branch mirrors the plus kernel's overflow-safe split.  Where
+    e**t overflows it is t**s (t - 1) e**(-t/2) e**(-t/2).
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    s = complex(s)
+    return _kernel(_MINUS, s)(t)
+
+
+def _minus_form(t: float) -> tuple[int, float, float, float]:
+    # reduced_integrand_minus(s, t) = t**(s + (0, 1)[k]) f1 f2 / d
     if t < 0.5:
-        return (
-            _power(t, s + 1.0) * _residual_series(t) * (t / math.expm1(t))
-        )
-    return _power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
+        return 1, _residual_series(t), t / math.expm1(t), 1.0
+    if t > 709.782712893384:  # e**t overflows, e**-t is below the normal range
+        half = math.exp(-0.5 * t)
+        return 0, (t - 1.0) * half, half, 1.0
+    return 0, math.expm1(-t) + t, 1.0, math.expm1(t)
 
 
 def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -216,13 +215,15 @@ def fermi_dirac_integrand(s: complex, t: float) -> complex:
     Above t = 40 it is formed as t**(s-1) e**-t / (1 + e**-t), which
     keeps e**t from overflowing at the far end of the range.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    s = complex(s)
+    return _kernel(_FERMI_DIRAC, s)(t)
+
+
+def _fermi_dirac_form(t: float) -> tuple[int, float, float, float]:
+    # fermi_dirac_integrand(s, t) = t**(s - 1) f1 f2 / d
     if t > 40.0:
         et = math.exp(-t)
-        return _power(t, s - 1.0) * et / (1.0 + et)
-    return _power(t, s - 1.0) / (math.exp(t) + 1.0)
+        return 0, et, 1.0, 1.0 + et
+    return 0, 1.0, 1.0, math.exp(t) + 1.0
 
 
 def fermi_dirac_integrand_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -266,11 +267,25 @@ class _Family(NamedTuple):
     psi: Callable[[float], float]  # regular at 0, where it tends to psi0
     psi0: float
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray]  # the kernel as an array
+    form: Callable  # the kernel is t**(s + offsets[k]) f1 f2 / d, (k, f1, f2, d) = form(t)
+    offsets: tuple[float, ...]
+
+    def near(self, t: float) -> tuple[int, float, float, float]:
+        # the form of t**(s+c) (psi(t) - psi0), the kernel subtracted on (0, 1)
+        return 0, self.psi(t) - self.psi0, 1.0, 1.0
 
 
-_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, reduced_integrand_plus_array)
-_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, reduced_integrand_minus_array)
-_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integrand_array)
+_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, reduced_integrand_plus_array,
+                _plus_form, (0.0, 2.0))
+_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, reduced_integrand_minus_array,
+                 _minus_form, (0.0, 1.0))
+_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integrand_array,
+                       _fermi_dirac_form, (-1.0,))
+
+
+def _kernel(family: _Family, s: complex) -> PowerKernel:
+    return PowerKernel(family.form, tuple(complex(s) + c for c in family.offsets))
+
 
 # Distance Re(s) - edge below which the singular part is subtracted.
 # Measured by ``scripts/subtract_threshold.py`` (table in CHANGES.md): at
@@ -281,24 +296,18 @@ _FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integ
 _SUBTRACT_BELOW = 0.45
 
 
-def _reduced(
-    family: _Family, kernel: Callable[[complex, float], complex], s: complex, tol: float
-) -> QuadratureResult:
-    # the integral of kernel(s, .) over (0, inf), where kernel(s, t) is
-    # t**(s + family.c) family.psi(t) on (0, 1)
+def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
+    # the integral of the family's kernel at s over (0, inf)
     s = complex(s)
     if s.real <= family.edge + 0.01:
         raise DomainError(f"outside Re(s) > {family.edge:g}")
-    far = functools.partial(kernel, s)
+    far = _kernel(family, s)
     if s.real - family.edge >= _SUBTRACT_BELOW:
         return integrate_semi_infinite(far, tol, s.real + family.shift)
-    power, psi, psi0 = s + family.c, family.psi, family.psi0
-
-    def near(t: float) -> complex:
-        return _power(t, power) * (psi(t) - psi0)
-
+    power = s + family.c
+    near = PowerKernel(family.near, (power,))  # t**power (psi(t) - psi0)
     result = integrate_semi_infinite_split(near, far, tol, s.real + family.shift)
-    return dataclasses.replace(result, value=psi0 / (power + 1.0) + result.value)
+    return dataclasses.replace(result, value=family.psi0 / (power + 1.0) + result.value)
 
 
 def _reduced_many(
@@ -328,7 +337,7 @@ def I_plus(s: complex, tol: float) -> QuadratureResult:
     Within _SUBTRACT_BELOW of the edge Re(s) = -3 the singular part
     t**(s+2)/4 at 0 is subtracted and integrated in closed form.
     """
-    return _reduced(_PLUS, reduced_integrand_plus, s, tol)
+    return _reduced(_PLUS, s, tol)
 
 
 def I_minus(s: complex, tol: float) -> QuadratureResult:
@@ -337,7 +346,7 @@ def I_minus(s: complex, tol: float) -> QuadratureResult:
     Within _SUBTRACT_BELOW of the edge Re(s) = -2 the singular part
     t**(s+1)/2 at 0 is subtracted and integrated in closed form.
     """
-    return _reduced(_MINUS, reduced_integrand_minus, s, tol)
+    return _reduced(_MINUS, s, tol)
 
 
 def fermi_dirac(s: complex, tol: float) -> QuadratureResult:
@@ -346,7 +355,7 @@ def fermi_dirac(s: complex, tol: float) -> QuadratureResult:
     Within _SUBTRACT_BELOW of the edge Re(s) = 0 the singular part
     t**(s-1)/2 at 0 is subtracted and integrated in closed form.
     """
-    return _reduced(_FERMI_DIRAC, fermi_dirac_integrand, s, tol)
+    return _reduced(_FERMI_DIRAC, s, tol)
 
 
 def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:

@@ -455,7 +455,7 @@ class TestBatchedSweep:
         grid_matches_verify(engine.verify_all({"eq15": 1e-8}))
 
     def test_grid_point_within_expansion_radius_of_minus_one(self):
-        entries = grid("eq15", (-1.00005, 1.2, 0.25), (0.0, 0.0, 1.0))
+        entries = grid("eq15", (-1.00005, 0.25 * engine._BATCH_MIN_POINTS, 0.25), (0.0, 0.0, 1.0))
         assert len(entries) >= engine._BATCH_MIN_POINTS
         assert entries[0].s == -1.00005 + 0j
         assert entries[0].rhs == rhs_eq15(-1.00005)
@@ -471,7 +471,7 @@ class TestBatchedSweep:
                 return _original(*args)
 
             monkeypatch.setattr(integral_forms, name, counting)
-        entries = grid("eq15", (0.0, 1.75, 0.25), (0.0, 0.0, 1.0))
+        entries = grid("eq15", (0.0, 0.25 * (engine._BATCH_MIN_POINTS - 1), 0.25), (0.0, 0.0, 1.0))
         assert len(entries) == engine._BATCH_MIN_POINTS
         assert sorted(calls) == ["I_plus_many", "rhs_eq15_many"]
         calls.clear()
@@ -490,11 +490,12 @@ class TestBatchedSweep:
                 return _original(*args)
 
             monkeypatch.setattr(integral_forms, name, counting)
-        below = grid(token, (re_lo, re_lo + 1.5, 0.25), (0.0, 0.0, 1.0))
+        n = engine._BATCH_MIN_POINTS
+        below = grid(token, (re_lo, re_lo + 0.25 * (n - 2), 0.25), (0.0, 0.0, 1.0))
         assert len(below) == engine._BATCH_MIN_POINTS - 1
         assert calls == [single] * len(below)
         calls.clear()
-        at = grid(token, (re_lo, re_lo + 1.75, 0.25), (0.0, 0.0, 1.0))
+        at = grid(token, (re_lo, re_lo + 0.25 * (n - 1), 0.25), (0.0, 0.0, 1.0))
         assert len(at) == engine._BATCH_MIN_POINTS
         assert calls == [many]
         grid_matches_verify(below + at)
@@ -503,10 +504,16 @@ class TestBatchedSweep:
         def refuse(*args):
             raise AssertionError("batched route called")
 
+        # the quadrature below its threshold, with the eta panel above its own
         monkeypatch.setattr(integral_forms, "I_plus_many", refuse)
+        entries = grid("eq15", (0.0, 0.25 * (engine._BATCH_MIN_POINTS - 2), 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) == engine._BATCH_MIN_POINTS - 1 >= engine._ETA_PANEL_MIN_POINTS
+        grid_matches_verify(entries)
+        # both below
         monkeypatch.setattr(integral_forms, "rhs_eq15_many", refuse)
-        entries = grid("eq15", (0.0, 1.5, 0.25), (0.0, 0.0, 1.0))
-        assert len(entries) == engine._BATCH_MIN_POINTS - 1
+        n = engine._ETA_PANEL_MIN_POINTS
+        entries = grid("eq15", (0.0, 0.25 * (n - 2), 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) == n - 1
         grid_matches_verify(entries)
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))

@@ -160,6 +160,32 @@ class TestIntegrateSemiInfinite:
         assert r.converged
         assert abs(r.value - math.gamma(p + 1.0)) <= r.abs_error_estimate
 
+    def test_tail_bound_is_unchanged_below_the_subnormal_range(self):
+        for T in range(50, 710, 10):
+            for p in (-0.99, 0.0, 1.5, 20.0):
+                T = float(T)
+                bound = math.exp(-T) * T ** (p + 1.0) * (1.0 + (p + 1.0) / T)
+                assert core_numerics._tail_bound(T, p) == bound
+
+    def test_tail_bound_bounds_the_tail_past_the_subnormal_range(self):
+        # e**-T is subnormal from T = 708 and 0 from T = 745; checked where
+        # the tail itself is a normal double and T**(p + 1) is finite, and to
+        # full precision against the bound's formula
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        for T in (710.0, 720.0, 740.0, 750.0, 800.0, 900.0, 1000.0):
+            for p in (-0.5, 0.0, 1.0, 50.0, 100.0):
+                tail = mpmath.gammainc(p + 1.0, T)
+                if tail < 1e-300 or (p + 1.0) * math.log(T) > 709.0:
+                    continue
+                checked += 1
+                bound = core_numerics._tail_bound(T, p)
+                exact = mpmath.exp(-T) * mpmath.mpf(T) ** (p + 1) * (1 + (p + 1) / T)
+                assert bound >= tail and abs(bound - exact) <= 1e-12 * exact
+        assert checked >= 10
+        T, tail, finite_tol = core_numerics._truncation(1e-200, 50.0)
+        assert mpmath.gammainc(51, T) <= tail < 1e-201 and finite_tol == 1e-200 - tail
+
     def test_tail_bound_overflow_raises_domain_error(self):
         with pytest.raises(DomainError, match="tail bound"):
             integrate_semi_infinite(lambda t: math.exp(-t), 1e-9, 179.0)

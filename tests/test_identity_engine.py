@@ -262,7 +262,7 @@ class TestGrid:
         verify_, check_point = engine.verify, engine._check_point
         monkeypatch.setattr(engine, "verify", lambda *a, **k: made.append(verify_(*a, **k)) or made[-1])
         monkeypatch.setattr(engine, "_check_point", lambda *a: checked.append(a) or check_point(*a))
-        entries = grid("eq15", (-3.5, 2.5, 0.5), (0.0, 0.0, 1.0))
+        entries = grid("eq15", (-3.5, 2.5, 0.25), (0.0, 0.0, 1.0))
         reports = [e for e in entries if isinstance(e, VerificationReport)]
         assert len(reports) >= engine._BATCH_MIN_POINTS
         assert len(checked) == len(entries) > len(reports)

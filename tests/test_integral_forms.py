@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,32 @@ class TestReducedIntegrands:
         value = reduced_integrand_plus(-2.5, 1e-6)
         assert abs(value) < math.inf
         assert abs(value.real - 1e-6**-0.5 / 4.0) / (1e-6**-0.5 / 4.0) <= 0.01
+
+    def test_minus_kernel_past_the_overflow_of_e_to_the_t(self):
+        # formed with e**(-t/2) twice where e**t overflows, exact to the
+        # end of the normal range against the defining formula
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(3)
+        for t in [709.79, 710.0, 745.5, 999.0] + [rng.uniform(709.8, 1000.0) for _ in range(40)]:
+            for s in (0.0, 2.5, 60.0, 100.0, -1.5 + 2j, 90.0 - 0.5j):
+                got = reduced_integrand_minus(s, t)
+                with mpmath.workdps(40):
+                    t_mp, s_mp = mpmath.mpf(t), mpmath.mpc(s)
+                    want = complex(t_mp**s_mp * (t_mp - 1 + mpmath.exp(-t_mp)) / mpmath.expm1(t_mp))
+                if abs(want) > 1e-290:
+                    assert abs(got - want) <= 2e-13 * abs(want)
+                else:
+                    assert abs(got - want) <= 1e-300
+
+    def test_minus_kernel_keeps_its_bits_below_the_overflow(self):
+        top = math.log(sys.float_info.max)
+        for t in (0.5, 1.0, 40.0, 300.0, 709.0, top):
+            for s in (0.0, 2.5, -1.5 + 2j):
+                s = complex(s)
+                before = integral_forms._power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
+                assert reduced_integrand_minus(s, t) == before
+        with pytest.raises(OverflowError):
+            math.expm1(math.nextafter(top, math.inf))
 
     def test_positive_t_required(self):
         with pytest.raises(ValueError):
