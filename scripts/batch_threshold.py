@@ -12,7 +12,11 @@ between 0.5 and 5 above the family's edge and Im(s) in [0, 2].  Each
 round times the scalar route at every point and the ``*_many`` batch
 over all of them, one right after the other, alternating which goes
 first; timing the two in alternation within a round keeps the load of a
-shared machine, which drifts over seconds, out of the ratio.  The script
+shared machine, which drifts over seconds, out of the ratio.  Every timed
+call starts with the scalar ladder's kernel tables
+(``core_numerics._tables``) empty, as a sweep in a fresh process does;
+timing the same points again with warm tables would flatter the scalar
+route.  The script
 prints, per family and size, the median milliseconds of each, the
 batched/scalar ratio of the medians, and the share of rounds in which
 the batch was faster.  The smallest n from which the batch is cheaper in
@@ -33,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eulerlab import integral_forms  # noqa: E402
+from eulerlab import core_numerics, integral_forms  # noqa: E402
 
 # (name, edge, quadrature tolerance of its identity's default tol, or None
 # for a route without one)
@@ -77,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.rounds):
                 order = list(routes.items())
                 for route, call in order if i % 2 == 0 else order[::-1]:
+                    core_numerics._tables.clear()
                     times[route].append(seconds(call))
             scalar, batched = (statistics.median(times[route]) for route in routes)
             wins = sum(b < a for a, b in zip(times["scalar"], times["batched"])) / args.rounds

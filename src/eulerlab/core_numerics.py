@@ -179,8 +179,13 @@ def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
             entries += [(0.5 * (b - a) * weight, x, math.log(x), *form(x))
                         for (_, weight, _), x in zip(nodes, xs)]
         _tables[key] = table
-        while sum(len(hi) + len(lo) for hi, lo in list(_tables.values())) > _TABLE_NODES:
-            _tables.pop(next(iter(_tables), None), None)
+        # over a snapshot of the keys: another thread may insert meanwhile
+        held = sum(len(hi) + len(lo) for hi, lo in list(_tables.values()))
+        for old in list(_tables):
+            if held <= _TABLE_NODES:
+                break
+            hi, lo = _tables.pop(old, ([], []))
+            held -= len(hi) + len(lo)
     return table
 
 

@@ -39,12 +39,13 @@ RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
 # From this many points on, the eq12, eq15 and eq18 quadratures run the batched
-# ladder, and eq15's rhs its eta panel, instead of point by point.  Runs of
-# ``scripts/batch_threshold.py`` on a shared 2-core x86-64 VM, batched over
-# scalar time: quadratures at 16 points 0.87-1.14, 18 points 0.81-1.07, 19
-# points 0.79-1.07, 20 points 0.77-1.01 (at most 19, eq12's points in ``all``,
-# which stay batched); the eta panel at 4 points 0.67-0.68, 8 points 0.43-0.52.
-_BATCH_MIN_POINTS = 19
+# ladder instead of point by point; eq15's rhs takes its eta panel from
+# _ETA_PANEL_MIN_POINTS on.  Runs of ``scripts/batch_threshold.py`` on a shared
+# 2-core x86-64 VM, each sweep starting with no kernel tables, as in a fresh
+# process, batched over scalar time: quadratures at 8 points 1.19-1.63, 12
+# points 0.89-1.12, 14 points 0.71-1.18, 15 points 0.68-0.99, 16 points
+# 0.64-0.95; the eta panel at 8 points 0.42-0.47.
+_BATCH_MIN_POINTS = 15
 _ETA_PANEL_MIN_POINTS = 8
 
 

@@ -187,14 +187,16 @@ def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     s, t = _array_arguments(s, t)
     small = t < 0.5
+    large = t > 709.782712893384  # e**t overflows, as in the scalar form
     with np.errstate(over="ignore"):
         em1 = np.expm1(t)
-        num = np.expm1(-t) + t
+        half = np.exp(-0.5 * t)
+        num = np.where(large, (t - 1.0) * half, np.expm1(-t) + t)
         num[small] = _residual_series(t[small])
         # multiplying or dividing by 1.0 is exact: each branch keeps its
         # own operations
-        ratio = np.where(small, t / em1, 1.0)
-        den = np.where(small, 1.0, em1)
+        ratio = np.where(small, t / em1, np.where(large, half, 1.0))
+        den = np.where(small | large, 1.0, em1)
     power = _power_array(t, s, np.where(small[:, None], s + 1.0, s))
     return _scale_rows(power, (num, ratio), den)
 

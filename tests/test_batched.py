@@ -29,6 +29,8 @@ from eulerlab.core_numerics import (
 from eulerlab.errors import DomainError, IntegrandError
 from eulerlab.identity_engine import SkippedPoint, VerificationReport, grid, verify
 from eulerlab.integral_forms import (
+    I_minus,
+    I_minus_many,
     I_plus,
     I_plus_many,
     eta_many,
@@ -152,6 +154,20 @@ class TestArrayKernel:
             KERNELS[family][1](np.array([0.5]), np.array([0.0, 1.0]))
 
 
+def test_minus_array_kernel_past_the_overflow_of_e_to_the_t():
+    # e**t overflows from t = 709.78, where the minus kernel takes e**(-t/2)
+    # twice; Re(s) about 100 keeps the values normal, so they compare
+    # relatively
+    s = np.array([100.0 + 0j, 102.4 + 0j, 60.0 + 0j, 100.0 + 3j])
+    t = np.array([709.7827128933841, 709.79, 710.0, 720.3, 745.5, 800.0, 999.0])
+    values = reduced_integrand_minus_array(s, t)
+    for i, ti in enumerate(t):
+        for j, sj in enumerate(s):
+            expected = reduced_integrand_minus(sj, ti)
+            assert abs(expected) > 1e-300
+            assert abs(values[i, j] - expected) <= 1e-15 * abs(expected)
+
+
 class TestBatchedLadder:
     def test_property_batch_equals_scalar_per_point(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -181,6 +197,15 @@ class TestBatchedLadder:
             )
             assert result.converged
             assert abs(result.value - complex(exact)) <= 1e-8
+
+    def test_minus_rows_past_the_overflow_of_e_to_the_t_match_the_scalar_ladder(self):
+        # from about Re(s) = 102 the truncation point passes t = 709.78,
+        # where e**t overflows; these rows reach nodes beyond it
+        points = [103.0, 103.5, 104.0]
+        assert all(core_numerics._truncation(QUAD_TOL, s + 1.0)[0] > 710.0 for s in points)
+        for s, batched in zip(points, I_minus_many(points, QUAD_TOL)):
+            scalar = I_minus(s, QUAD_TOL)
+            assert_same_quadrature(batched, scalar, scale=abs(scalar.value))
 
     def test_row_unconverged_at_max_level_beside_converged_rows(self):
         # next to the domain edge the tail at t -> 0 is never resolved
