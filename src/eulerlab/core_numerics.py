@@ -161,16 +161,14 @@ def _side(level: int, a: float, b: float, lo: bool) -> tuple[tuple, float, float
     return _nodes(level), b, -0.5 * (b - a)
 
 
-# (form, level <= 5, where registry and near-edge ladders end, a, b) -> per
-# side, (w, x, log x, k, f1, f2, d) at the nodes before the first outside (a, b).
-# The oldest go past 2,560 nodes, 0.19 KB each: ``eulerlab all`` and the
-# benchmark's near-edge verify calls hold 1,941 in 51 tables.
+# (form, level <= 5, where registry and near-edge ladders end, a, b) -> per side,
+# (w, x, log x, k, f1, f2, d) at the nodes before the first outside (a, b).  The oldest
+# go past 2,560 nodes, 0.19 KB each (``eulerlab all`` and edge verifies hold 1,941).
 _TABLE_LEVELS, _TABLE_NODES, _tables = 5, 2560, {}
 
 
 def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
-    key = (form, level, a, b)
-    table = _tables.get(key)
+    table = _tables.get(key := (form, level, a, b))
     if table is None:  # built whole before a concurrent caller can see it
         table = ([], [])
         for lo, entries in enumerate(table):
@@ -179,13 +177,11 @@ def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
             entries += [(0.5 * (b - a) * weight, x, math.log(x), *form(x))
                         for (_, weight, _), x in zip(nodes, xs)]
         _tables[key] = table
-        # over a snapshot of the keys: another thread may insert meanwhile
         held = sum(len(hi) + len(lo) for hi, lo in list(_tables.values()))
-        for old in list(_tables):
+        for old in list(_tables):  # a snapshot: another thread may insert meanwhile
             if held <= _TABLE_NODES:
                 break
-            hi, lo = _tables.pop(old, ([], []))
-            held -= len(hi) + len(lo)
+            held -= sum(map(len, _tables.pop(old, ())))
     return table
 
 

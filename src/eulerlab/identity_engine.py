@@ -39,12 +39,10 @@ RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
 # From this many points on, the eq12, eq15 and eq18 quadratures run the batched
-# ladder instead of point by point; eq15's rhs takes its eta panel from
-# _ETA_PANEL_MIN_POINTS on.  Runs of ``scripts/batch_threshold.py`` on a shared
-# 2-core x86-64 VM, each sweep starting with no kernel tables, as in a fresh
-# process, batched over scalar time: quadratures at 8 points 1.19-1.63, 12
-# points 0.89-1.12, 14 points 0.71-1.18, 15 points 0.68-0.99, 16 points
-# 0.64-0.95; the eta panel at 8 points 0.42-0.47.
+# ladder, and from _ETA_PANEL_MIN_POINTS on eq15's rhs its eta panel.  Batched over
+# scalar time (``scripts/batch_threshold.py``, each sweep from empty kernel tables,
+# shared 2-core x86-64 VM): quadratures at 8 points 1.19-1.63, 12 0.89-1.12, 14
+# 0.71-1.18, 15 0.68-0.99; the eta panel at 8 points 0.42-0.47.
 _BATCH_MIN_POINTS = 15
 _ETA_PANEL_MIN_POINTS = 8
 

@@ -94,7 +94,7 @@ def reduced_integrand_plus(s: complex, t: float) -> complex:
     into the power so that neither factor over- or underflows at the
     deepest quadrature nodes.
     """
-    return _kernel(_PLUS, s)(t)
+    return _PLUS.kernel(s)(t)
 
 
 def _plus_form(t: float) -> tuple[int, float, float, float]:
@@ -166,7 +166,7 @@ def reduced_integrand_minus(s: complex, t: float) -> complex:
     small-t branch mirrors the plus kernel's overflow-safe split.  Where
     e**t overflows it is t**s (t - 1) e**(-t/2) e**(-t/2).
     """
-    return _kernel(_MINUS, s)(t)
+    return _MINUS.kernel(s)(t)
 
 
 def _minus_form(t: float) -> tuple[int, float, float, float]:
@@ -189,8 +189,7 @@ def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     small = t < 0.5
     large = t > 709.782712893384  # e**t overflows, as in the scalar form
     with np.errstate(over="ignore"):
-        em1 = np.expm1(t)
-        half = np.exp(-0.5 * t)
+        em1, half = np.expm1(t), np.exp(-0.5 * t)
         num = np.where(large, (t - 1.0) * half, np.expm1(-t) + t)
         num[small] = _residual_series(t[small])
         # multiplying or dividing by 1.0 is exact: each branch keeps its
@@ -217,7 +216,7 @@ def fermi_dirac_integrand(s: complex, t: float) -> complex:
     Above t = 40 it is formed as t**(s-1) e**-t / (1 + e**-t), which
     keeps e**t from overflowing at the far end of the range.
     """
-    return _kernel(_FERMI_DIRAC, s)(t)
+    return _FERMI_DIRAC.kernel(s)(t)
 
 
 def _fermi_dirac_form(t: float) -> tuple[int, float, float, float]:
@@ -276,6 +275,9 @@ class _Family(NamedTuple):
         # the form of t**(s+c) (psi(t) - psi0), the kernel subtracted on (0, 1)
         return 0, self.psi(t) - self.psi0, 1.0, 1.0
 
+    def kernel(self, s: complex) -> PowerKernel:
+        return PowerKernel(self.form, tuple(complex(s) + c for c in self.offsets))
+
 
 _PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, reduced_integrand_plus_array,
                 _plus_form, (0.0, 2.0))
@@ -283,10 +285,6 @@ _MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, reduced_integrand_minus_array,
                  _minus_form, (0.0, 1.0))
 _FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integrand_array,
                        _fermi_dirac_form, (-1.0,))
-
-
-def _kernel(family: _Family, s: complex) -> PowerKernel:
-    return PowerKernel(family.form, tuple(complex(s) + c for c in family.offsets))
 
 
 # Distance Re(s) - edge below which the singular part is subtracted.
@@ -303,7 +301,7 @@ def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
     s = complex(s)
     if s.real <= family.edge + 0.01:
         raise DomainError(f"outside Re(s) > {family.edge:g}")
-    far = _kernel(family, s)
+    far = family.kernel(s)
     if s.real - family.edge >= _SUBTRACT_BELOW:
         return integrate_semi_infinite(far, tol, s.real + family.shift)
     power = s + family.c

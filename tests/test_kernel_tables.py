@@ -8,6 +8,8 @@ at every node, and over the explicit kernel bodies the forms replaced.
 
 import cmath
 import math
+import sys
+import threading
 
 import pytest
 
@@ -86,7 +88,7 @@ def three_ways(family, part, s, a, b, tol):
             outcome(lambda t: _power(t, power) * (f.psi(t) - f.psi0), a, b, tol),
         ]
     return [
-        outcome(integral_forms._kernel(f, s), a, b, tol),
+        outcome(f.kernel(s), a, b, tol),
         outcome(lambda t: public(s, t), a, b, tol),
         outcome(lambda t: reference(s, t), a, b, tol),
     ]
@@ -136,7 +138,7 @@ class TestTabulatedLadder:
         points = (1e-300, 1e-5, 0.3, 0.4999999, 0.5, 1.7, 39.9, 40.5, 300.0, 709.5, 709.9, 900.0)
         checked = 0
         for f, s in cases:
-            kernels = [(integral_forms._kernel(f, s), points),
+            kernels = [(f.kernel(s), points),
                        (PowerKernel(f.near, (s + f.c,)), [x for x in points if x < 1.0])]
             for kernel, xs in kernels:
                 for x0 in xs:
@@ -167,7 +169,7 @@ class TestTabulatedLadder:
             return walk(f, a, b, level, thresh)
 
         s = complex(-2.98, 0.5)
-        kernel = integral_forms._kernel(integral_forms._PLUS, s)
+        kernel = integral_forms._PLUS.kernel(s)
         core_numerics._tables.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core_numerics, "_walk_level", recording)
@@ -187,6 +189,35 @@ class TestTabulatedLadder:
         assert 0 < held <= core_numerics._TABLE_NODES
         assert (form, core_numerics._TABLE_LEVELS, 0.0, 290.0) in core_numerics._tables
         assert (form, core_numerics._TABLE_LEVELS, 0.0, 50.0) not in core_numerics._tables
+
+    def test_concurrent_builds_evict_without_error(self, monkeypatch):
+        # threads switching often, each inserting and evicting tables while
+        # the others iterate the cache
+        form = integral_forms._FERMI_DIRAC.form
+        monkeypatch.setattr(core_numerics, "_TABLE_NODES", 100)
+        errors = []
+
+        def build(offset):
+            try:
+                for T in range(50 + offset, 6000, 4):
+                    core_numerics._table(form, 2, 0.0, float(T))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        held = sum(len(hi) + len(lo) for hi, lo in list(core_numerics._tables.values()))
+        assert held <= core_numerics._TABLE_NODES + 4 * max(
+            len(hi) + len(lo) for hi, lo in list(core_numerics._tables.values()))
 
     def test_no_table_is_built_at_import(self):
         code = ("import eulerlab, eulerlab.cli\n"
