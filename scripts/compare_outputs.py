@@ -9,12 +9,12 @@ in a fresh subprocess: ``all`` as text, json and csv; every ``const``
 (name, method) pair with its default ``--n`` in the same three formats,
 and the series routes at the ``--n`` of ``CONST_N`` as json;
 ``verify`` as json and csv at the points of ``VERIFY_POINTS``; the
-grids of ``GRIDS`` as json and csv (csv does not go through the JSON
-writer, so a grid that differs in json alone isolates the writer from
-a value change); and ``eval`` of every
-function at the points of ``EVAL_POINTS`` as json and csv.  It compares
-stdout and the exit code of every command and exits 1 if any differ,
-naming each differing command.
+grids of ``GRIDS`` as text, json and csv (csv does not go through the
+JSON writer, so a grid that differs in json alone isolates the writer
+from a value change); and ``eval`` of every function at the points of
+``EVAL_POINTS`` as json and csv: 122 commands.  It compares stdout and
+the exit code of every command and exits 1 if any differ, naming each
+differing command.
 A refactor that must keep the numbers unchanged passes this check.
 """
 
@@ -104,7 +104,7 @@ COMMANDS = (
     + [
         ["grid", token, re, im, f"--format={fmt}"]
         for token, re, im in GRIDS
-        for fmt in ("json", "csv")
+        for fmt in FORMATS
     ]
     + [
         ["eval", function, s, f"--format={fmt}"]

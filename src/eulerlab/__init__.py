@@ -2,6 +2,8 @@
 classical identities around Euler's constant, ln(4/pi), the
 Glaisher-Kinkelin constant, and the alternating zeta function."""
 
+from types import ModuleType as _ModuleType
+
 from .core_numerics import (
     ProductIntegrand,
     QuadratureResult,
@@ -69,58 +71,7 @@ from .special_functions import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantEstimate",
-    "DomainError",
-    "EulerLabError",
-    "I_minus",
-    "I_plus",
-    "I_plus_many",
-    "Identity",
-    "IllConditionedError",
-    "IntegrandError",
-    "PoleError",
-    "ProductIntegrand",
-    "QuadratureResult",
-    "SeriesResult",
-    "SignedKernel",
-    "SkippedPoint",
-    "VerificationReport",
-    "all_passed",
-    "beukers_reduced",
-    "eta",
-    "eta_many",
-    "eta_prime",
-    "euler_formula_gamma",
-    "euler_gamma_series",
-    "fermi_dirac",
-    "fermi_dirac_integrand",
-    "gamma",
-    "glaisher_limit",
-    "glaisher_zeta",
-    "grid",
-    "integrand_2d",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "integrate_semi_infinite_many",
-    "integrate_unit_square",
-    "list_identities",
-    "ln2_series",
-    "ln_4_over_pi",
-    "reduced_integrand_minus",
-    "reduced_integrand_plus",
-    "reduced_integrand_plus_array",
-    "rhs_eq12",
-    "rhs_eq15",
-    "rhs_eq15_many",
-    "stirling_ratio",
-    "sum_series",
-    "termwise_series_oracle",
-    "verify",
-    "verify_all",
-    "wallis_partial",
-    "zeta",
-    "zeta_minus_pole",
-    "zeta_prime",
-    "__version__",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

@@ -2,17 +2,18 @@
 
 Exit codes: 0 on success/pass, 1 when a verification fails or an
 evaluation hits a pole, 2 on usage errors (unknown tokens, malformed
-arguments, out-of-domain parameters).  Output goes to stdout; with
---out PATH the identical bytes are also written to the file.  Values in
-text output carry 15 significant digits; json/csv use full double
-precision and are byte-stable across runs.
+arguments, out-of-domain parameters, an --out PATH that cannot be
+written).  Output goes to stdout; with --out PATH the identical bytes
+are also written to the file.  Values in text output carry 15
+significant digits; json/csv use full double precision and are
+byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
+import dataclasses
 import math
 import re as _re
 import sys
@@ -181,21 +182,10 @@ def cmd_eval(args) -> tuple[int, str, str]:
         value = getattr(special_functions, args.function)(s)
     except (PoleError, IllConditionedError) as exc:
         return 1, "", f"{exc}\n"
-    if args.format == "json":
-        payload = {
-            "function": args.function,
-            "s": {"re": s.real, "im": s.imag},
-            "value": {"re": value.real, "im": value.imag},
-        }
-        out = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        out = (
-            "function,s_re,s_im,value_re,value_im\n"
-            f"{args.function},{s.real!r},{s.imag!r},{value.real!r},{value.imag!r}\n"
-        )
-    else:
-        out = fmt_complex(value) + "\n"
-    return 0, out, ""
+    if args.format != "text":
+        record = {"function": args.function, "s": s, "value": complex(value)}
+        return 0, identity_engine._record_output(record, args.format), ""
+    return 0, fmt_complex(value) + "\n", ""
 
 
 def _const_estimate(name: str, method: str | None, n: int | None):
@@ -209,27 +199,14 @@ def _const_estimate(name: str, method: str | None, n: int | None):
 
 def cmd_const(args) -> tuple[int, str, str]:
     est = _const_estimate(args.name, args.method, args.n)
+    if args.format != "text":
+        record = {"name": args.name, **dataclasses.asdict(est)}
+        return 0, identity_engine._record_output(record, args.format), ""
     bound = "unknown" if est.error_bound is None else fmt_real(est.error_bound)
-    if args.format == "json":
-        payload = {
-            "name": args.name,
-            "value": est.value,
-            "method": est.method,
-            "terms_or_n": est.terms_or_n,
-            "error_bound": est.error_bound,
-        }
-        out = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        eb = "" if est.error_bound is None else repr(est.error_bound)
-        out = (
-            "name,value,method,terms_or_n,error_bound\n"
-            f"{args.name},{est.value!r},{est.method},{est.terms_or_n},{eb}\n"
-        )
-    else:
-        out = (
-            f"{args.name} = {fmt_real(est.value)}"
-            f" (method={est.method}, n={est.terms_or_n}, bound={bound})\n"
-        )
+    out = (
+        f"{args.name} = {fmt_real(est.value)}"
+        f" (method={est.method}, n={est.terms_or_n}, bound={bound})\n"
+    )
     return 0, out, ""
 
 
@@ -332,8 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     if err:
         sys.stderr.write(err)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(out)
+        except OSError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     return code
 
 

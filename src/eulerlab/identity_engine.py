@@ -9,7 +9,8 @@ pass/fail is decided by absolute error against the identity's
 tolerance, and a route whose quadrature did not converge fails.  All
 evaluation is deterministic: the random panels for the
 functional-equation and product-relation checks are drawn from a fixed
-seed.
+seed.  A new report field is an attribute of ``VerificationReport`` and
+a row of ``_FIELDS``, the table JSON and CSV are written from.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import json
 import math
 import random
 import time
+import types
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from . import constants, core_numerics, integral_forms, special_functions
 from .errors import DomainError, EulerLabError, PoleError
@@ -93,6 +95,7 @@ class SkippedPoint:
     id: str
     s: complex
     reason: str
+    skipped: ClassVar[bool] = True
 
 
 def _quad_tol(tol: float) -> float:
@@ -595,117 +598,119 @@ def all_passed(entries: Iterable[VerificationReport | SkippedPoint]) -> bool:
 
 # --- serialization ---------------------------------------------------------
 
-def _complex_dict(z: complex | None) -> dict[str, float] | None:
-    return None if z is None else {"re": z.real, "im": z.imag}
+# Every field an entry writes, in order: (attribute, JSON key, whether it is a
+# CSV column, kind); an entry writes those its class has.  report_to_dict,
+# to_json, CSV_HEADER and to_csv follow from it: a new field is added here alone.
+_FIELDS = (
+    ("id", "id", True, str),
+    ("s", "s", True, complex),
+    ("lhs", "lhs", True, complex),
+    ("rhs", "rhs", True, complex),
+    ("abs_err", "abs_err", True, float),
+    ("rel_err", "rel_err", True, float),
+    ("tol", "tol", True, float),
+    ("passed", "pass", True, bool),
+    ("lhs_route", "lhs_route", False, str),
+    ("rhs_route", "rhs_route", False, str),
+    ("evaluations", "evaluations", False, int),
+    ("skipped", "skipped", False, bool),
+    ("reason", "reason", False, str),
+)
+# ClassVars count as fields here; elapsed is not in the table.
+_WRITTEN = {
+    cls: tuple(field for field in _FIELDS if field[0] in cls.__dataclass_fields__)
+    for cls in (VerificationReport, SkippedPoint)
+}
 
 
 def report_to_dict(entry: VerificationReport | SkippedPoint) -> dict:
     """JSON-ready dict; elapsed is omitted so outputs stay byte-stable."""
-    if isinstance(entry, SkippedPoint):
-        return {
-            "id": entry.id,
-            "s": _complex_dict(entry.s),
-            "skipped": True,
-            "reason": entry.reason,
-        }
-    return {
-        "id": entry.id,
-        "s": _complex_dict(entry.s),
-        "lhs": _complex_dict(entry.lhs),
-        "rhs": _complex_dict(entry.rhs),
-        "abs_err": entry.abs_err,
-        "rel_err": entry.rel_err,
-        "tol": entry.tol,
-        "pass": entry.passed,
-        "lhs_route": entry.lhs_route,
-        "rhs_route": entry.rhs_route,
-        "evaluations": entry.evaluations,
-    }
+    values = ((key, getattr(entry, attr)) for attr, key, _, _ in _WRITTEN[type(entry)])
+    return {key: {"re": x.real, "im": x.imag} if isinstance(x, complex) else x for key, x in values}
 
 
-def _json_template(keys: tuple[str, ...]) -> str:
-    return "  {\n" + ",\n".join(f'    "{key}": %s' for key in keys) + "\n  }"
-
-
-# to_json writes report_to_dict's fixed shape through these templates:
-# json.dumps(indent=2) runs the standard library's pure-Python encoder.
-_JSON_REPORT = _json_template((
-    "id", "s", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass",
-    "lhs_route", "rhs_route", "evaluations",
-))
-_JSON_SKIPPED = _json_template(("id", "s", "skipped", "reason"))
-_JSON_COMPLEX = '{\n      "re": %s,\n      "im": %s\n    }'
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_COMPLEX = '{\n      "re": %s,\n      "im": %s\n    }'
+_BOOL = {True: "true", False: "false"}
 
 
-def _json_scalar(x: float | int | bool | None) -> str:
-    # what json.dumps writes for one float, int, bool or None
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _JSON_SPECIAL.get(text, text)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return int.__repr__(x)
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_SPECIAL.get(text, text)
 
 
-def _json_complex(z: complex | None) -> str:
-    if z is None:
-        return "null"
-    return _JSON_COMPLEX % (_json_scalar(z.real), _json_scalar(z.imag))
+# kind: (the text json.dumps(indent=2) writes for a value in an entry of a
+# list, the value's CSV cells joined by commas).
+_WRITERS = {
+    str: (json.encoder.encode_basestring_ascii, str),
+    complex: (
+        lambda z: _JSON_COMPLEX % (_json_float(z.real), _json_float(z.imag)),
+        lambda z: f"{z.real!r},{z.imag!r}",
+    ),
+    float: (_json_float, repr),
+    bool: (_BOOL.__getitem__, _BOOL.__getitem__),
+    int: (int.__repr__, repr),
+}
+
+
+def _writer(fields: Sequence[tuple], fmt: int, join: Callable) -> Callable[[Any], str]:
+    # join of an entry's fields, each written by its kind's writer for fmt (0
+    # JSON, 1 CSV), or as null or empty cells where it is None (the only value
+    # of a kind without writers).  Made from source text, as dataclasses makes
+    # __init__, it costs what a hand-written writer does; a loop is slower.
+    nulls = ["null" if fmt == 0 else "," * (len(_columns([f])) - 1) for f in fields]
+    writers = [_WRITERS.get(kind, (None, None))[fmt] for *_, kind in fields]
+    values = [f"e.{attr}" for attr, *_ in fields]
+    calls = "".join(f"n[{i}] if {v} is None else w[{i}]({v}), " for i, v in enumerate(values))
+    return eval(f"lambda e: join(({calls}))", {"join": join, "w": writers, "n": nulls})
+
+
+def _json_writer(fields: Sequence[tuple]) -> Callable[[Any], str]:
+    # an entry of a list, as json.dumps(indent=2) writes it
+    pairs = ",\n".join(f"    {json.dumps(key)}: %s" for _, key, _, _ in fields)
+    return _writer(fields, 0, f"  {{\n{pairs}\n  }}".__mod__)
+
+
+def _columns(fields: Iterable[tuple]) -> list[str]:
+    return [
+        column for _, key, is_column, kind in fields if is_column
+        for column in ([f"{key}_re", f"{key}_im"] if kind is complex else [key])
+    ]
+
+
+def _record_output(record: dict, fmt: str) -> str:
+    # One record as a JSON object (fmt "json") or as a CSV header and row,
+    # each value written as a report field of its type is.
+    fields = [(key, key, True, type(x)) for key, x in record.items()]
+    values = types.SimpleNamespace(**record)
+    if fmt == "json":
+        # json.dumps indents each level by two spaces, and no value holds a
+        # raw newline: the object alone is the list entry, two spaces in.
+        return _json_writer(fields)(values).replace("\n  ", "\n")[2:] + "\n"
+    return ",".join(_columns(fields)) + "\n" + _writer(fields, 1, ",".join)(values) + "\n"
+
+
+# json.dumps(indent=2) runs the standard library's pure-Python encoder, so
+# to_json writes report_to_dict's shapes through these instead.
+_JSON_ENTRY = {cls: _json_writer(fields) for cls, fields in _WRITTEN.items()}
+_CSV_ENTRY = {
+    cls: _writer([f for f in fields if f[2]], 1, ",".join) for cls, fields in _WRITTEN.items()
+}
+CSV_HEADER = ",".join(_columns(_FIELDS))
+# A skipped point's row ends in empty cells, then "skipped" under pass.
+_SKIPPED_TAIL = "," * (len(_columns(_FIELDS)) - len(_columns(_WRITTEN[SkippedPoint]))) + "skipped"
 
 
 def to_json(entries: Sequence[VerificationReport | SkippedPoint]) -> str:
     """``json.dumps([report_to_dict(e) for e in entries], indent=2)``, byte for byte."""
     if not entries:
         return "[]"
-    text = json.encoder.encode_basestring_ascii
-    items = []
-    for e in entries:
-        if isinstance(e, SkippedPoint):
-            items.append(
-                _JSON_SKIPPED % (text(e.id), _json_complex(e.s), "true", text(e.reason))
-            )
-            continue
-        items.append(_JSON_REPORT % (
-            text(e.id), _json_complex(e.s), _json_complex(e.lhs), _json_complex(e.rhs),
-            _json_scalar(e.abs_err), _json_scalar(e.rel_err), _json_scalar(e.tol),
-            _json_scalar(e.passed), text(e.lhs_route), text(e.rhs_route),
-            _json_scalar(e.evaluations),
-        ))
-    return "[\n" + ",\n".join(items) + "\n]"
-
-
-CSV_HEADER = "id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"
+    return "[\n" + ",\n".join([_JSON_ENTRY[type(e)](e) for e in entries]) + "\n]"
 
 
 def to_csv(entries: Sequence[VerificationReport | SkippedPoint]) -> str:
     lines = [CSV_HEADER]
-    for entry in entries:
-        if isinstance(entry, SkippedPoint):
-            lines.append(
-                f"{entry.id},{entry.s.real!r},{entry.s.imag!r},,,,,,,,skipped"
-            )
-            continue
-        s_re = "" if entry.s is None else repr(entry.s.real)
-        s_im = "" if entry.s is None else repr(entry.s.imag)
-        rel = "" if entry.rel_err is None else repr(entry.rel_err)
-        lines.append(
-            ",".join(
-                [
-                    entry.id,
-                    s_re,
-                    s_im,
-                    repr(entry.lhs.real),
-                    repr(entry.lhs.imag),
-                    repr(entry.rhs.real),
-                    repr(entry.rhs.imag),
-                    repr(entry.abs_err),
-                    rel,
-                    repr(entry.tol),
-                    "true" if entry.passed else "false",
-                ]
-            )
-        )
+    for e in entries:
+        row = _CSV_ENTRY[type(e)](e)
+        lines.append(row + _SKIPPED_TAIL if isinstance(e, SkippedPoint) else row)
     return "\n".join(lines) + "\n"

@@ -298,6 +298,9 @@ class TestExitCodeMatrix:
             (["eval", "zeta_prime", "1+1e-200i"], 2),
             (["eval", "eta", "0.5+1e308i"], 2),
             (["verify", "eq17", "--s=1+1e-310i"], 2),
+            # an --out path that cannot be written: no such directory, or a directory
+            (["verify", "eq3", "--format=json", "--out", "/nonexistent/dir/x.json"], 2),
+            (["verify", "eq3", "--out", "."], 2),
         ],
     )
     def test_matrix(self, capsys, argv, expected):
@@ -390,3 +393,44 @@ class TestOutOption:
         monkeypatch.chdir(tmp_path)
         run(capsys, "verify", "eq3")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_path_is_one_line_on_stderr(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "verify", "eq3", f"--out={tmp_path / target}")
+        assert code == 2
+        assert out.startswith("id:")
+        assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
+
+
+def json_record(capsys, *argv):
+    # the --format=json record, which must be what json.dumps(indent=2) writes
+    out = run(capsys, *argv, "--format=json")[1]
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+class TestRecordFormats:
+    # eval and const write one record; its csv row holds the json values
+    def test_eval_csv_matches_json(self, capsys):
+        argv = ["eval", "gamma", "0.5+1i"]
+        code, out, _ = run(capsys, *argv, "--format=csv")
+        header, row, end = out.split("\n")
+        assert (code, header, end) == (0, "function,s_re,s_im,value_re,value_im", "")
+        payload = json_record(capsys, *argv)
+        function, *numbers = row.split(",")
+        assert [function, *map(float, numbers)] == [
+            payload["function"], payload["s"]["re"], payload["s"]["im"],
+            payload["value"]["re"], payload["value"]["im"],
+        ]
+
+    @pytest.mark.parametrize("name,method", list(_CONST_METHODS))
+    def test_const_csv_matches_json(self, capsys, name, method):
+        argv = ["const", name, f"--method={method}"]
+        code, out, _ = run(capsys, *argv, "--format=csv")
+        header, row, end = out.split("\n")
+        assert (code, header, end) == (0, "name,value,method,terms_or_n,error_bound", "")
+        payload = json_record(capsys, *argv)
+        name_, value, method_, n, bound = row.split(",")
+        parsed = [name_, float(value), method_, int(n), None if bound == "" else float(bound)]
+        assert parsed == list(payload.values())

@@ -368,6 +368,72 @@ class TestThreeRouteConsistency:
         assert abs(quadrature - gamma_reference) <= 1e-9
 
 
+def reference_to_csv(entries):
+    # to_csv as it was written by hand, field by field, before the field table
+    lines = ["id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"]
+    for entry in entries:
+        if isinstance(entry, SkippedPoint):
+            lines.append(
+                f"{entry.id},{entry.s.real!r},{entry.s.imag!r},,,,,,,,skipped"
+            )
+            continue
+        s_re = "" if entry.s is None else repr(entry.s.real)
+        s_im = "" if entry.s is None else repr(entry.s.imag)
+        rel = "" if entry.rel_err is None else repr(entry.rel_err)
+        lines.append(
+            ",".join(
+                [
+                    entry.id,
+                    s_re,
+                    s_im,
+                    repr(entry.lhs.real),
+                    repr(entry.lhs.imag),
+                    repr(entry.rhs.real),
+                    repr(entry.rhs.imag),
+                    repr(entry.abs_err),
+                    rel,
+                    repr(entry.tol),
+                    "true" if entry.passed else "false",
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def odd_entries():
+    # the odd entries of test_json_writer_matches_dumps
+    return [
+        VerificationReport(
+            'q"\\\n\x01\u00e9\u2603', None, complex(math.nan, math.inf),
+            complex(-math.inf, -0.0), math.nan, None, 5e-324, True,
+            "tab\there", "\ud83d\ude00", 3, 0.0,
+        ),
+        SkippedPoint("eq15", complex(1e308, -0.0), 'within "radius"\\'),
+        VerificationReport("eq12", 1 + 2j, 1j, 1 + 0j, 0.0, math.inf, 1e-8,
+                           False, "", "", 0, 1.0),
+    ]
+
+
+def entries_strategy(hypothesis):
+    # the entries of test_property_json_writer_matches_dumps
+    st = hypothesis.strategies
+    real = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
+    )
+    number = st.builds(complex, real, real)
+    text = st.text(
+        st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f'), max_size=8
+    )
+    report = st.builds(
+        VerificationReport, text, st.none() | number, number, number, real,
+        st.none() | real, real, st.booleans(), text, text,
+        st.integers(0, 10**12), real,
+    )
+    skipped = st.builds(SkippedPoint, text, number, text)
+    return st.lists(report | skipped, max_size=4)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         entries = [verify("eq3"), verify("eq15", s=0.5 + 1j)]
@@ -448,3 +514,18 @@ class TestSerialization:
             assert row[10] == ("true" if report.passed else "false")
         skip_rows = [r for r in rows if r[-1] == "skipped"]
         assert len(skip_rows) == 1 and float(skip_rows[0][1]) == -1.0
+
+    def test_csv_writer_matches_the_hand_written_one(self):
+        assert engine.CSV_HEADER == "id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"
+        for entries in ([], odd_entries(), verify_all()):
+            assert to_csv(entries) == reference_to_csv(entries)
+
+    def test_property_csv_writer_matches_the_hand_written_one(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(entries_strategy(hypothesis))
+        def check(entries):
+            assert to_csv(entries) == reference_to_csv(entries)
+
+        check()
