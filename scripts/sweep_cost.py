@@ -17,8 +17,8 @@ faster.  Timing the two sides in alternation within a round keeps the
 load of a shared machine, which drifts over seconds, out of the ratio.
 
 It also prints, per case and side, the integrand elements (nodes x
-points) the family's array kernel evaluates in one call of the case, the
-number of kernel calls, of truncations (``core_numerics._truncation``
+points) the family's ``rows`` evaluate in one call of the case, the
+number of ``rows`` calls, of truncations (``core_numerics._truncation``
 calls) and of ``QuadratureResult`` objects made: counts that do not
 depend on the machine.
 """
@@ -43,7 +43,6 @@ SWEEPS = {
 # default points, and of eq18 over 12 points (its 4 default points stay
 # below the batch threshold, point by point).
 BATCHES = {"eq12": None, "eq15": None, "eq18": [complex(0.5 * k, 0.5) for k in range(1, 13)]}
-FAMILIES = ("_PLUS", "_MINUS", "_FERMI_DIRAC")
 
 
 def load(checkout: Path, name: str):
@@ -73,13 +72,13 @@ def cases(engine) -> dict:
 
 
 def counts(engine, call) -> tuple[int, int, int, int]:
-    """(integrand elements, kernel calls, truncations, quadrature results) of one call."""
+    """(integrand elements, rows calls, truncations, quadrature results) of one call."""
     package = engine.__name__.rpartition(".")[0]
     forms = sys.modules[package + ".integral_forms"]
     numerics = sys.modules[package + ".core_numerics"]
     result = numerics.QuadratureResult
     count = [0, 0, 0, 0]
-    saved = {name: getattr(forms, name) for name in FAMILIES}
+    saved_many = forms.integrate_semi_infinite_many
     saved_truncation, saved_init = numerics._truncation, result.__init__
 
     def counting(rows):
@@ -90,6 +89,10 @@ def counts(engine, call) -> tuple[int, int, int, int]:
 
         return wrapped
 
+    def many(rows, *args):
+        # the batched ladder, as every *_many route of integral_forms calls it
+        return saved_many(counting(rows), *args)
+
     def truncation(*args):
         count[2] += 1
         return saved_truncation(*args)
@@ -99,13 +102,11 @@ def counts(engine, call) -> tuple[int, int, int, int]:
         saved_init(*args, **kwargs)
 
     try:
-        for name, family in saved.items():
-            setattr(forms, name, family._replace(rows=counting(family.rows)))
+        forms.integrate_semi_infinite_many = many
         numerics._truncation, result.__init__ = truncation, init
         call()
     finally:
-        for name, family in saved.items():
-            setattr(forms, name, family)
+        forms.integrate_semi_infinite_many = saved_many
         numerics._truncation, result.__init__ = saved_truncation, saved_init
     return tuple(count)
 

@@ -53,7 +53,6 @@ from .integral_forms import (
     integrand_2d,
     reduced_integrand_minus,
     reduced_integrand_plus,
-    reduced_integrand_plus_array,
     rhs_eq12,
     rhs_eq15,
     rhs_eq15_many,

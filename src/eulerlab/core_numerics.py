@@ -13,14 +13,15 @@ after the other.  A ``PowerKernel``, x**e_k times factors free of its
 parameter, takes those factors from a bounded cache of tables, one per
 level and interval, and forms only the power per call.  Many
 integrals of one family (``integrate_semi_infinite_many``) take every
-level as points x nodes arrays, with the walk's evaluations, truncation
-and verdict; past level 0 a side reaches about twice the nodes it summed
-the level before, and rows with no stop there walk it again, whole.  It
-truncates once per distinct decay hint and adds the tail bounds to its
-result arrays, so each row's result, tail included, is built once.  An
-endpoint singularity whose exponent is close to -1 exhausts the ladder;
-callers that know its leading power subtract it and integrate the
-regular remainder (``integrate_semi_infinite_split``).
+level as points x nodes arrays, with the walk's evaluations, truncation,
+order of addition and verdict, so rows of the walk's integrand values
+give its results to the bit.  Past level 0 a side reaches about twice
+the nodes it summed the level before, and rows with no stop there walk
+it again, whole.  It truncates once per distinct decay hint and adds the
+tail bounds to its result arrays, so each row's result, tail included,
+is built once.  An endpoint singularity whose exponent is close to -1
+exhausts the ladder; callers that know its leading power subtract it and
+integrate the regular remainder (``integrate_semi_infinite_split``).
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def _walk_level(
 _BLOCK_ELEMENTS = 1 << 13
 
 
+def _abs(z: np.ndarray) -> np.ndarray:
+    # abs() of each element, the C library's hypot of its parts; numpy's
+    # complex abs, 8x faster, can differ from it in the last bit
+    return np.hypot(z.real, z.imag)
+
+
 @functools.cache
 def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (delta, weight, t) of _nodes(level) as arrays
@@ -289,6 +296,8 @@ def _walk_side(
     count of summed nodes, the unresolved tail (the last contribution
     (times h) of a row that ran out of nodes while still above thresh,
     else 0), and the rows left open: no stop within reach < valid.
+    The tail is abs()'s magnitude (_abs).  The stop test takes numpy's,
+    so a stop could move only for a contribution within an ulp of thresh.
     """
     x, w, t, valid = side
     fx = np.asarray(f(params, x[:reach]), dtype=complex)
@@ -303,7 +312,8 @@ def _walk_side(
     if bad.any():
         node = int(bad.any(axis=1).argmax())
         raise IntegrandError(f"integrand invalid: non-finite value at x={float(x[node])!r}")
-    tail = np.where(~paired & (reach == len(x)) & (mag[-1] >= thresh), mag[-1], 0.0)
+    last = _abs(contrib[-1]) * h
+    tail = np.where(~paired & (reach == len(x)) & (last >= thresh), last, 0.0)
     return np.where(kept, contrib, 0.0), summed, tail, ~paired & (reach < valid)
 
 
@@ -407,7 +417,7 @@ def _tanh_sinh_rows(
         current = level_sum * h if level == 0 else 0.5 * previous + level_sum * h
         total[active] = current
         if level >= 1:
-            estimate[active] = np.abs(current - previous)
+            estimate[active] = _abs(current - previous)
             if level >= 2:
                 done = (estimate[active] <= tols[active]) & (unresolved[active] == 0.0)
                 converged[active[done]] = True
@@ -539,8 +549,10 @@ def integrate_semi_infinite_many(
     ``f(params, x)`` returns the (len(x), len(params)) values of the
     integrand for each parameter at the nodes x.  Row i of the result is
     the integral for ``params[i]`` with ``decay_exponent_hints[i]``;
-    every row follows the single-integral ladder's rules, so it agrees
-    with ``integrate_semi_infinite`` up to rounding in the integrand and
+    every row follows the single-integral ladder's rules and order of
+    addition, so where f gives the single integrand's values bit for
+    bit, it is ``integrate_semi_infinite``'s result to the bit (unless a
+    contribution lies within an ulp of the stop threshold), and it
     raises the same errors.  Rows are refined together, in blocks of at
     most _BLOCK_ELEMENTS nodes x rows, so memory stays bounded at any
     refinement level.  The truncation runs once per distinct hint, and

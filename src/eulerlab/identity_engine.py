@@ -43,9 +43,10 @@ Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 # From this many points on, the eq12, eq15 and eq18 quadratures run the batched
 # ladder, and from _ETA_PANEL_MIN_POINTS on eq15's rhs its eta panel.  Batched over
 # scalar time (``scripts/batch_threshold.py``, each sweep from empty kernel tables,
-# shared 2-core x86-64 VM): quadratures at 8 points 1.19-1.63, 12 0.89-1.12, 14
-# 0.71-1.18, 15 0.68-0.99; the eta panel at 8 points 0.42-0.47.
-_BATCH_MIN_POINTS = 15
+# shared 2-core x86-64 VM): quadratures at 8 points 1.10-1.36, 12 0.96-1.14, 13
+# 0.89-1.08, 14 0.84-0.92; the eta panel at 8 points 0.42-0.47.  The first sets
+# speed alone: the batched quadratures return the scalar ones' results to the bit.
+_BATCH_MIN_POINTS = 14
 _ETA_PANEL_MIN_POINTS = 8
 
 
@@ -639,10 +640,17 @@ def _json_float(x: float) -> str:
     return _JSON_SPECIAL.get(text, text)
 
 
+def _csv_text(text: str) -> str:
+    # RFC 4180: a cell holding a comma, a quote, CR or LF is quoted, its quotes doubled
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # kind: (the text json.dumps(indent=2) writes for a value in an entry of a
 # list, the value's CSV cells joined by commas).
 _WRITERS = {
-    str: (json.encoder.encode_basestring_ascii, str),
+    str: (json.encoder.encode_basestring_ascii, _csv_text),
     complex: (
         lambda z: _JSON_COMPLEX % (_json_float(z.real), _json_float(z.imag)),
         lambda z: f"{z.real!r},{z.imag!r}",

@@ -26,8 +26,9 @@ The remainder behaves like t**(Re(s+c)+1) and is regular.  The subtracted
 term is elementary (no gamma, zeta or eta), so the quadrature routes stay
 independent of the closed forms they are checked against.
 ``I_plus_many``, ``I_minus_many`` and ``fermi_dirac_many`` evaluate every
-level of a sweep as points x nodes arrays through each family's array
-kernel.
+level of a sweep as points x nodes arrays built from the same
+parameter-free form of each kernel (``_Family.rows``), so each point's
+result is the scalar route's to the bit.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ _RESIDUAL_COEFFS = tuple(
 )
 
 
-def _residual_series(t: float | np.ndarray) -> float | np.ndarray:
-    # (e**-t - 1 + t) / t**2, for t < 0.5 (elementwise): Horner's rule
+def _residual_series(t: float) -> float:
+    # (e**-t - 1 + t) / t**2, for t < 0.5: Horner's rule
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _RESIDUAL_COEFFS
     acc = ((((((c12 * t + c11) * t + c10) * t + c9) * t + c8) * t + c7) * t + c6) * t
     return 0.5 * ((((((acc + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
@@ -107,17 +108,6 @@ def _plus_form(t: float) -> tuple[int, float, float, float]:
     return 0, math.expm1(-t) + t, 1.0, math.exp(t) + 1.0
 
 
-def _power_array(t: np.ndarray, s: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # _power(t[i], exponent[i, j]) in place, where column j belongs to the
-    # parameter s[j]: real s takes the real power, as in _power
-    real = s.imag == 0.0
-    real_exponents = exponent.real[:, real]
-    exponent *= np.log(t)[:, None]
-    np.exp(exponent, out=exponent)
-    exponent[:, real] = t[:, None] ** real_exponents
-    return exponent
-
-
 def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray):
     # values[i, j] * factors[0][i] * ... / divisor[i] in place, scaling the
     # real and imaginary parts separately, as complex-by-real products and
@@ -127,36 +117,6 @@ def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.n
         parts *= factor[:, None, None]
     parts /= divisor[:, None, None]
     return values
-
-
-def _array_arguments(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    if not (t > 0.0).all():
-        raise ValueError("t must be positive")
-    return s, t
-
-
-def reduced_integrand_plus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """reduced_integrand_plus at every (t[i], s[j]), as a (len(t), len(s)) array.
-
-    The same branches and operations as the scalar form, node by node:
-    below t = 0.5 the power is the folded t**(s+2) (forming t**s t**2
-    instead overflows at the deepest nodes), and real s takes the real
-    power.  Only the elementwise exp, log and power of numpy may round
-    differently from the math module's.
-    """
-    s, t = _array_arguments(s, t)
-    small = t < 0.5
-    large = t > 40.0
-    with np.errstate(over="ignore"):
-        et = np.exp(-t)
-        num = np.where(large, t - 1.0 + et, np.expm1(-t) + t)
-        num[small] = _residual_series(t[small])
-        extra = np.where(large, et, 1.0)
-        den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
-    power = _power_array(t, s, np.where(small[:, None], s + 2.0, s))
-    return _scale_rows(power, (num, extra), den)
 
 
 def reduced_integrand_minus(s: complex, t: float) -> complex:
@@ -177,27 +137,6 @@ def _minus_form(t: float) -> tuple[int, float, float, float]:
         half = math.exp(-0.5 * t)
         return 0, (t - 1.0) * half, half, 1.0
     return 0, math.expm1(-t) + t, 1.0, math.expm1(t)
-
-
-def reduced_integrand_minus_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """reduced_integrand_minus at every (t[i], s[j]), as a (len(t), len(s)) array.
-
-    The same branches and operations as the scalar form, as in
-    ``reduced_integrand_plus_array``.
-    """
-    s, t = _array_arguments(s, t)
-    small = t < 0.5
-    large = t > 709.782712893384  # e**t overflows, as in the scalar form
-    with np.errstate(over="ignore"):
-        em1, half = np.expm1(t), np.exp(-0.5 * t)
-        num = np.where(large, (t - 1.0) * half, np.expm1(-t) + t)
-        num[small] = _residual_series(t[small])
-        # multiplying or dividing by 1.0 is exact: each branch keeps its
-        # own operations
-        ratio = np.where(small, t / em1, np.where(large, half, 1.0))
-        den = np.where(small | large, 1.0, em1)
-    power = _power_array(t, s, np.where(small[:, None], s + 1.0, s))
-    return _scale_rows(power, (num, ratio), den)
 
 
 def integrand_2d(kernel: SignedKernel, s: complex, x: float, y: float) -> complex:
@@ -227,22 +166,6 @@ def _fermi_dirac_form(t: float) -> tuple[int, float, float, float]:
     return 0, 1.0, 1.0, math.exp(t) + 1.0
 
 
-def fermi_dirac_integrand_array(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """fermi_dirac_integrand at every (t[i], s[j]), as a (len(t), len(s)) array.
-
-    The same branches and operations as the scalar form, as in
-    ``reduced_integrand_plus_array``.
-    """
-    s, t = _array_arguments(s, t)
-    large = t > 40.0
-    with np.errstate(over="ignore"):
-        et = np.exp(-t)
-        extra = np.where(large, et, 1.0)
-        den = np.where(large, 1.0 + et, np.exp(t) + 1.0)
-    power = _power_array(t, s, np.repeat((s - 1.0)[None, :], len(t), axis=0))
-    return _scale_rows(power, (extra,), den)
-
-
 def _residual(t: float) -> float:
     # (e**-t - 1 + t) / t**2 for 0 < t < 1
     return _residual_series(t) if t < 0.5 else (math.expm1(-t) + t) / (t * t)
@@ -267,7 +190,6 @@ class _Family(NamedTuple):
     c: float  # on (0, 1) the kernel is t**(s+c) psi(t)
     psi: Callable[[float], float]  # regular at 0, where it tends to psi0
     psi0: float
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]  # the kernel as an array
     form: Callable  # the kernel is t**(s + offsets[k]) f1 f2 / d, (k, f1, f2, d) = form(t)
     offsets: tuple[float, ...]
 
@@ -278,13 +200,28 @@ class _Family(NamedTuple):
     def kernel(self, s: complex) -> PowerKernel:
         return PowerKernel(self.form, tuple(complex(s) + c for c in self.offsets))
 
+    def rows(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # The kernel at every (t[i], s[j]), as a (len(t), len(s)) array, with
+        # the form's factors, math.log and the power PowerKernel takes at each
+        # node, so every value equals kernel(s[j])(t[i]) (but for the sign of a
+        # zero part, which no ladder sum keeps).  numpy's complex exp rounds as
+        # cmath's does and float_power is the C library's pow, as float ** is;
+        # numpy's log and power round otherwise.
+        xs = t.tolist()
+        logs = np.array(list(map(math.log, xs)))  # ValueError for x <= 0
+        k, f1, f2, d = np.array(list(map(self.form, xs))).T
+        values = s + np.array(self.offsets)[k.astype(int), None]  # the exponents
+        real = s.imag == 0.0
+        powers = np.float_power(t[:, None], values.real[:, real])
+        values *= logs[:, None]
+        np.exp(values, out=values)
+        values[:, real] = powers
+        return _scale_rows(values, (f1, f2), d)
 
-_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, reduced_integrand_plus_array,
-                _plus_form, (0.0, 2.0))
-_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, reduced_integrand_minus_array,
-                 _minus_form, (0.0, 1.0))
-_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, fermi_dirac_integrand_array,
-                       _fermi_dirac_form, (-1.0,))
+
+_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, _plus_form, (0.0, 2.0))
+_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, _minus_form, (0.0, 1.0))
+_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, _fermi_dirac_form, (-1.0,))
 
 
 # Distance Re(s) - edge below which the singular part is subtracted.
@@ -361,10 +298,10 @@ def fermi_dirac(s: complex, tol: float) -> QuadratureResult:
 def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]:
     """I_plus at every point, refined together over points x nodes arrays.
 
-    Agrees with ``I_plus`` point by point (evaluation counts and
-    convergence included) up to the rounding of numpy's elementwise
-    functions; see ``core_numerics.integrate_semi_infinite_many``.
-    Points within _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
+    Agrees with ``I_plus`` point by point to the bit, evaluation counts
+    and convergence included: the rows are the scalar kernel's values;
+    see ``core_numerics.integrate_semi_infinite_many``.  Points within
+    _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
     """
     return _reduced_many(_PLUS, I_plus, points, tol)
 

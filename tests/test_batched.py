@@ -4,7 +4,9 @@ Sweeps of enough eq12, eq15 or eq18 points refine every point's
 quadrature together (``integral_forms.I_minus_many``, ``I_plus_many``,
 ``fermi_dirac_many``), and eq15 sums its eta panels at once
 (``rhs_eq15_many``); each must agree with the scalar route at every
-point, evaluation counts and convergence included.
+point, evaluation counts and convergence included.  The quadratures'
+rows come from the scalar kernels' own forms, so their values and error
+estimates are the scalar route's to the bit.
 """
 
 import functools
@@ -35,22 +37,19 @@ from eulerlab.integral_forms import (
     I_plus_many,
     eta_many,
     fermi_dirac_integrand,
-    fermi_dirac_integrand_array,
     reduced_integrand_minus,
-    reduced_integrand_minus_array,
     reduced_integrand_plus,
-    reduced_integrand_plus_array,
     rhs_eq15,
     rhs_eq15_many,
 )
 
 QUAD_TOL = 1e-9  # what eq15's default tolerance asks of its quadrature
 
-# (scalar kernel, array kernel, domain edge) per reduced family
+# (scalar kernel, the family whose rows the batch evaluates, domain edge)
 KERNELS = {
-    "plus": (reduced_integrand_plus, reduced_integrand_plus_array, -3.0),
-    "minus": (reduced_integrand_minus, reduced_integrand_minus_array, -2.0),
-    "fermi_dirac": (fermi_dirac_integrand, fermi_dirac_integrand_array, 0.0),
+    "plus": (reduced_integrand_plus, integral_forms._PLUS, -3.0),
+    "minus": (reduced_integrand_minus, integral_forms._MINUS, -2.0),
+    "fermi_dirac": (fermi_dirac_integrand, integral_forms._FERMI_DIRAC, 0.0),
 }
 
 # identity -> (scalar quadrature, its batch, lowest Re(s) of a test sweep)
@@ -61,12 +60,11 @@ QUADRATURES = {
 }
 
 
-def assert_same_quadrature(batched, scalar, scale=1.0):
-    # scale: the size of the values, for points where they are large
+def assert_same_quadrature(batched, scalar):
     assert batched.evaluations == scalar.evaluations
     assert batched.converged == scalar.converged
-    assert abs(batched.abs_error_estimate - scalar.abs_error_estimate) <= 1e-13 * scale
-    assert abs(batched.value - scalar.value) <= 1e-13 * scale
+    assert batched.abs_error_estimate == scalar.abs_error_estimate
+    assert batched.value == scalar.value
 
 
 def raw_scalar(s):
@@ -79,7 +77,7 @@ def raw_scalar(s):
 def raw_batch(points):
     # the batched ladder on the raw plus kernel, one row per point
     return integrate_semi_infinite_many(
-        reduced_integrand_plus_array, points, QUAD_TOL, [s.real + 1.0 for s in points]
+        integral_forms._PLUS.rows, points, QUAD_TOL, [s.real + 1.0 for s in points]
     )
 
 
@@ -127,45 +125,68 @@ def complex_bits(z):
 
 
 @pytest.mark.parametrize("family", sorted(KERNELS))
-class TestArrayKernel:
+class TestRows:
     def test_matches_scalar_kernel_on_every_branch(self, family):
-        scalar, array, edge = KERNELS[family]
+        scalar, batch, edge = KERNELS[family]
         # offsets from the domain edge, real and complex
         s = edge + np.array([3.5 + 1j, 0.5 + 0.3j, 5.0 + 0j, 1.8 + 0j,
                              0.02 + 1j, 0.3 + 0j, 1.7 + 1.7j, 2.2 + 0j])
         t = np.array([1e-279, 1e-250, 1e-6, 0.3, 0.4999, 0.5, 1.0, 39.0, 40.0, 40.5, 55.0, 70.0])
-        values = array(s, t)
+        values = batch.rows(s, t)
         assert values.shape == (len(t), len(s))
         for i, ti in enumerate(t):
             for j, sj in enumerate(s):
-                expected = scalar(sj, ti)
-                assert abs(values[i, j] - expected) <= 1e-15 * max(1.0, abs(expected))
+                assert values[i, j] == scalar(sj, ti)
 
     @pytest.mark.parametrize("offset", [0.02 + 1j, 0.0101 + 1j])
     def test_folded_power_stays_finite_at_the_deepest_nodes(self, family, offset):
         # t**s alone overflows here next to the edge of the plus and minus
         # families; their folded powers t**(s+2) and t**(s+1) do not
-        _, array, edge = KERNELS[family]
-        values = array(np.array([edge + offset]), np.array([1e-279]))
+        _, batch, edge = KERNELS[family]
+        values = batch.rows(np.array([edge + offset]), np.array([1e-279]))
         assert np.isfinite(values).all()
+
+    def test_property_rows_are_the_kernel_at_ladder_nodes(self, family):
+        # Real s takes float_power, the C library's pow that float ** calls,
+        # complex s numpy's exp, against cmath's.  Equal, not bit for bit:
+        # the sign of a zero part may differ, as Python's complex-by-float
+        # product adds a signed zero to each part; the ladder's sums add +0.0
+        # from level 0 on, so their bits agree.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalar, batch, edge = KERNELS[family]
+        offset = st.floats(integral_forms._SUBTRACT_BELOW, 8.0)
+        point = st.builds(complex, offset.map(lambda d: edge + d),
+                          st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0))
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(point, min_size=1, max_size=4), st.integers(0, 6),
+                          st.sampled_from([50.0, 60.0, 120.0, 750.0]))
+        def check(points, level, T):
+            x = np.concatenate([side[0][: side[3]] for side in core_numerics._level_sides(level, 0.0, T)])
+            with np.errstate(all="ignore"):
+                values = batch.rows(np.array(points), x)
+            expected = [[scalar(s, xi) for s in points] for xi in x.tolist()]
+            assert values.tolist() == expected
+
+        check()
 
     def test_rejects_non_positive_t(self, family):
         with pytest.raises(ValueError):
-            KERNELS[family][1](np.array([0.5]), np.array([0.0, 1.0]))
+            KERNELS[family][1].rows(np.array([0.5]), np.array([0.0, 1.0]))
 
 
-def test_minus_array_kernel_past_the_overflow_of_e_to_the_t():
+def test_minus_rows_past_the_overflow_of_e_to_the_t():
     # e**t overflows from t = 709.78, where the minus kernel takes e**(-t/2)
-    # twice; Re(s) about 100 keeps the values normal, so they compare
-    # relatively
+    # twice; Re(s) about 100 keeps the values normal
     s = np.array([100.0 + 0j, 102.4 + 0j, 60.0 + 0j, 100.0 + 3j])
     t = np.array([709.7827128933841, 709.79, 710.0, 720.3, 745.5, 800.0, 999.0])
-    values = reduced_integrand_minus_array(s, t)
+    values = integral_forms._MINUS.rows(s, t)
     for i, ti in enumerate(t):
         for j, sj in enumerate(s):
             expected = reduced_integrand_minus(sj, ti)
             assert abs(expected) > 1e-300
-            assert abs(values[i, j] - expected) <= 1e-15 * abs(expected)
+            assert values[i, j] == expected
 
 
 class TestBatchedLadder:
@@ -204,8 +225,7 @@ class TestBatchedLadder:
         points = [103.0, 103.5, 104.0]
         assert all(core_numerics._truncation(QUAD_TOL, s + 1.0)[0] > 710.0 for s in points)
         for s, batched in zip(points, I_minus_many(points, QUAD_TOL)):
-            scalar = I_minus(s, QUAD_TOL)
-            assert_same_quadrature(batched, scalar, scale=abs(scalar.value))
+            assert_same_quadrature(batched, I_minus(s, QUAD_TOL))
 
     def test_row_unconverged_at_max_level_beside_converged_rows(self):
         # next to the domain edge the tail at t -> 0 is never resolved
@@ -260,8 +280,7 @@ class TestBatchedLadder:
         # here), and the values reach 1e3
         points = [0.5 + 0j, 5.5 + 0.5j, 6.0 + 0j]
         for s, batched in zip(points, I_plus_many(points, QUAD_TOL)):
-            scalar = I_plus(s, QUAD_TOL)
-            assert_same_quadrature(batched, scalar, max(1.0, abs(scalar.value)))
+            assert_same_quadrature(batched, I_plus(s, QUAD_TOL))
 
 
 class TestBatchBookkeeping:
@@ -286,15 +305,15 @@ class TestBatchBookkeeping:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_point_bookkeeping_bit_for_bit(self, case):
         points, hints, tol = self.CASES[case]
-        batched = integrate_semi_infinite_many(reduced_integrand_plus_array, points, tol, hints)
-        expected = per_point_many(reduced_integrand_plus_array, points, tol, hints)
+        batched = integrate_semi_infinite_many(integral_forms._PLUS.rows, points, tol, hints)
+        expected = per_point_many(integral_forms._PLUS.rows, points, tol, hints)
         assert [bits(r) for r in batched] == [bits(r) for r in expected]
 
     def test_case_premises(self):
         cuts = [core_numerics._truncation(QUAD_TOL, p) for p in self.CASES["two truncation points"][1]]
         assert len({T for T, _, _ in cuts}) == 2
         points, hints, tol = self.CASES["nan hints"]
-        results = integrate_semi_infinite_many(reduced_integrand_plus_array, points, tol, hints)
+        results = integrate_semi_infinite_many(integral_forms._PLUS.rows, points, tol, hints)
         assert [math.isnan(r.abs_error_estimate) for r in results] == [True, False, True, True]
         assert [r.converged for r in results] == [False, True, False, False]
 
@@ -308,7 +327,7 @@ class TestBatchBookkeeping:
 
         monkeypatch.setattr(core_numerics, "_truncation", counting)
         points, hints, _ = self.CASES["repeated hints"]
-        integrate_semi_infinite_many(reduced_integrand_plus_array, points, QUAD_TOL, hints)
+        integrate_semi_infinite_many(integral_forms._PLUS.rows, points, QUAD_TOL, hints)
         assert seen == [1.5, 2.5, 0.0]
 
     @pytest.mark.parametrize("n_points", [3, 2, 5])
@@ -317,14 +336,14 @@ class TestBatchBookkeeping:
         hints = [1.5, 500.0, 400.0]
         for many in (integrate_semi_infinite_many, per_point_many):
             with pytest.raises(DomainError, match=r"decay exponent 500\.0$"):
-                many(reduced_integrand_plus_array, points, QUAD_TOL, hints)
+                many(integral_forms._PLUS.rows, points, QUAD_TOL, hints)
 
     def test_length_mismatch_raises_value_error(self):
         for many in (integrate_semi_infinite_many, per_point_many):
             with pytest.raises(ValueError, match="one decay exponent hint per parameter"):
-                many(reduced_integrand_plus_array, [0.5 + 0j] * 3, QUAD_TOL, [1.5, 1.5])
+                many(integral_forms._PLUS.rows, [0.5 + 0j] * 3, QUAD_TOL, [1.5, 1.5])
             with pytest.raises(ValueError, match="one decay exponent hint per parameter"):
-                many(reduced_integrand_plus_array, [], QUAD_TOL, [1.5])
+                many(integral_forms._PLUS.rows, [], QUAD_TOL, [1.5])
 
     @pytest.mark.parametrize("name, edge", [("I_plus", -3.0), ("I_minus", -2.0), ("fermi_dirac", 0.0)])
     def test_mixed_subtracted_and_plain_points_keep_their_order(self, name, edge):
@@ -463,7 +482,8 @@ def grid_matches_verify(entries):
             continue
         single = verify(entry.id, entry.s, entry.tol)
         assert (entry.evaluations, entry.passed) == (single.evaluations, single.passed)
-        assert abs(entry.lhs - single.lhs) <= 1e-13
+        assert entry.lhs == single.lhs
+        # eq15's eta panel rounds as a matrix product, not as scalar eta
         assert abs(entry.rhs - single.rhs) <= 1e-13
 
 
@@ -474,6 +494,41 @@ class TestBatchedSweep:
     def test_grid_reports_match_verify(self, token, re_lo):
         entries = grid(token, (re_lo, 3.0, 0.35), (0.0, 2.0, 0.65))
         assert sum(isinstance(e, VerificationReport) for e in entries) >= engine._BATCH_MIN_POINTS
+        grid_matches_verify(entries)
+
+    # (identity, re range, im range, a node the rows pass, whether points
+    # within _SUBTRACT_BELOW of the edge are mixed in) of a sweep that crosses
+    # every branch of its kernel's form: a real row, nodes below t = 0.5 and
+    # past t = 40 (the minus form's last branch starts at t = 709.78)
+    BRANCH_SWEEPS = {
+        "eq15": ("eq15", (-2.9, 3.0, 0.25), (0.0, 1.0, 0.5), 40.0, True),
+        "eq12": ("eq12", (-1.9, 3.0, 0.25), (0.0, 1.0, 0.5), 40.0, True),
+        "eq12 past e**t overflow": ("eq12", (100.0, 104.0, 0.2), (0.0, 1.0, 1.0),
+                                    709.782712893384, False),
+        "eq18": ("eq18", (0.05, 3.0, 0.25), (0.0, 1.0, 0.5), 40.0, True),
+    }
+
+    @pytest.mark.parametrize("sweep", sorted(BRANCH_SWEEPS))
+    def test_sweep_across_every_branch_matches_verify(self, monkeypatch, sweep):
+        token, re_range, im_range, far, near = self.BRANCH_SWEEPS[sweep]
+        nodes = []
+        many = integral_forms.integrate_semi_infinite_many
+
+        def recording(rows, *args):
+            def recorded(params, x):
+                nodes.extend((x.min(), x.max()))
+                return rows(params, x)
+
+            return many(recorded, *args)
+
+        monkeypatch.setattr(integral_forms, "integrate_semi_infinite_many", recording)
+        entries = grid(token, re_range, im_range)
+        reports = [e for e in entries if isinstance(e, VerificationReport)]
+        assert len(reports) >= engine._BATCH_MIN_POINTS
+        assert any(e.s.imag == 0.0 for e in reports) and any(e.s.imag for e in reports)
+        assert min(nodes) < 0.5 and max(nodes) > far
+        edge = {"eq15": -3.0, "eq12": -2.0, "eq18": 0.0}[token]
+        assert any(e.s.real - edge < integral_forms._SUBTRACT_BELOW for e in reports) == near
         grid_matches_verify(entries)
 
     def test_registry_points_match_verify(self):

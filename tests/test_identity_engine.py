@@ -1,6 +1,8 @@
+import csv
 import functools
 import importlib
 import inspect
+import io
 import json
 import math
 import sys
@@ -368,13 +370,20 @@ class TestThreeRouteConsistency:
         assert abs(quadrature - gamma_reference) <= 1e-9
 
 
+def csv_text(text):
+    # a text cell as RFC 4180 writes it: quoted where it holds a comma, a
+    # quote, CR or LF, with each quote doubled
+    return '"%s"' % text.replace('"', '""') if set(text) & set(',"\r\n') else text
+
+
 def reference_to_csv(entries):
-    # to_csv as it was written by hand, field by field, before the field table
+    # to_csv as it was written by hand, field by field, before the field
+    # table, with its text cells quoted
     lines = ["id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"]
     for entry in entries:
         if isinstance(entry, SkippedPoint):
             lines.append(
-                f"{entry.id},{entry.s.real!r},{entry.s.imag!r},,,,,,,,skipped"
+                f"{csv_text(entry.id)},{entry.s.real!r},{entry.s.imag!r},,,,,,,,skipped"
             )
             continue
         s_re = "" if entry.s is None else repr(entry.s.real)
@@ -383,7 +392,7 @@ def reference_to_csv(entries):
         lines.append(
             ",".join(
                 [
-                    entry.id,
+                    csv_text(entry.id),
                     s_re,
                     s_im,
                     repr(entry.lhs.real),
@@ -514,6 +523,15 @@ class TestSerialization:
             assert row[10] == ("true" if report.passed else "false")
         skip_rows = [r for r in rows if r[-1] == "skipped"]
         assert len(skip_rows) == 1 and float(skip_rows[0][1]) == -1.0
+
+    def test_csv_text_cells_are_quoted(self):
+        # a comma, a quote or a line break in an id keeps the row's cells
+        report = VerificationReport('a,b"c\nd', 1 + 2j, 1j, 1 + 0j, 0.0, None, 1e-8,
+                                    True, "", "", 0, 0.0)
+        header, row = csv.reader(io.StringIO(to_csv([report])))
+        assert header == engine.CSV_HEADER.split(",")
+        assert len(row) == len(header)
+        assert row[0] == report.id
 
     def test_csv_writer_matches_the_hand_written_one(self):
         assert engine.CSV_HEADER == "id,s_re,s_im,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,tol,pass"
