@@ -13,10 +13,10 @@ round times the scalar route at every point and the ``*_many`` batch
 over all of them, one right after the other, alternating which goes
 first; timing the two in alternation within a round keeps the load of a
 shared machine, which drifts over seconds, out of the ratio.  Every timed
-call starts with the scalar ladder's kernel tables
-(``core_numerics._tables``) empty, as a sweep in a fresh process does;
-timing the same points again with warm tables would flatter the scalar
-route.  The script
+call starts with the kernel tables of both ladders
+(``core_numerics._tables`` and ``core_numerics._row_tables``) empty, as
+a sweep in a fresh process does; timing the same points again with warm
+tables would flatter the route that reads them.  The script
 prints, per family and size, the median milliseconds of each, the
 batched/scalar ratio of the medians, and the share of rounds in which
 the batch was faster.  The smallest n from which the batch is cheaper in
@@ -82,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = list(routes.items())
                 for route, call in order if i % 2 == 0 else order[::-1]:
                     core_numerics._tables.clear()
+                    core_numerics._row_tables.clear()
                     times[route].append(seconds(call))
             scalar, batched = (statistics.median(times[route]) for route in routes)
             wins = sum(b < a for a, b in zip(times["scalar"], times["batched"])) / args.rounds

@@ -6,10 +6,11 @@ Usage:
 
 Both checkouts' ``src/eulerlab`` packages are loaded into one process
 under two names, so that both sides share the interpreter, numpy and
-BLAS.  The cases are three ``grid`` sweeps (the 111 x 21 eq15 sweep of
-the ``grid_eq15`` benchmark workload, and eq12 and eq18 sweeps from
-next to their domain edges out to Re(s) = 4) and registry-sized batches
-of the eq12, eq15 and eq18 left-hand sides (``BATCHES``).  For each case each round times one call on each side,
+BLAS.  The cases are four ``grid`` sweeps (the 111 x 21 eq15 sweep of
+the ``grid_eq15`` benchmark workload, eq12 and eq18 sweeps from next to
+their domain edges out to Re(s) = 4, and an eq12 sweep at Re(s) 100-104
+whose ladders run to level 12) and registry-sized batches of the eq12,
+eq15 and eq18 left-hand sides (``BATCHES``).  For each case each round times one call on each side,
 alternating which side goes first; the script prints, per case, the
 median over rounds of each side's milliseconds, the change/parent ratio
 of the medians, and the share of rounds in which the change was
@@ -38,11 +39,13 @@ SWEEPS = {
     "grid eq15 111x21": ("eq15", (-2.5, 3.0, 0.05), (0.0, 2.0, 0.1)),
     "grid eq12 75x11": ("eq12", (-1.99, 4.0, 0.08), (0.0, 1.0, 0.1)),
     "grid eq18 80x11": ("eq18", (0.011, 4.0, 0.05), (0.0, 1.0, 0.1)),
+    "grid eq12 deep 21x2": ("eq12", (100.0, 104.0, 0.2), (0.0, 1.0, 1.0)),
 }
 # Registry-sized batches: the left-hand sides of eq12 and eq15 over their
-# default points, and of eq18 over 12 points (its 4 default points stay
-# below the batch threshold, point by point).
-BATCHES = {"eq12": None, "eq15": None, "eq18": [complex(0.5 * k, 0.5) for k in range(1, 13)]}
+# default points, and of eq18 over 16 points, at or above
+# identity_engine._BATCH_MIN_POINTS (its 4 default points run point by
+# point).
+BATCHES = {"eq12": None, "eq15": None, "eq18": [complex(0.5 * k, 0.5) for k in range(1, 17)]}
 
 
 def load(checkout: Path, name: str):

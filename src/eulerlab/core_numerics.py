@@ -15,22 +15,26 @@ level and interval, and forms only the power per call.  Many
 integrals of one family (``integrate_semi_infinite_many``) take every
 level as points x nodes arrays, with the walk's evaluations, truncation,
 order of addition and verdict, so rows of the walk's integrand values
-give its results to the bit.  Past level 0 a side reaches about twice
-the nodes it summed the level before, and rows with no stop there walk
-it again, whole.  It truncates once per distinct decay hint and adds the
-tail bounds to its result arrays, so each row's result, tail included,
-is built once.  An endpoint singularity whose exponent is close to -1
-exhausts the ladder; callers that know its leading power subtract it and
-integrate the regular remainder (``integrate_semi_infinite_split``).
+give its results to the bit.  ``PowerRows``, the PowerKernels of a family
+as rows, read the same factors from tables of their own, built by the
+same function over the nodes a sweep reaches, and form a block's powers
+from its distinct real and imaginary parts.  Past level 0 a side reaches
+twice the nodes it summed the level before, less one, and rows with no
+stop there walk it again, whole.  It truncates once per distinct decay
+hint and adds the tail bounds to its result arrays, so each row's
+result, tail included, is built once.  An endpoint singularity whose
+exponent is close to -1 exhausts the ladder; callers that know its
+leading power subtract it and integrate the regular remainder
+(``integrate_semi_infinite_split``).
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
-from itertools import repeat, takewhile, zip_longest
+from itertools import chain, repeat, takewhile, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +51,23 @@ _T_CAP = 6.3            # node offsets underflow beyond |t| ~ 6.2
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
+def _dict_init(cls):
+    # cls, a frozen dataclass without defaults, with an __init__ that fills
+    # __dict__ in one update; dataclass's sets each field through
+    # object.__setattr__ (QuadratureResult 0.87 against 0.60 us a record,
+    # VerificationReport 2.3 against 1.1 us).  Made from source text, as
+    # dataclasses makes its __init__.
+    names = [field.name for field in dataclasses.fields(cls)]
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    self.__dict__.update({', '.join(f'{n}={n}' for n in names)})", namespace)
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_dict_init
+@dataclasses.dataclass(frozen=True)
 class QuadratureResult:
     """Outcome of a numerical integration.
 
@@ -61,7 +81,7 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SeriesResult:
     """Partial sum of a series with the best available remainder bound.
 
@@ -154,12 +174,90 @@ class PowerKernel(NamedTuple):
         return _power(x, self.exponents[k]) * f1 * f2 / d
 
 
+class PowerRows(NamedTuple):
+    """The RowIntegrand of PowerKernel(form, s + offsets) at each parameter s.
+
+    Called as f(params, x) it evaluates form at x; the batched ladder
+    reads the factors from tables instead (``_row_table``).
+    """
+
+    form: Callable[[float], tuple]
+    offsets: tuple[float, ...]
+
+    def __call__(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.values(s, x, _factor_array(self.form, x.tolist()))
+
+    def values(self, s: np.ndarray, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        # The kernel at every (x[i], s[j]) from the factors (log x, k, f1, f2, d)
+        # at each node, with PowerKernel's operations, so every value equals
+        # PowerKernel's (but for the sign of a zero part, which no ladder sum
+        # keeps): float_power is the C library's pow, as float ** is, and
+        # numpy's complex exp rounds as cmath's does where the real part of
+        # the argument is at most 708.39 (above, cmath's scales by e).
+        logs, k, f1, f2, d = factors
+        e = np.array(self.offsets)[k.astype(np.intp)]  # each node's exponent offset
+        values = _complex_powers(s, e, logs)
+        real = s.imag == 0.0
+        if real.any():
+            values[:, real] = np.float_power(x[:, None], s.real[real] + e[:, None])
+        # times f1, times f2, over d, each part on its own, as a complex-by-real
+        # product and quotient take them
+        parts = values.view(float).reshape(*values.shape, 2)
+        parts *= f1[:, None, None]
+        parts *= f2[:, None, None]
+        parts /= d[:, None, None]
+        return values
+
+
+# Rows from which a block's complex powers may be formed from its distinct
+# real and imaginary parts (_complex_powers); sorting out the parts of fewer
+# costs more than it can save.
+_FACTOR_MIN_ROWS = 64
+
+
+def _complex_powers(s: np.ndarray, e: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    # exp((s + e) log x) at each node's (e, log x) for each complex s, as numpy's
+    # complex exp, the C library's cexp, gives it.  Where the real part of each
+    # argument is at most 708, cexp multiplies exp(Re) into cos(Im) and sin(Im)
+    # part by part; from the complex exp of a zero-imaginary argument and of a
+    # zero-real one these are its exp and sincos.  So where a block's rows share
+    # few distinct parts, each factor is taken once per node and distinct part.
+    if len(s) >= _FACTOR_MIN_ROWS:
+        re, re_at = np.unique(s.real, return_inverse=True)
+        im, im_at = np.unique(s.imag, return_inverse=True)
+        if 2 * (len(re) + len(im)) <= len(s):
+            scale = np.zeros((len(logs), len(re)), dtype=complex)
+            np.multiply(re + e[:, None], logs[:, None], out=scale.real)
+            if scale.real.max(initial=-math.inf) <= 708.0:
+                scale = np.take(np.exp(scale, out=scale).real, re_at, axis=1)
+                phase = np.zeros((len(logs), len(im)), dtype=complex)
+                np.multiply(im, logs[:, None], out=phase.imag)
+                values = np.take(np.exp(phase, out=phase), im_at, axis=1)
+                values.real *= scale
+                values.imag *= scale
+                return values
+    values = s + e[:, None]
+    values *= logs[:, None]
+    return np.exp(values, out=values)
+
+
 def _side(level: int, a: float, b: float, lo: bool) -> tuple[tuple, float, float]:
     # (nodes, edge, step) of one side of a level, whose nodes are at edge +
     # step * delta; level 0's lo side has no midpoint
     if lo:
         return _nodes(level)[1 if level == 0 else 0:], a, 0.5 * (b - a)
     return _nodes(level), b, -0.5 * (b - a)
+
+
+def _factors(form, xs: list[float]) -> list[tuple]:
+    # (log x, k, f1, f2, d) at each x, with math: the kernel tables of both ladders
+    return [(math.log(x), *form(x)) for x in xs]
+
+
+def _factor_array(form, xs: list[float]) -> np.ndarray:
+    # _factors at xs as a (5, len(xs)) array
+    flat = np.fromiter(chain.from_iterable(_factors(form, xs)), float, 5 * len(xs))
+    return flat.reshape(-1, 5).T
 
 
 # (form, level <= 5, where registry and near-edge ladders end, a, b) -> per side,
@@ -174,9 +272,9 @@ def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
         table = ([], [])
         for lo, entries in enumerate(table):
             nodes, edge, step = _side(level, a, b, bool(lo))
-            xs = takewhile(lambda x: a < x < b, (edge + step * delta for delta, _, _ in nodes))
-            entries += [(0.5 * (b - a) * weight, x, math.log(x), *form(x))
-                        for (_, weight, _), x in zip(nodes, xs)]
+            xs = list(takewhile(lambda x: a < x < b, (edge + step * d for d, _, _ in nodes)))
+            entries += [(0.5 * (b - a) * weight, x, *factors)
+                        for (_, weight, _), x, factors in zip(nodes, xs, _factors(form, xs))]
         _tables[key] = table
         held = sum(len(hi) + len(lo) for hi, lo in list(_tables.values()))
         for old in list(_tables):  # a snapshot: another thread may insert meanwhile
@@ -245,10 +343,13 @@ def _walk_level(
 
 # Nodes x rows of a block of the batched ladder: _BLOCK_ELEMENTS // (2 r)
 # rows, where r is the most nodes a side of them reaches (past level 0,
-# 2 c + 2 for c summed at the level before: each level halves the step).
-# Each complex working array stays at 128 KB or less on every level but
-# the deepest two, where one row alone exceeds it.
-_BLOCK_ELEMENTS = 1 << 13
+# 2 c - 1 for c summed at the level before: each level halves the step).
+# Each complex working array stays at 512 KB or less, one row's whole
+# sides at level 12 included.  No result depends on it.  Against 2**13, the
+# eq15, eq12 and eq18 sweeps of scripts/sweep_cost.py took 1.04-1.39 of the
+# time at 2**11, and 0.88-1.03 at 2**14 to 2**16 in 21 alternating rounds,
+# which do not order those three.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -279,42 +380,67 @@ def _level_sides(level: int, a: float, b: float) -> tuple[tuple, tuple]:
     return (x_hi, w, t, valid[0]), (x_lo, w[lo:], t[lo:], valid[1])
 
 
-def _walk_side(
-    f: RowIntegrand,
-    params: np.ndarray,
-    side: tuple[np.ndarray, np.ndarray, np.ndarray, int],
-    h: float,
-    thresh: np.ndarray,
-    reach: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first reach (2 <= reach <= valid) nodes of a side for a block of rows.
+# (form, level, a, b, side) -> the factors (log x, k, f1, f2, d) of PowerRows at
+# the first nodes of a side of the batched ladder, as far as its rows have
+# reached, as a (5, nodes) array.  The oldest go past 2**16 nodes, 40 B each:
+# the 111 x 21 eq15 sweep reaches 183, a ladder to level 12 about 11,000.
+_ROW_TABLE_NODES, _row_tables = 1 << 16, {}
 
-    Mirrors the per-side walk of _walk_level: a side stops before its
-    first node outside the interval, or after the second of two
-    consecutive contributions below thresh at t >= 1.  Returns the
-    contributions with everything past each row's stop zeroed, the
-    count of summed nodes, the unresolved tail (the last contribution
-    (times h) of a row that ran out of nodes while still above thresh,
-    else 0), and the rows left open: no stop within reach < valid.
-    The tail is abs()'s magnitude (_abs).  The stop test takes numpy's,
-    so a stop could move only for a contribution within an ulp of thresh.
+
+def _row_table(form, level: int, a: float, b: float, lo: int, x: np.ndarray, n: int):
+    # the factors at x[:n] (or more), the nodes of the side
+    table = _row_tables.get(key := (form, level, a, b, lo))
+    have = 0 if table is None else table.shape[1]
+    if table is None or have < n:  # extended whole before a concurrent caller can see it
+        new = _factor_array(form, x[have:n].tolist())
+        table = new if table is None else np.concatenate((table, new), axis=1)
+        _row_tables.pop(key, None)
+        _row_tables[key] = table
+        held = sum(table.shape[1] for table in list(_row_tables.values()))
+        for old in list(_row_tables):  # a snapshot: another thread may insert meanwhile
+            if held <= _ROW_TABLE_NODES:
+                break
+            gone = _row_tables.pop(old, None)
+            held -= 0 if gone is None else gone.shape[1]
+    return table
+
+
+def _walk_side(
+    fx: np.ndarray, side: tuple, h: float, thresh: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A side's first reach (2 <= reach <= valid) nodes for a block of rows.
+
+    fx holds the rows' integrand values at the reach nodes.  Mirrors the
+    per-side walk of _walk_level: a side stops before its first node
+    outside the interval, or after the second of two consecutive
+    contributions below thresh at t >= 1.  Writes the contributions to
+    out, zero past each row's stop, and returns the count of summed
+    nodes, the unresolved tail (the last contribution (times h) of a row
+    that ran out of nodes while still above thresh, else 0) and the rows
+    left open: no stop within reach < valid.  The tail is abs()'s
+    magnitude (_abs).  The stop test takes numpy's, so a stop could move
+    only for a contribution within an ulp of thresh.
     """
     x, w, t, valid = side
-    fx = np.asarray(f(params, x[:reach]), dtype=complex)
-    contrib = w[:reach, None] * fx
+    reach = len(fx)
+    contrib = np.multiply(w[:reach, None], fx, out=out)
     mag = np.abs(contrib) * h
     small = (mag < thresh) & (t[:reach, None] >= 1.0)
     pair = small[1:] & small[:-1]
     paired = pair.any(axis=0)
     summed = np.where(paired, pair.argmax(axis=0) + 2, reach)
-    kept = np.arange(reach)[:, None] < summed
-    bad = kept & ~np.isfinite(fx)
+    last = _abs(contrib[-1]) * h
+    tail = np.where(~paired & (reach == len(x)) & (last >= thresh), last, 0.0)
+    np.copyto(contrib, 0.0, where=np.arange(reach)[:, None] >= summed)
+    return summed, tail, ~paired & (reach < valid)
+
+
+def _check_finite(x: np.ndarray, fx: np.ndarray, summed: np.ndarray) -> None:
+    # IntegrandError at the first node x with a non-finite value a row summed
+    bad = (np.arange(len(fx))[:, None] < summed) & ~np.isfinite(fx)
     if bad.any():
         node = int(bad.any(axis=1).argmax())
         raise IntegrandError(f"integrand invalid: non-finite value at x={float(x[node])!r}")
-    last = _abs(contrib[-1]) * h
-    tail = np.where(~paired & (reach == len(x)) & (last >= thresh), last, 0.0)
-    return np.where(kept, contrib, 0.0), summed, tail, ~paired & (reach < valid)
 
 
 def _blocks(reach: np.ndarray | None, rows: np.ndarray, valid: list[int]):
@@ -361,27 +487,46 @@ def _rows_level(
     lo = 1 if level == 0 else 0
     valid = [walks[0][3], walks[1][3]]
     rows = np.arange(len(params))
-    reach = (np.minimum(2 * sides + 2, np.array(valid)[:, None])
+    reach = (np.minimum(2 * sides - 1, np.array(valid)[:, None])
              if sides is not None and level > 0 else None)
     sums, tails = np.zeros(len(rows), dtype=complex), np.zeros(len(rows))
     counts = np.zeros((2, len(rows)), dtype=np.int64) if sides is None else sides
     while len(rows):
+        tops = valid if reach is None else reach.max(axis=1).tolist()
+        tables = [
+            _row_table(f.form, level, a, b, i, walk[0], top)
+            for i, (walk, top) in enumerate(zip(walks, tops))
+        ] if isinstance(f, PowerRows) else None
         open_rows = []
         for block, r_hi, r_lo in _blocks(reach, rows, valid):
             p, th = params[block], thresh[block]
-            with np.errstate(all="ignore"):
-                hi = _walk_side(f, p, walks[0], h, th, r_hi)
-                lo_side = _walk_side(f, p, walks[1], h, th, r_lo)
-            # Sum in the walk's order: hi_i then lo_i, node by node.  An
-            # accumulation adds sequentially for any number of rows (a
-            # one-row sum would be pairwise).
+            # Both sides' nodes in one evaluation, hi's first.
+            x = np.concatenate((walks[0][0][:r_hi], walks[1][0][:r_lo]))
+            # The walk's order: hi_i then lo_i, node by node.
             walk = np.zeros((max(r_hi, lo + r_lo), 2, len(p)), dtype=complex)
-            walk[:r_hi, 0] = hi[0]
-            walk[lo : lo + r_lo, 1] = lo_side[0]
-            sums[block] = np.add.accumulate(walk.reshape(-1, len(p)), axis=0)[-1]
-            counts[0, block], counts[1, block] = hi[1], lo_side[1]
-            tails[block] = np.maximum(hi[2], lo_side[2])
-            open_rows.append(block[hi[3] | lo_side[3]])
+            with np.errstate(all="ignore"):
+                if tables is None:
+                    fx = np.asarray(f(p, x), dtype=complex)
+                else:
+                    fx = f.values(p, x, np.concatenate(
+                        (tables[0][:, :r_hi], tables[1][:, :r_lo]), axis=1))
+                hi = _walk_side(fx[:r_hi], walks[0], h, th, walk[:r_hi, 0])
+                lo_side = _walk_side(fx[r_hi:], walks[1], h, th, walk[lo : lo + r_lo, 1])
+            # numpy sums along the slow axis of an array one row after the
+            # other, as the walk adds, and only along the fast axis pairwise:
+            # so by a reduction, and for fewer than 8 rows, where a reduction
+            # is slower (and one row's runs along the fast axis), by an
+            # accumulation, which adds sequentially for any number of rows.
+            flat = walk.reshape(-1, len(p))
+            sums[block] = (np.add.reduce(flat, axis=0) if len(p) >= 8
+                           else np.add.accumulate(flat, axis=0)[-1])
+            # A non-finite summed value makes its row's sum non-finite.
+            if not np.isfinite(sums[block]).all():
+                _check_finite(walks[0][0], fx[:r_hi], hi[0])
+                _check_finite(walks[1][0], fx[r_hi:], lo_side[0])
+            counts[0, block], counts[1, block] = hi[0], lo_side[0]
+            tails[block] = np.maximum(hi[1], lo_side[1])
+            open_rows.append(block[hi[2] | lo_side[2]])
         # The second pass walks the rows left open whole.
         rows, reach = np.concatenate(open_rows), None
     return sums, counts[0] + counts[1], tails

@@ -43,10 +43,11 @@ Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 # From this many points on, the eq12, eq15 and eq18 quadratures run the batched
 # ladder, and from _ETA_PANEL_MIN_POINTS on eq15's rhs its eta panel.  Batched over
 # scalar time (``scripts/batch_threshold.py``, each sweep from empty kernel tables,
-# shared 2-core x86-64 VM): quadratures at 8 points 1.10-1.36, 12 0.96-1.14, 13
-# 0.89-1.08, 14 0.84-0.92; the eta panel at 8 points 0.42-0.47.  The first sets
-# speed alone: the batched quadratures return the scalar ones' results to the bit.
-_BATCH_MIN_POINTS = 14
+# shared 2-core x86-64 VM, two or three runs): quadratures at 8 points 1.02-1.14, 9
+# 0.96-1.03, 10 0.93-0.97, 11 0.87-0.93, 12 0.83-0.94; the eta panel at 8 points
+# 0.44.  The first sets speed alone: the batched quadratures return the scalar
+# ones' results to the bit.
+_BATCH_MIN_POINTS = 11
 _ETA_PANEL_MIN_POINTS = 8
 
 
@@ -75,6 +76,7 @@ class Identity:
         return bool(self.points)
 
 
+@core_numerics._dict_init
 @dataclass(frozen=True)
 class VerificationReport:
     id: str

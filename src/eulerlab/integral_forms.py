@@ -26,7 +26,7 @@ The remainder behaves like t**(Re(s+c)+1) and is regular.  The subtracted
 term is elementary (no gamma, zeta or eta), so the quadrature routes stay
 independent of the closed forms they are checked against.
 ``I_plus_many``, ``I_minus_many`` and ``fermi_dirac_many`` evaluate every
-level of a sweep as points x nodes arrays built from the same
+level of a sweep as points x nodes arrays built from tables of the same
 parameter-free form of each kernel (``_Family.rows``), so each point's
 result is the scalar route's to the bit.
 """
@@ -43,6 +43,7 @@ import numpy as np
 from .constants import euler_gamma_series, ln_4_over_pi
 from .core_numerics import (
     PowerKernel,
+    PowerRows,
     QuadratureResult,
     SeriesResult,
     _power,
@@ -106,17 +107,6 @@ def _plus_form(t: float) -> tuple[int, float, float, float]:
         et = math.exp(-t)
         return 0, t - 1.0 + et, et, 1.0 + et
     return 0, math.expm1(-t) + t, 1.0, math.exp(t) + 1.0
-
-
-def _scale_rows(values: np.ndarray, factors: Sequence[np.ndarray], divisor: np.ndarray):
-    # values[i, j] * factors[0][i] * ... / divisor[i] in place, scaling the
-    # real and imaginary parts separately, as complex-by-real products and
-    # quotients do
-    parts = values.view(float).reshape(*values.shape, 2)
-    for factor in factors:
-        parts *= factor[:, None, None]
-    parts /= divisor[:, None, None]
-    return values
 
 
 def reduced_integrand_minus(s: complex, t: float) -> complex:
@@ -200,23 +190,12 @@ class _Family(NamedTuple):
     def kernel(self, s: complex) -> PowerKernel:
         return PowerKernel(self.form, tuple(complex(s) + c for c in self.offsets))
 
-    def rows(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # The kernel at every (t[i], s[j]), as a (len(t), len(s)) array, with
-        # the form's factors, math.log and the power PowerKernel takes at each
-        # node, so every value equals kernel(s[j])(t[i]) (but for the sign of a
-        # zero part, which no ladder sum keeps).  numpy's complex exp rounds as
-        # cmath's does and float_power is the C library's pow, as float ** is;
-        # numpy's log and power round otherwise.
-        xs = t.tolist()
-        logs = np.array(list(map(math.log, xs)))  # ValueError for x <= 0
-        k, f1, f2, d = np.array(list(map(self.form, xs))).T
-        values = s + np.array(self.offsets)[k.astype(int), None]  # the exponents
-        real = s.imag == 0.0
-        powers = np.float_power(t[:, None], values.real[:, real])
-        values *= logs[:, None]
-        np.exp(values, out=values)
-        values[:, real] = powers
-        return _scale_rows(values, (f1, f2), d)
+    @property
+    def rows(self) -> PowerRows:
+        # the kernel at every (t[i], s[j]) as a (len(t), len(s)) array, each
+        # value kernel(s[j])(t[i]); the batched ladder reads the form's factors
+        # from its tables
+        return PowerRows(self.form, self.offsets)
 
 
 _PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, _plus_form, (0.0, 2.0))
@@ -299,8 +278,10 @@ def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]
     """I_plus at every point, refined together over points x nodes arrays.
 
     Agrees with ``I_plus`` point by point to the bit, evaluation counts
-    and convergence included: the rows are the scalar kernel's values;
-    see ``core_numerics.integrate_semi_infinite_many``.  Points within
+    and convergence included: the rows are the scalar kernel's values
+    (but at nodes where the real part of the power's argument passes
+    708.39, whose complex exp numpy and cmath round apart); see
+    ``core_numerics.integrate_semi_infinite_many``.  Points within
     _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
     """
     return _reduced_many(_PLUS, I_plus, points, tol)

@@ -7,7 +7,7 @@ evaluations and verdicts, values within rounding, and the same rules for
 non-finite values and unresolved tails.
 
 Past level 0 a level evaluates each side only as far as its rows reach
-(twice the nodes the side summed at the level before, plus 2), and
+(twice the nodes the side summed at the level before, less 1), and
 walks the rows with no stop there again over the whole side.  Its
 results must be those of evaluating every side whole, to the bit: the
 reference below is that whole-side ladder.
@@ -78,12 +78,13 @@ class TestArrayLevels:
 
 class TestSummationOrder:
     @pytest.mark.parametrize("level", [6, 8, 10, 12])
-    @pytest.mark.parametrize("params", [[3.0], [3.0, -2.0, 0.5]])
+    @pytest.mark.parametrize("params", [[3.0], [3.0, -2.0, 0.5], [0.25 * k - 2.0 for k in range(20)]])
     def test_level_sums_are_the_walks_bit_for_bit(self, level, params):
         # Contributions of about 1e10 cancel between the two sides, so
         # any other order of addition (a pairwise sum) changes the low
         # digits.  The kernel's array form performs the same IEEE
-        # operations, so only the order could make a difference.
+        # operations, so only the order could make a difference.  Blocks
+        # of 1, 3 and 20 rows: one row and few accumulate, more reduce.
         def kernel(p, x):
             return p * (x - 0.5) * 1e10 + 1.0
 
@@ -317,24 +318,30 @@ GRIDS = {
 }
 
 
-def _comb_panel():
-    # x**p e**-x on (0, 50), 1e-40 times smaller at every node of levels
-    # 0-2 with t >= 1, where each side then stops after two such nodes.
-    # Level 3's nodes are all between them: a side reaches 10 nodes,
-    # and rows stop before, across and past the reach.
-    comb = np.concatenate([
+def _comb() -> np.ndarray:
+    # the nodes of levels 0-2 on (0, 50) with t >= 1
+    return np.concatenate([
         side[0][side[2] >= 1.0]
         for level in range(3)
         for side in core_numerics._level_sides(level, 0.0, 50.0)
     ])
+
+
+def _comb_panel():
+    # x**p e**-x on (0, 50), 1e-40 times smaller at every node of levels
+    # 0-2 with t >= 1, where each side then stops after two such nodes.
+    # Level 3's nodes are all between them: a side reaches 7 nodes, and
+    # rows stop before, across and past the reach.  The hints, all 0,
+    # truncate every row at T = 50.
+    comb = _comb()
 
     def rows(params, x):
         values = np.power.outer(x, params.real) * np.exp(-x)[:, None]
         values[np.isin(x, comb)] *= 1e-40
         return values.astype(complex)
 
-    params = np.linspace(-0.5, 4.0, 46)
-    return rows, params, 1e-10, params.real.tolist()
+    params = np.linspace(-0.5, 8.0, 46)
+    return rows, params, 1e-10, [0.0] * len(params)
 
 
 class TestReach:
@@ -346,6 +353,18 @@ class TestReach:
         reached, whole = reached_and_whole(monkeypatch, family.rows, points, tol, hints)
         assert len(points) > 300
         assert bits(reached) == bits(whole)
+
+    def test_grid_is_the_same_at_any_block_size(self, monkeypatch):
+        # blocks of 2**11 elements against _BLOCK_ELEMENTS: the block size
+        # sets the speed alone
+        family = integral_forms._PLUS
+        points = batched_points(family, *BENCHMARK_GRID)
+        hints = [s.real + family.shift for s in points]
+        default = integrate_semi_infinite_many(family.rows, points, QUAD_TOL, hints)
+        assert core_numerics._BLOCK_ELEMENTS > 1 << 11
+        monkeypatch.setattr(core_numerics, "_BLOCK_ELEMENTS", 1 << 11)
+        small = integrate_semi_infinite_many(family.rows, points, QUAD_TOL, hints)
+        assert bits(small) == bits(default)
 
     def test_grid_evaluates_fewer_elements(self, monkeypatch):
         # the benchmark grid: the same summed evaluations from at least 35%
@@ -368,15 +387,20 @@ class TestReach:
         assert reached_elements <= 0.65 * sum(elements)
 
     def test_rows_past_their_reach_take_the_second_pass(self, monkeypatch):
-        rows, params, tol, hints = _comb_panel()
-        walks = []
+        comb_rows, params, tol, hints = _comb_panel()
+        walks, block = [], []
         walk_side = core_numerics._walk_side
 
-        def recording_walk_side(f, p, side, h, thresh, reach):
-            walked = walk_side(f, p, side, h, thresh, reach)
+        def rows(p, x):
+            # one call per block, before its sides' walks
+            block[:] = p.real.tolist()
+            return comb_rows(p, x)
+
+        def recording_walk_side(fx, side, h, thresh, out):
+            walked = walk_side(fx, side, h, thresh, out)
             # a side is its level's step and its first node
-            walks.append(((h, float(side[0][0])), side[3], reach,
-                          p.real.tolist(), walked[1].tolist(), walked[3]))
+            walks.append(((h, float(side[0][0])), side[3], len(fx),
+                          list(block), walked[0].tolist(), walked[2]))
             return walked
 
         monkeypatch.setattr(core_numerics, "_walk_side", recording_walk_side)
@@ -417,3 +441,31 @@ class TestReach:
         )
         assert not reached[0].converged and all(r.converged for r in reached[1:])
         assert bits(reached) == bits(whole)
+
+    def test_power_rows_past_their_reach_get_their_whole_side_values(self, monkeypatch):
+        # The comb panel as a PowerRows form.  Rows with no stop within
+        # their reach walk the whole side again, from a table the second
+        # pass extends to the side's last node; the whole-side ladder calls
+        # the form at every node.
+        _, params, tol, hints = _comb_panel()
+        comb = set(_comb().tolist())
+
+        def form(x):
+            return 0, math.exp(-x), 1e-40 if x in comb else 1.0, 1.0
+
+        rows = core_numerics.PowerRows(form, (0.0,))
+        read = []
+        row_table = core_numerics._row_table
+
+        def recording_row_table(form, level, a, b, lo, x, n):
+            read.append((level, lo, n, core_numerics._level_sides(level, a, b)[lo][3]))
+            return row_table(form, level, a, b, lo, x, n)
+
+        monkeypatch.setattr(core_numerics, "_row_table", recording_row_table)
+        reached, whole = reached_and_whole(monkeypatch, rows, params, tol, hints)
+        assert bits(reached) == bits(whole)
+        # a side past level 0 read to its rows' reach, then whole
+        assert any(
+            level > 0 and n == valid and (level, lo, True) in {(*r[:2], r[2] < valid) for r in read[:i]}
+            for i, (level, lo, n, valid) in enumerate(read)
+        )

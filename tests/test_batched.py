@@ -171,9 +171,62 @@ class TestRows:
 
         check()
 
+    def test_property_grid_blocks_are_the_kernel(self, family):
+        # Grid-shaped blocks of 64 or more complex points, sharing their real
+        # and imaginary parts, form the complex powers from the distinct
+        # parts (core_numerics._complex_powers); Im = 0 and -0.0 columns take
+        # float_power.  The nodes run below t = 0.5 and past t = 40.  The
+        # minus form's far blocks, Re(s) about 102.5 on (0, 1000), reach past
+        # t = 709.78 and put the real part of s log t above 708, where the
+        # block keeps the complex exp of the whole argument (up to 708.39,
+        # where cmath's exp starts to scale by e and rounds otherwise).
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalar, batch, edge = KERNELS[family]
+        parts = st.floats(-3.0, 3.0).filter(lambda y: y != 0.0)
+
+        @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.lists(st.floats(integral_forms._SUBTRACT_BELOW, 8.0), min_size=8, max_size=10,
+                     unique=True),
+            st.lists(parts, min_size=8, max_size=10, unique=True),
+            st.integers(0, 3), st.sampled_from([50.0, 120.0, 1000.0]),
+            st.booleans() if family == "minus" else st.just(False),
+        )
+        def check(offsets, ims, level, T, far):
+            res = [102.5 + 0.006 * d if far else edge + d for d in offsets]
+            points = np.array([complex(x, y) for x in res for y in [0.0, -0.0, *ims]])
+            sides = core_numerics._level_sides(level, 0.0, 1000.0 if far else T)
+            x = np.concatenate([side[0][: side[3]] for side in sides])
+            complex_points = len(res) * len(ims)
+            assert complex_points >= core_numerics._FACTOR_MIN_ROWS
+            assert 2 * (len(res) + len(ims)) <= complex_points
+            assert x.min() < 0.5 and x.max() > 40.0
+            assert not far or 708.0 < max(res) * math.log(x.max()) < 708.39
+            values = batch.rows(points, x)
+            expected = [[scalar(s, xi) for s in points.tolist()] for xi in x.tolist()]
+            assert values.tolist() == expected
+
+        check()
+
     def test_rejects_non_positive_t(self, family):
         with pytest.raises(ValueError):
             KERNELS[family][1].rows(np.array([0.5]), np.array([0.0, 1.0]))
+
+
+def test_complex_powers_past_708_are_numpys_exp():
+    # numpy's exp, the C library's cexp, scales the argument past a real
+    # part of 709, so exp(Re) cos(Im) differs from it in the last bit there
+    # (and cmath's exp, from 708.39); a grid block with such an argument takes
+    # the exp of the whole argument, as a block of few points does
+    s = np.array([complex(x, y) for x in np.linspace(102.6, 102.74, 8)
+                  for y in np.linspace(-3.0, 3.0, 10)])
+    logs = np.log(np.array([0.3, 500.0, 999.0, 999.99]))
+    e = np.zeros(len(logs))
+    assert (s.real.max() * logs > 709.0).any()
+    values = core_numerics._complex_powers(s, e, logs)
+    expected = np.exp((s + e[:, None]) * logs[:, None])
+    assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_minus_rows_past_the_overflow_of_e_to_the_t():

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from eulerlab import core_numerics
+from eulerlab import core_numerics, identity_engine
 from eulerlab.core_numerics import (
     ProductIntegrand,
     integrate_finite,
@@ -257,3 +258,42 @@ class TestSumSeries:
             sum_series(lambda n: 1.0 / n, 0.0, 10)
         with pytest.raises(ValueError):
             sum_series(lambda n: 1.0 / n, 1e-6, 0)
+
+
+# (record class, field values, the same values with one changed)
+RECORDS = {
+    "QuadratureResult": (
+        core_numerics.QuadratureResult, (1.5 + 2j, 1e-12, 133, True), {"evaluations": 134},
+    ),
+    "VerificationReport": (
+        identity_engine.VerificationReport,
+        ("eq15", 0.5 + 1j, 1 + 1j, 1 + 1j, 0.0, 0.0, 1e-8, True, "lhs", "rhs", 133, 0.25),
+        {"passed": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecords:
+    # The records fill __dict__ in one update; they stay frozen dataclasses
+    # with the eq, hash, repr, fields and replace dataclass gives them.
+    def test_setting_a_field_raises(self, name):
+        cls, values, _ = RECORDS[name]
+        record = cls(*values)
+        field = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, values[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, field)
+
+    def test_equality_hash_and_repr_are_the_dataclasses(self, name):
+        cls, values, change = RECORDS[name]
+        record, names = cls(*values), [f.name for f in dataclasses.fields(cls)]
+        assert record == cls(**dict(zip(names, values)))
+        assert hash(record) == hash(tuple(values))
+        assert vars(record) == dict(zip(names, values))
+        assert repr(record) == f"{name}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        changed = dataclasses.replace(record, **change)
+        assert changed != record and hash(changed) != hash(record)
+        assert dataclasses.astuple(changed) == tuple(change.get(n, v) for n, v in zip(names, values))

@@ -1,9 +1,11 @@
-"""The scalar ladder's tables of PowerKernel forms.
+"""The ladders' tables of PowerKernel forms.
 
 A PowerKernel's parameter-free form is tabulated once per level and
 interval, and the ladder forms each node's value from the table.  Every
 result must equal, bit for bit, the ladder over the same kernel called
 at every node, and over the explicit kernel bodies the forms replaced.
+The batched ladder's PowerRows read tables of the same factors, built
+by the same function over the nodes a sweep reaches.
 """
 
 import cmath
@@ -11,6 +13,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from eulerlab import core_numerics, integral_forms
@@ -222,9 +225,9 @@ class TestTabulatedLadder:
     def test_no_table_is_built_at_import(self):
         code = ("import eulerlab, eulerlab.cli\n"
                 "from eulerlab import core_numerics\n"
-                "print(len(core_numerics._tables))")
+                "print(len(core_numerics._tables), len(core_numerics._row_tables))")
         child = run_bounded(code)
-        assert (child.returncode, child.stdout.strip()) == (0, "0")
+        assert (child.returncode, child.stdout.strip()) == (0, "0 0")
 
     def test_plain_callables_are_called_at_every_node(self):
         calls = []
@@ -236,3 +239,66 @@ class TestTabulatedLadder:
         result = integrate_finite(f, 0.0, 1.0, 1e-10)
         assert result.evaluations == len(calls)
         assert not any(key[0] is f for key in core_numerics._tables)
+
+
+class TestRowTables:
+    def test_a_sweep_tabulates_the_factors_it_reaches(self):
+        # each table holds _factors at a prefix of its side's nodes, the
+        # deep levels' far short of the whole side
+        core_numerics._row_tables.clear()
+        points = [complex(0.5 + 0.25 * i, 0.5 * j) for i in range(6) for j in range(4)]
+        integral_forms.I_plus_many(points, 1e-9)
+        tables = core_numerics._row_tables
+        assert {key[1] for key in tables} == set(range(6))
+        for (form, level, a, b, lo), table in tables.items():
+            x = core_numerics._level_sides(level, a, b)[lo][0]
+            n = table.shape[1]
+            expected = np.array(core_numerics._factors(form, x[:n].tolist())).T
+            assert table.tolist() == expected.tolist()
+        assert any(table.shape[1] < core_numerics._level_sides(level, a, b)[lo][3] / 2
+                   for (_, level, a, b, lo), table in tables.items())
+
+    def test_oldest_row_tables_go_past_the_node_cap(self, monkeypatch):
+        form = integral_forms._FERMI_DIRAC.form
+        monkeypatch.setattr(core_numerics, "_ROW_TABLE_NODES", 100)
+        core_numerics._row_tables.clear()
+        for T in range(50, 300, 10):
+            x = core_numerics._level_sides(3, 0.0, float(T))[1][0]
+            core_numerics._row_table(form, 3, 0.0, float(T), 1, x, 30)
+        held = sum(table.shape[1] for table in core_numerics._row_tables.values())
+        assert 0 < held <= 100
+        assert (form, 3, 0.0, 290.0, 1) in core_numerics._row_tables
+        assert (form, 3, 0.0, 50.0, 1) not in core_numerics._row_tables
+
+    def test_concurrent_extensions_evict_without_error(self, monkeypatch):
+        # threads switching often, each extending and evicting row tables
+        # while the others read them; every table returned covers its nodes
+        form = integral_forms._FERMI_DIRAC.form
+        monkeypatch.setattr(core_numerics, "_ROW_TABLE_NODES", 100)
+        errors = []
+
+        def extend(offset):
+            try:
+                for T in range(50 + offset, 2000, 4):
+                    x = core_numerics._level_sides(5, 0.0, float(T % 200 + 50))[1][0]
+                    for n in (5, 20, 40):
+                        table = core_numerics._row_table(form, 5, 0.0, float(T % 200 + 50), 1, x, n)
+                        assert table.shape[1] >= n
+                        assert table[0, :n].tolist() == [math.log(v) for v in x[:n].tolist()]
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=extend, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = sum(table.shape[1] for table in list(core_numerics._row_tables.values()))
+        assert held <= 100 + 4 * 40
