@@ -11,18 +11,17 @@ script takes the first n of a seeded sequence of points with Re(s)
 between 0.5 and 5 above the family's edge and Im(s) in [0, 2].  Each
 round times the scalar route at every point and the ``*_many`` batch
 over all of them, one right after the other, alternating which goes
-first; timing the two in alternation within a round keeps the load of a
-shared machine, which drifts over seconds, out of the ratio.  Every timed
-call starts with the kernel tables of both ladders
-(``core_numerics._tables`` and ``core_numerics._row_tables``) empty, as
-a sweep in a fresh process does; timing the same points again with warm
-tables would flatter the route that reads them.  The script
-prints, per family and size, the median milliseconds of each, the
-batched/scalar ratio of the medians, and the share of rounds in which
-the batch was faster.  The smallest n from which the batch is cheaper in
-every family is where ``identity_engine._BATCH_MIN_POINTS`` belongs.  The
-last rows time eq15's right-hand side, ``rhs_eq15`` at every point
-against its eta panel ``rhs_eq15_many``, on the I_plus points; they set
+first (``ab.alternate``).  Every timed call starts with the kernel
+tables of both ladders (``core_numerics._tables`` and
+``core_numerics._row_tables``) empty, as a sweep in a fresh process
+does; timing the same points again with warm tables would flatter the
+route that reads them.  The script prints, per family and size, the
+median milliseconds of each, the batched/scalar ratio of the medians,
+and the share of rounds in which the batch was faster.  The smallest n
+from which the batch is cheaper in every family is where
+``identity_engine._BATCH_MIN_POINTS`` belongs.  The last rows time
+eq15's right-hand side, ``rhs_eq15`` at every point against its eta
+panel ``rhs_eq15_many``, on the I_plus points; they set
 ``identity_engine._ETA_PANEL_MIN_POINTS``.
 """
 
@@ -30,10 +29,10 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
 from pathlib import Path
+
+from ab import alternate, compare
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -49,10 +48,9 @@ FAMILIES = (
 )
 
 
-def seconds(call) -> float:
-    start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
+def clear_tables() -> None:
+    core_numerics._tables.clear()
+    core_numerics._row_tables.clear()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,17 +75,10 @@ def main(argv: list[str] | None = None) -> int:
                 "scalar": lambda: [single(s, *tail) for s in points],
                 "batched": lambda: many(points, *tail),
             }
-            times: dict[str, list[float]] = {route: [] for route in routes}
-            for i in range(args.rounds):
-                order = list(routes.items())
-                for route, call in order if i % 2 == 0 else order[::-1]:
-                    core_numerics._tables.clear()
-                    core_numerics._row_tables.clear()
-                    times[route].append(seconds(call))
-            scalar, batched = (statistics.median(times[route]) for route in routes)
-            wins = sum(b < a for a, b in zip(times["scalar"], times["batched"])) / args.rounds
+            times = alternate(routes, args.rounds, before=clear_tables)
+            scalar, batched, ratio, wins = compare(times["scalar"], times["batched"])
             print(f"| {name} | {n} | {scalar * 1e3:.2f} | {batched * 1e3:.2f} "
-                  f"| {batched / scalar:.2f} | {wins:.0%} |")
+                  f"| {ratio:.2f} | {wins:.0%} |")
     return 0
 
 

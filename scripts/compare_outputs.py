@@ -5,25 +5,25 @@ Usage:
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 For each checkout the script runs the CLI from that checkout's ``src/``
-in a fresh subprocess: ``all`` as text, json and csv; every ``const``
-(name, method) pair with its default ``--n`` in the same three formats,
-and the series routes at the ``--n`` of ``CONST_N`` as json;
-``verify`` as json and csv at the points of ``VERIFY_POINTS``; the
-grids of ``GRIDS`` as text, json and csv (csv does not go through the
-JSON writer, so a grid that differs in json alone isolates the writer
-from a value change); and ``eval`` of every function at the points of
-``EVAL_POINTS`` as json and csv: 122 commands.  It compares stdout and
-the exit code of every command and exits 1 if any differ, naming each
-differing command.
+in a fresh subprocess (``ab.run``): ``all`` as text, json and csv;
+every ``const`` (name, method) pair with its default ``--n`` in the
+same three formats, and the series routes at the ``--n`` of ``CONST_N``
+as json; ``verify`` as json and csv at the points of ``VERIFY_POINTS``;
+the grids of ``GRIDS`` as text, json and csv (csv does not go through
+the JSON writer, so a grid that differs in json alone isolates the
+writer from a value change); and ``eval`` of every function at the
+points of ``EVAL_POINTS`` as json and csv: 122 commands.  It compares
+stdout and the exit code of every command and exits 1 if any differ,
+naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+import ab
 
 FORMATS = ("text", "json", "csv")
 
@@ -116,13 +116,7 @@ COMMANDS = (
 
 
 def run(checkout: Path, argv: list[str]) -> tuple[int, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eulerlab.cli", *argv],
-        env=env,
-        capture_output=True,
-        check=False,
-    )
+    proc = ab.run(checkout, ["-m", "eulerlab.cli", *argv], check=False)
     return proc.returncode, proc.stdout
 
 

@@ -5,16 +5,14 @@ Usage:
     python scripts/constants_cost.py PARENT_DIR CHANGE_DIR [--rounds 30] [--out FILE]
 
 Both checkouts' ``src/eulerlab`` packages are loaded into one process
-under two names (``sweep_cost.load``), so that both sides share the
+under two names (``ab.load``), so that both sides share the
 interpreter, numpy and the allocator.  The cases (``CASES``) are the
 constants routes that ``eulerlab all`` calls at their registry term
-counts, two of them also at 10**6 terms, and one whole ``verify_all()``.  For each case each
-round times one call on each side, alternating which side goes first;
-the script prints, per case, the median over rounds of each side's
-milliseconds, the change/parent ratio of the medians, and the share of
-rounds in which the change was faster.  Timing the two sides in
-alternation within a round keeps the load of a shared machine, which
-drifts over seconds, out of the ratio.
+counts, two of them also at 10**6 terms, and one whole ``verify_all()``.
+For each case each round times one call on each side, alternating which
+side goes first (``ab.alternate``); the script prints, per case, the
+median over rounds of each side's milliseconds, the change/parent ratio
+of the medians, and the share of rounds in which the change was faster.
 
 Beside each median it prints the median count of minor page faults per
 call (``ru_minflt`` of ``resource.getrusage(RUSAGE_SELF)`` around the
@@ -29,15 +27,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import resource
 import statistics
 import sys
-import time
 from pathlib import Path
 
-from sweep_cost import load
+from ab import alternate, compare, load, seconds
 
 # case -> (module, function, arguments)
 CASES = {
@@ -52,21 +48,15 @@ CASES = {
 
 
 def cases(checkout: Path, package: str) -> dict:
-    load(checkout, package)
-    result = {}
-    for case, (module, function, args) in CASES.items():
-        routine = getattr(importlib.import_module(f"{package}.{module}"), function)
-        result[case] = functools.partial(routine, *args)
-    return result
+    return {case: functools.partial(getattr(load(checkout, package, module), function), *args)
+            for case, (module, function, args) in CASES.items()}
 
 
 def measure(call) -> tuple[float, int]:
-    """(milliseconds, minor page faults) of one call."""
+    """(seconds, minor page faults) of one call."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    call()
-    elapsed = time.perf_counter() - start
-    return elapsed * 1e3, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    elapsed = seconds(call)
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,29 +75,23 @@ def main(argv: list[str] | None = None) -> int:
           "| parent minor faults | change minor faults |")
     print("|---|---|---|---|---|---|---|")
     for case in CASES:
-        for side in calls:  # one untimed call each: imports, caches, tables
-            calls[side][case]()
-        samples: dict[str, list[tuple[float, int]]] = {"parent": [], "change": []}
-        for i in range(args.rounds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                samples[side].append(measure(calls[side][case]))
-        ms = {side: statistics.median(t for t, _ in s) for side, s in samples.items()}
+        sides = {side: calls[side][case] for side in calls}
+        for call in sides.values():  # one untimed call each: imports, caches, tables
+            call()
+        samples = alternate(sides, args.rounds, measure)
+        times = {side: [t * 1e3 for t, _ in s] for side, s in samples.items()}
         faults = {side: statistics.median(f for _, f in s) for side, s in samples.items()}
-        faster = sum(
-            c < p for (p, _), (c, _) in zip(samples["parent"], samples["change"])
-        ) / args.rounds
+        p, c, ratio, faster = compare(times["parent"], times["change"])
         rows.append({
             "case": case,
-            "parent_ms": ms["parent"],
-            "change_ms": ms["change"],
-            "change_over_parent": ms["change"] / ms["parent"],
+            "parent_ms": p,
+            "change_ms": c,
+            "change_over_parent": ratio,
             "change_faster_share": faster,
             "parent_minor_faults": faults["parent"],
             "change_minor_faults": faults["change"],
         })
-        print(f"| {case} | {ms['parent']:.2f} | {ms['change']:.2f} | "
-              f"{ms['change'] / ms['parent']:.3f} | {faster:.0%} | "
+        print(f"| {case} | {p:.2f} | {c:.2f} | {ratio:.3f} | {faster:.0%} | "
               f"{faults['parent']:g} | {faults['change']:g} |")
     if args.out:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}

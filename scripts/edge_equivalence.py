@@ -7,27 +7,27 @@ Usage:
 The points are those of the ``edge_panel`` benchmark workload for each
 seed, read from CHANGE_DIR/perfbench/workloads.py (the file is imported,
 not changed).  Each checkout runs ``identity_engine.verify`` at every
-point in a fresh subprocess with its own ``src/`` on the path.  Per
-seed and identity the script prints the number of points, how many
-changed their evaluation count, verdict or raised error (a change that
-must keep the quadrature's work and verdicts prints 0 there), how many
-changed a bit of their lhs and of their rhs, and the worst |delta lhs|
-and |delta rhs|.  When
-mpmath imports it adds the oracle columns: per side the FAIL verdicts
-and the worst |lhs - mpmath closed form| (the closed forms of the
-workload's own check), the same for rhs, and the FAIL->PASS and
-PASS->FAIL counts.  It exits 1 if any point changed.
+point in a fresh subprocess with its own ``src/`` on the path
+(``ab.run``).  Per seed and identity the script prints the number of
+points, how many changed their evaluation count, verdict or raised
+error (a change that must keep the quadrature's work and verdicts prints
+0 there), how many changed a bit of their lhs and of their rhs, and the
+worst |delta lhs| and |delta rhs|.  When mpmath imports it adds the
+oracle columns: per side the FAIL verdicts and the worst |lhs - mpmath
+closed form| (the closed forms of the workload's own check), the same
+for rhs, and the FAIL->PASS and PASS->FAIL counts.  It exits 1 if any
+point changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
+
+import ab
 
 CHILD = r"""
 import json, sys
@@ -66,16 +66,8 @@ def edge_points(checkout: Path, seed: int) -> list[tuple[str, complex]]:
 
 
 def run(checkout: Path, points: list[tuple[str, complex]]) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        input=json.dumps([[token, s.real, s.imag] for token, s in points]),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
+    stdin = json.dumps([[token, s.real, s.imag] for token, s in points])
+    return json.loads(ab.run(checkout, ["-c", CHILD], stdin).stdout)
 
 
 def _distance(a: dict, b: dict, side: str) -> float:

@@ -7,29 +7,26 @@ Usage:
 Both checkouts evaluate ``eta``, ``zeta``, ``eta_prime`` and
 ``zeta_prime`` at the same fixed, seeded points (POINTS_PER_BAND per
 band of BANDS, Im(s) uniform in [-2, 2]), each in a fresh subprocess
-importing that checkout's ``src/``.  A checkout whose special functions
-still take truncation options (``EvalOptions``) is run twice: with the
-library default, and with ``tol=1e-15, max_terms=128`` as its ``eval``
-command used.  The oracle is mpmath at 30 digits.  The error of a
-value is |f - oracle| / max(1, |oracle|): absolute where the value is
-O(1), relative where it is large (zeta next to its pole at s = 1).
+importing that checkout's ``src/`` (``ab.run``).  The oracle is mpmath
+at 30 digits.  The error of a value is |f - oracle| / max(1, |oracle|):
+absolute where the value is O(1), relative where it is large (zeta next
+to its pole at s = 1).
 
 The script prints one markdown table per function: a row per band, a
-column per checkout setting with the worst error, and the ratio of the
-change to the parent's library default.  Needs mpmath; it is a
-measuring tool, not a dependency of the library.
+column per checkout with the worst error, and the change/parent ratio.
+Needs mpmath; it is a measuring tool, not a dependency of the library.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
 import mpmath
+
+import ab
 
 mpmath.mp.dps = 30
 
@@ -48,17 +45,16 @@ ORACLES = {
     "zeta_prime": lambda s: mpmath.zeta(s, 1, 1),
 }
 
-# Runs inside the checkout's interpreter: reads [setting, points] as JSON
-# on stdin, writes {function: [[re, im], ...]} as JSON on stdout.
+# Runs inside the checkout's interpreter: reads points as JSON on stdin,
+# writes {function: [[re, im], ...]} as JSON on stdout.
 _EVALUATE = """
 import json, sys
 from eulerlab import special_functions as sf
-setting, points = json.load(sys.stdin)
-args = () if setting == "default" else (sf.EvalOptions(tol=1e-15, max_terms=128),)
+points = json.load(sys.stdin)
 out = {}
 for name in %r:
     f = getattr(sf, name)
-    out[name] = [[v.real, v.imag] for v in (f(complex(*p), *args) for p in points)]
+    out[name] = [[v.real, v.imag] for v in (f(complex(*p)) for p in points)]
 json.dump(out, sys.stdout)
 """ % (FUNCTIONS,)
 
@@ -76,22 +72,9 @@ def band_points() -> dict[tuple[float, float], list[complex]]:
     return points
 
 
-def settings(checkout: Path) -> list[str]:
-    text = (checkout / "src" / "eulerlab" / "special_functions.py").read_text()
-    return ["default", "tol=1e-15"] if "class EvalOptions" in text else ["default"]
-
-
-def evaluate(checkout: Path, setting: str, points: list[complex]) -> dict[str, list[complex]]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _EVALUATE],
-        input=json.dumps([setting, [[p.real, p.imag] for p in points]]),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    values = json.loads(proc.stdout)
+def evaluate(checkout: Path, points: list[complex]) -> dict[str, list[complex]]:
+    stdin = json.dumps([[p.real, p.imag] for p in points])
+    values = json.loads(ab.run(checkout, ["-c", _EVALUATE], stdin).stdout)
     return {name: [complex(*v) for v in values[name]] for name in FUNCTIONS}
 
 
@@ -106,13 +89,11 @@ def main(argv: list[str]) -> int:
         name: [complex(f(mpmath.mpc(s.real, s.imag))) for s in flat]
         for name, f in ORACLES.items()
     }
-    columns = []  # (label, {function: [value per point]})
-    for label, checkout in (("parent", parent), ("change", change)):
-        for setting in settings(checkout):
-            columns.append((f"{label} {setting}", evaluate(checkout, setting, flat)))
+    columns = [(label, evaluate(checkout, flat))  # (label, {function: [value per point]})
+               for label, checkout in (("parent", parent), ("change", change))]
     for name in FUNCTIONS:
         print(f"\n{name}: worst |f - mpmath| / max(1, |mpmath|)\n")
-        print("| Re(s) | " + " | ".join(label for label, _ in columns) + " | change / parent default |")
+        print("| Re(s) | " + " | ".join(label for label, _ in columns) + " | change / parent |")
         print("|---|" + "---|" * (len(columns) + 1))
         start = 0
         for lo, hi in bands:

@@ -5,13 +5,11 @@ Usage:
     python scripts/eta_cost.py PARENT_DIR CHANGE_DIR [--rounds 400] [--seed 13]
 
 Both checkouts' ``src/eulerlab`` packages are loaded into one process
-under two names, so that both sides share the interpreter, numpy and
-BLAS.  For each case below, each round times one call of the case on
-each side, alternating which side goes first; the script prints, per
-case, the median over rounds of each side's time, the change/parent
-ratio of the medians, and the share of rounds in which the change was
-faster.  Timing the two sides in alternation within a round keeps the
-load of a shared machine, which drifts over seconds, out of the ratio.
+under two names (``ab.load``).  For each case below, each round times
+one call of the case on each side, alternating which side goes first
+(``ab.alternate``); the script prints, per case, the median over rounds
+of each side's time, the change/parent ratio of the medians, and the
+share of rounds in which the change was faster.
 
 The cases are a block of 128 points through ``eta_many`` (one matrix
 product per block), and scalar ``eta`` and ``eta_prime`` (the time per
@@ -23,28 +21,14 @@ call, over 16 points), each on seeded points with Re(s) in [-4, 10] and
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from ab import alternate, compare, load
+
 BANDS = {"im<=2": (0.0, 2.0), "im30-60": (30.0, 60.0)}
-
-
-def load(checkout: Path, name: str):
-    """The special_functions module of checkout's eulerlab, as package name."""
-    package = checkout.resolve() / "src" / "eulerlab"
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.special_functions")
 
 
 def cases(module, seed: int) -> dict:
@@ -61,12 +45,6 @@ def cases(module, seed: int) -> dict:
     return result
 
 
-def seconds(call) -> float:
-    start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -74,21 +52,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=400)
     parser.add_argument("--seed", type=int, default=13)
     args = parser.parse_args(argv)
-    parent = cases(load(args.parent, "eulerlab_parent"), args.seed)
-    change = cases(load(args.change, "eulerlab_change"), args.seed)
+    calls = {side: cases(load(checkout, f"eulerlab_{side}", "special_functions"), args.seed)
+             for side, checkout in (("parent", args.parent), ("change", args.change))}
     print("| case | parent us | change us | change/parent | change faster |")
     print("|---|---|---|---|---|")
-    for case, (parent_call, calls) in parent.items():
-        change_call = change[case][0]
-        parent_call(), change_call()  # warm-up
-        times: dict[str, list[float]] = {"parent": [], "change": []}
-        for i in range(args.rounds):
-            order = [("parent", parent_call), ("change", change_call)]
-            for side, call in order if i % 2 == 0 else order[::-1]:
-                times[side].append(seconds(call) / calls * 1e6)
-        p, c = statistics.median(times["parent"]), statistics.median(times["change"])
-        faster = sum(b < a for a, b in zip(times["parent"], times["change"])) / args.rounds
-        print(f"| {case} | {p:.1f} | {c:.1f} | {c / p:.3f} | {faster:.0%} |")
+    for case, (_, evaluations) in calls["parent"].items():
+        sides = {side: calls[side][case][0] for side in calls}
+        for call in sides.values():  # warm-up
+            call()
+        times = alternate(sides, args.rounds)
+        p, c, ratio, faster = compare(times["parent"], times["change"])
+        print(f"| {case} | {p / evaluations * 1e6:.1f} | {c / evaluations * 1e6:.1f} "
+              f"| {ratio:.3f} | {faster:.0%} |")
     return 0
 
 

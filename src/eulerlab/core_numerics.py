@@ -191,9 +191,7 @@ class PowerRows(NamedTuple):
         # The kernel at every (x[i], s[j]) from the factors (log x, k, f1, f2, d)
         # at each node, with PowerKernel's operations, so every value equals
         # PowerKernel's (but for the sign of a zero part, which no ladder sum
-        # keeps): float_power is the C library's pow, as float ** is, and
-        # numpy's complex exp rounds as cmath's does where the real part of
-        # the argument is at most 708.39 (above, cmath's scales by e).
+        # keeps): float_power is the C library's pow, as float ** is.
         logs, k, f1, f2, d = factors
         e = np.array(self.offsets)[k.astype(np.intp)]  # each node's exponent offset
         values = _complex_powers(s, e, logs)
@@ -211,17 +209,18 @@ class PowerRows(NamedTuple):
 
 # Rows from which a block's complex powers may be formed from its distinct
 # real and imaginary parts (_complex_powers); sorting out the parts of fewer
-# costs more than it can save.
-_FACTOR_MIN_ROWS = 64
+# costs more than it can save.  Past CPython's CM_LOG_LARGE_DOUBLE,
+# log(DBL_MAX / 4), cmath.exp takes exp(Re - 1) and scales both parts by e.
+_FACTOR_MIN_ROWS, _LOG_LARGE_DOUBLE = 64, math.log(np.finfo(float).max / 4.0)
 
 
 def _complex_powers(s: np.ndarray, e: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    # exp((s + e) log x) at each node's (e, log x) for each complex s, as numpy's
-    # complex exp, the C library's cexp, gives it.  Where the real part of each
-    # argument is at most 708, cexp multiplies exp(Re) into cos(Im) and sin(Im)
-    # part by part; from the complex exp of a zero-imaginary argument and of a
-    # zero-real one these are its exp and sincos.  So where a block's rows share
-    # few distinct parts, each factor is taken once per node and distinct part.
+    # exp((s + e) log x) at each node's (e, log x) for each complex s, rounded
+    # as cmath.exp rounds it.  Up to a real part of 708 numpy's complex exp,
+    # the C library's cexp, is exp(Re) times cos(Im) and sin(Im) part by part;
+    # from the complex exp of a zero-imaginary argument and of a zero-real one
+    # these are its exp and sincos.  So where a block's rows share few distinct
+    # parts, each factor is taken once per node and distinct part.
     if len(s) >= _FACTOR_MIN_ROWS:
         re, re_at = np.unique(s.real, return_inverse=True)
         im, im_at = np.unique(s.imag, return_inverse=True)
@@ -238,7 +237,13 @@ def _complex_powers(s: np.ndarray, e: np.ndarray, logs: np.ndarray) -> np.ndarra
                 return values
     values = s + e[:, None]
     values *= logs[:, None]
-    return np.exp(values, out=values)
+    large = values.real > _LOG_LARGE_DOUBLE
+    if not large.any():
+        return np.exp(values, out=values)
+    values.real[large] -= 1.0
+    np.exp(values, out=values)
+    values.view(float).reshape(*values.shape, 2)[large] *= math.e
+    return values
 
 
 def _side(level: int, a: float, b: float, lo: bool) -> tuple[tuple, float, float]:

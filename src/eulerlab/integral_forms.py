@@ -15,10 +15,11 @@ closed forms pair these with gamma/eta/zeta from
 Next to a domain edge each family's kernel f(s, t) is t**(s+c) psi(t) near
 0, with psi regular and Re(s+c) close to -1, which the tanh-sinh ladder
 cannot resolve (c = 2, 1, -1 for the plus, minus and Fermi-Dirac
-families).  Within ``_SUBTRACT_BELOW`` of the edge ``I_plus``,
-``I_minus`` and ``fermi_dirac`` subtract that singular part and
-integrate it in closed form (Davis & Rabinowitz, Methods of Numerical
-Integration, 2.12):
+families; the edge is Re(s) = -1 - c).  psi is the kernel's form over
+t**(s+c), so each kernel is stated once.  Within ``_SUBTRACT_BELOW`` of
+the edge ``I_plus``, ``I_minus`` and ``fermi_dirac`` subtract that
+singular part and integrate it in closed form (Davis & Rabinowitz,
+Methods of Numerical Integration, 2.12):
 
     psi(0)/(s+c+1) + int_0^1 t**(s+c) (psi(t) - psi(0)) dt + int_1^T f(s, t) dt
 
@@ -156,32 +157,21 @@ def _fermi_dirac_form(t: float) -> tuple[int, float, float, float]:
     return 0, 1.0, 1.0, math.exp(t) + 1.0
 
 
-def _residual(t: float) -> float:
-    # (e**-t - 1 + t) / t**2 for 0 < t < 1
-    return _residual_series(t) if t < 0.5 else (math.expm1(-t) + t) / (t * t)
-
-
-def _psi_plus(t: float) -> float:
-    return _residual(t) / (math.exp(t) + 1.0)
-
-
-def _psi_minus(t: float) -> float:
-    # t / expm1(t) -> 1 as t -> 0, and t is never 0 at a node
-    return _residual(t) * (t / math.expm1(t))
-
-
-def _psi_fermi_dirac(t: float) -> float:
-    return 1.0 / (math.exp(t) + 1.0)
-
-
 class _Family(NamedTuple):
-    edge: float  # the integral exists for Re(s) > edge
     shift: float  # the kernel decays like e**-t t**(Re(s) + shift)
     c: float  # on (0, 1) the kernel is t**(s+c) psi(t)
-    psi: Callable[[float], float]  # regular at 0, where it tends to psi0
-    psi0: float
+    psi0: float  # the limit of psi at 0
     form: Callable  # the kernel is t**(s + offsets[k]) f1 f2 / d, (k, f1, f2, d) = form(t)
     offsets: tuple[float, ...]
+
+    @property
+    def edge(self) -> float:  # the integral exists for Re(s) > edge
+        return -1.0 - self.c
+
+    def psi(self, t: float) -> float:
+        # the kernel over t**(s+c), from its form: regular at 0
+        k, f1, f2, d = self.form(t)
+        return t ** (self.offsets[k] - self.c) * f1 * f2 / d
 
     def near(self, t: float) -> tuple[int, float, float, float]:
         # the form of t**(s+c) (psi(t) - psi0), the kernel subtracted on (0, 1)
@@ -198,9 +188,9 @@ class _Family(NamedTuple):
         return PowerRows(self.form, self.offsets)
 
 
-_PLUS = _Family(-3.0, 1.0, 2.0, _psi_plus, 0.25, _plus_form, (0.0, 2.0))
-_MINUS = _Family(-2.0, 1.0, 1.0, _psi_minus, 0.5, _minus_form, (0.0, 1.0))
-_FERMI_DIRAC = _Family(0.0, -1.0, -1.0, _psi_fermi_dirac, 0.5, _fermi_dirac_form, (-1.0,))
+_PLUS = _Family(1.0, 2.0, 0.25, _plus_form, (0.0, 2.0))
+_MINUS = _Family(1.0, 1.0, 0.5, _minus_form, (0.0, 1.0))
+_FERMI_DIRAC = _Family(-1.0, -1.0, 0.5, _fermi_dirac_form, (-1.0,))
 
 
 # Distance Re(s) - edge below which the singular part is subtracted.
@@ -278,10 +268,8 @@ def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]
     """I_plus at every point, refined together over points x nodes arrays.
 
     Agrees with ``I_plus`` point by point to the bit, evaluation counts
-    and convergence included: the rows are the scalar kernel's values
-    (but at nodes where the real part of the power's argument passes
-    708.39, whose complex exp numpy and cmath round apart); see
-    ``core_numerics.integrate_semi_infinite_many``.  Points within
+    and convergence included: the rows are the scalar kernel's values;
+    see ``core_numerics.integrate_semi_infinite_many``.  Points within
     _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
     """
     return _reduced_many(_PLUS, I_plus, points, tol)
@@ -322,8 +310,8 @@ def rhs_eq15(s: complex) -> complex:
     first-order expansion around the limit replaces the generic route.
     """
     s = complex(s)
-    if s.real <= -3.0:
-        raise DomainError("outside Re(s) > -3")
+    if s.real <= _PLUS.edge:
+        raise DomainError(f"outside Re(s) > {_PLUS.edge:g}")
     for point in (-1.0, -2.0):
         w = s - point
         dist = abs(w)
@@ -347,7 +335,7 @@ def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
     outside the domain, which raise) take the scalar ``rhs_eq15``.
     """
     s = np.asarray(points, dtype=complex)
-    generic = (s.real > -3.0) & (np.abs(s + 1.0) >= _EXPANSION_RADIUS) & (
+    generic = (s.real > _PLUS.edge) & (np.abs(s + 1.0) >= _EXPANSION_RADIUS) & (
         np.abs(s + 2.0) >= _EXPANSION_RADIUS
     )
     panel = s[generic]
@@ -366,8 +354,8 @@ def rhs_eq12(s: complex) -> complex:
     neighbourhood are served by the same ring-extrapolated route.
     """
     s = complex(s)
-    if s.real <= -2.0:
-        raise DomainError("outside Re(s) > -2")
+    if s.real <= _MINUS.edge:
+        raise DomainError(f"outside Re(s) > {_MINUS.edge:g}")
     return gamma(s + 2.0) * zeta_minus_pole(s + 2.0)
 
 

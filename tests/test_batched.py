@@ -9,6 +9,7 @@ rows come from the scalar kernels' own forms, so their values and error
 estimates are the scalar route's to the bit.
 """
 
+import cmath
 import functools
 import math
 import re
@@ -178,8 +179,7 @@ class TestRows:
         # float_power.  The nodes run below t = 0.5 and past t = 40.  The
         # minus form's far blocks, Re(s) about 102.5 on (0, 1000), reach past
         # t = 709.78 and put the real part of s log t above 708, where the
-        # block keeps the complex exp of the whole argument (up to 708.39,
-        # where cmath's exp starts to scale by e and rounds otherwise).
+        # block takes the complex exp of the whole argument.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         scalar, batch, edge = KERNELS[family]
@@ -214,19 +214,69 @@ class TestRows:
             KERNELS[family][1].rows(np.array([0.5]), np.array([0.0, 1.0]))
 
 
-def test_complex_powers_past_708_are_numpys_exp():
-    # numpy's exp, the C library's cexp, scales the argument past a real
-    # part of 709, so exp(Re) cos(Im) differs from it in the last bit there
-    # (and cmath's exp, from 708.39); a grid block with such an argument takes
-    # the exp of the whole argument, as a block of few points does
+def test_complex_powers_past_708_are_cmaths_exp():
+    # numpy's exp, the C library's cexp, rounds exp(Re) cos(Im) otherwise than
+    # cmath's exp where the real part passes 708.39 (there cmath's takes
+    # exp(Re - 1) and scales both parts by e); a grid block with such an
+    # argument rounds every element as cmath's exp does
     s = np.array([complex(x, y) for x in np.linspace(102.6, 102.74, 8)
                   for y in np.linspace(-3.0, 3.0, 10)])
     logs = np.log(np.array([0.3, 500.0, 999.0, 999.99]))
     e = np.zeros(len(logs))
     assert (s.real.max() * logs > 709.0).any()
     values = core_numerics._complex_powers(s, e, logs)
-    expected = np.exp((s + e[:, None]) * logs[:, None])
+    expected = np.array([[cmath.exp(p * log) for p in s.tolist()] for log in logs.tolist()])
     assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class TestPastLogLargeDouble:
+    # Powers whose argument has a real part in (708.3964, 709.7827]: above
+    # CPython's CM_LOG_LARGE_DOUBLE, log(DBL_MAX / 4), where cmath.exp takes
+    # exp(Re - 1) times e, and below the overflow of t**s.  The minus form's
+    # nodes in (997, 1000) at Re(s) 102.6-102.74 put every power there.
+    RES = np.linspace(102.6, 102.74, 8)
+    IMS = np.linspace(-3.0, 3.0, 10)
+    T = np.array([997.1, 998.0, 999.0, 999.5, 999.9887, 999.999])
+
+    def assert_rows_are_the_kernel(self, points):
+        arguments = points.real[None, :] * np.log(self.T)[:, None]
+        assert (arguments > 708.3964).all() and (arguments <= 709.7827).all()
+        values = integral_forms._MINUS.rows(points, self.T)
+        expected = np.array([[integral_forms._MINUS.kernel(s)(t) for s in points.tolist()]
+                             for t in self.T.tolist()])
+        assert (expected.real != 0.0).all() and (expected.imag != 0.0).all()
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_one_row_block_is_the_kernel(self):
+        for s in (complex(x, y) for x in self.RES for y in self.IMS):
+            self.assert_rows_are_the_kernel(np.array([s]))
+
+    def test_grid_block_is_the_kernel(self):
+        points = np.array([complex(x, y) for x in self.RES for y in self.IMS])
+        assert len(points) >= core_numerics._FACTOR_MIN_ROWS
+        # premise: numpy's exp of the whole argument rounds some of them apart
+        assert (np.exp(points[None, :] * np.log(self.T)[:, None])
+                != [[cmath.exp(s * math.log(t)) for s in points.tolist()]
+                    for t in self.T.tolist()]).any()
+        self.assert_rows_are_the_kernel(points)
+
+    def test_rows_at_a_level_zero_node_of_0_1000(self):
+        s, t = 102.6 + 0.5j, 999.9887
+        assert integral_forms._MINUS.rows(np.array([s]), np.array([t]))[0, 0] == (
+            reduced_integrand_minus(s, t))
+
+    def test_ladder_summing_such_nodes_is_the_scalar_ladder(self):
+        # No quadrature route reaches such a node: a truncation T at which
+        # the tail bound's T**(Re(s) + 2) stays finite keeps Re(s) log T
+        # below 697.  The finite ladders over (997, 1000) sum them at every
+        # level.
+        points = np.array([complex(x, y) for x in self.RES for y in (0.5, -2.0)])
+        for tol in (1e-130, 1e-135):
+            batched = core_numerics._tanh_sinh_rows(
+                integral_forms._MINUS.rows, points, 997.0, 1000.0, np.full(len(points), tol))
+            for s, *row in zip(points.tolist(), *(column.tolist() for column in batched)):
+                scalar = integrate_finite(integral_forms._MINUS.kernel(s), 997.0, 1000.0, tol)
+                assert_same_quadrature(QuadratureResult(*row), scalar)
 
 
 def test_minus_rows_past_the_overflow_of_e_to_the_t():

@@ -9,6 +9,8 @@ plain route and its evaluation counts are unchanged.
 
 import dataclasses
 import json
+import math
+import random
 
 import pytest
 
@@ -68,6 +70,41 @@ class TestPsi:
         f = FAMILIES[family][1]
         assert abs(f.psi(1e-12) - f.psi0) <= 1e-12
         assert abs(f.psi(1e-300) - f.psi0) <= 1e-16
+
+
+def _old_residual(t):
+    # (e**-t - 1 + t) / t**2 for 0 < t < 1, as psi was stated by hand
+    return integral_forms._residual_series(t) if t < 0.5 else (math.expm1(-t) + t) / (t * t)
+
+
+# psi of each family as the subtracted route once stated it, beside the form
+OLD_PSI = {
+    "I_plus": lambda t: _old_residual(t) / (math.exp(t) + 1.0),
+    "I_minus": lambda t: _old_residual(t) * (t / math.expm1(t)),
+    "fermi_dirac": lambda t: 1.0 / (math.exp(t) + 1.0),
+}
+
+
+_RNG = random.Random(23)
+BELOW_HALF = [1e-300, 1e-200, 1e-12, 1e-6, 0.4999, *(_RNG.uniform(1e-9, 0.5) for _ in range(400))]
+FROM_HALF = [0.5, 0.9999, *(_RNG.uniform(0.5, 1.0) for _ in range(400))]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestPsiFromTheForm:
+    # psi(t) = t**(offsets[k] - c) f1 f2 / d, (k, f1, f2, d) = form(t): below
+    # t = 0.5 the power is t**0.0 and the order of operations the old one;
+    # from 0.5, pow(t, -2) and 1/t replace the old division by t * t and t,
+    # which moves the plus psi by up to 2 ulps and the minus psi by up to 3
+    def test_below_one_half_psi_is_the_old_psi_bit_for_bit(self, family):
+        f = FAMILIES[family][1]
+        assert [f.psi(t).hex() for t in BELOW_HALF] == [OLD_PSI[family](t).hex() for t in BELOW_HALF]
+
+    def test_from_one_half_psi_is_within_three_ulps_of_the_old_psi(self, family):
+        f, old = FAMILIES[family][1], OLD_PSI[family]
+        if family == "fermi_dirac":  # t**0.0 is 1.0 on all of (0, 1)
+            assert [f.psi(t).hex() for t in FROM_HALF] == [old(t).hex() for t in FROM_HALF]
+        assert all(abs(f.psi(t) - old(t)) <= 3.0 * math.ulp(old(t)) for t in FROM_HALF)
 
 
 class TestSubtractedRoute:
