@@ -24,14 +24,20 @@ from typing import Callable
 
 
 def load(checkout: Path, name: str, module: str):
-    """The module ``module`` of checkout's eulerlab, imported (once) as package name."""
+    """The module ``module`` of checkout's eulerlab, imported (once) as package name.
+
+    A name already holding another checkout's package is refused, so that
+    one side is never timed against itself.
+    """
+    package = checkout.resolve() / "src" / "eulerlab"
     if name not in sys.modules:
-        package = checkout.resolve() / "src" / "eulerlab"
         spec = importlib.util.spec_from_file_location(
             name, package / "__init__.py", submodule_search_locations=[str(package)]
         )
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
+    elif list(sys.modules[name].__path__) != [str(package)]:
+        raise ValueError(f"{name} is already {sys.modules[name].__path__[0]}, not {package}")
     return importlib.import_module(f"{name}.{module}")
 
 

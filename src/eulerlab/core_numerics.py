@@ -238,8 +238,6 @@ def _complex_powers(s: np.ndarray, e: np.ndarray, logs: np.ndarray) -> np.ndarra
     values = s + e[:, None]
     values *= logs[:, None]
     large = values.real > _LOG_LARGE_DOUBLE
-    if not large.any():
-        return np.exp(values, out=values)
     values.real[large] -= 1.0
     np.exp(values, out=values)
     values.view(float).reshape(*values.shape, 2)[large] *= math.e

@@ -216,60 +216,60 @@ class TestRows:
 
 def test_complex_powers_past_708_are_cmaths_exp():
     # numpy's exp, the C library's cexp, rounds exp(Re) cos(Im) otherwise than
-    # cmath's exp where the real part passes 708.39 (there cmath's takes
-    # exp(Re - 1) and scales both parts by e); a grid block with such an
-    # argument rounds every element as cmath's exp does
+    # cmath's exp where the real part passes 708.39, CPython's
+    # CM_LOG_LARGE_DOUBLE, log(DBL_MAX / 4) (there cmath's takes exp(Re - 1)
+    # and scales both parts by e); a grid block and one-row blocks with such
+    # arguments round every element as cmath's exp does, and the minus rows
+    # at nodes in (997, 1000), every argument in (708.3964, 709.7827], are
+    # its kernel's bits
     s = np.array([complex(x, y) for x in np.linspace(102.6, 102.74, 8)
                   for y in np.linspace(-3.0, 3.0, 10)])
-    logs = np.log(np.array([0.3, 500.0, 999.0, 999.99]))
+    band = np.array([997.1, 998.0, 999.0, 999.5, 999.9887, 999.999])
+    logs = np.log(np.array([0.3, 500.0, 999.0, 999.99, *band]))
     e = np.zeros(len(logs))
-    assert (s.real.max() * logs > 709.0).any()
-    values = core_numerics._complex_powers(s, e, logs)
+    arguments = s.real[None, :] * np.log(band)[:, None]
+    assert (arguments > 708.3964).all() and (arguments <= 709.7827).all()
+    assert len(s) >= core_numerics._FACTOR_MIN_ROWS
     expected = np.array([[cmath.exp(p * log) for p in s.tolist()] for log in logs.tolist()])
-    assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert (np.exp(s[None, :] * logs[:, None]) != expected).any()  # numpy's own rule parts
+    kernel = np.array([[integral_forms._MINUS.kernel(p)(t) for p in s.tolist()]
+                       for t in band.tolist()])
+    assert (kernel.real != 0.0).all() and (kernel.imag != 0.0).all()
+    for j in [slice(None), *([j] for j in range(len(s)))]:
+        values = core_numerics._complex_powers(s[j], e, logs)
+        assert values.view(np.int64).tolist() == expected[:, j].view(np.int64).tolist()
+        rows = integral_forms._MINUS.rows(s[j], band)
+        assert rows.view(np.int64).tolist() == kernel[:, j].view(np.int64).tolist()
 
 
 class TestPastLogLargeDouble:
-    # Powers whose argument has a real part in (708.3964, 709.7827]: above
-    # CPython's CM_LOG_LARGE_DOUBLE, log(DBL_MAX / 4), where cmath.exp takes
-    # exp(Re - 1) times e, and below the overflow of t**s.  The minus form's
-    # nodes in (997, 1000) at Re(s) 102.6-102.74 put every power there.
+    # The minus form's nodes in (997, 1000) at Re(s) 102.6-102.74 put every
+    # power's argument past log(DBL_MAX / 4) and below the overflow of t**s.
     RES = np.linspace(102.6, 102.74, 8)
-    IMS = np.linspace(-3.0, 3.0, 10)
-    T = np.array([997.1, 998.0, 999.0, 999.5, 999.9887, 999.999])
-
-    def assert_rows_are_the_kernel(self, points):
-        arguments = points.real[None, :] * np.log(self.T)[:, None]
-        assert (arguments > 708.3964).all() and (arguments <= 709.7827).all()
-        values = integral_forms._MINUS.rows(points, self.T)
-        expected = np.array([[integral_forms._MINUS.kernel(s)(t) for s in points.tolist()]
-                             for t in self.T.tolist()])
-        assert (expected.real != 0.0).all() and (expected.imag != 0.0).all()
-        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
-
-    def test_one_row_block_is_the_kernel(self):
-        for s in (complex(x, y) for x in self.RES for y in self.IMS):
-            self.assert_rows_are_the_kernel(np.array([s]))
-
-    def test_grid_block_is_the_kernel(self):
-        points = np.array([complex(x, y) for x in self.RES for y in self.IMS])
-        assert len(points) >= core_numerics._FACTOR_MIN_ROWS
-        # premise: numpy's exp of the whole argument rounds some of them apart
-        assert (np.exp(points[None, :] * np.log(self.T)[:, None])
-                != [[cmath.exp(s * math.log(t)) for s in points.tolist()]
-                    for t in self.T.tolist()]).any()
-        self.assert_rows_are_the_kernel(points)
 
     def test_rows_at_a_level_zero_node_of_0_1000(self):
         s, t = 102.6 + 0.5j, 999.9887
         assert integral_forms._MINUS.rows(np.array([s]), np.array([t]))[0, 0] == (
             reduced_integrand_minus(s, t))
 
+    @pytest.mark.parametrize("family", ["plus", "minus", "fermi_dirac"])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-300, 10.0])
+    def test_no_route_sums_such_a_node(self, family, tol):
+        # a truncation T at which the tail bound's T**(Re(s) + shift + 1)
+        # stays finite keeps the power at T, its largest, below the band
+        f = {"plus": integral_forms._PLUS, "minus": integral_forms._MINUS,
+             "fermi_dirac": integral_forms._FERMI_DIRAC}[family]
+        largest = 0.0
+        for real in np.arange(0.0, 130.0, 0.25).tolist():
+            try:
+                T = core_numerics._truncation(tol, real + f.shift)[0]
+            except DomainError:
+                continue
+            largest = max(largest, (real + f.offsets[f.form(T)[0]]) * math.log(T))
+        assert 690.0 < largest < core_numerics._LOG_LARGE_DOUBLE
+
     def test_ladder_summing_such_nodes_is_the_scalar_ladder(self):
-        # No quadrature route reaches such a node: a truncation T at which
-        # the tail bound's T**(Re(s) + 2) stays finite keeps Re(s) log T
-        # below 697.  The finite ladders over (997, 1000) sum them at every
-        # level.
+        # The finite ladders over (997, 1000) sum such nodes at every level.
         points = np.array([complex(x, y) for x in self.RES for y in (0.5, -2.0)])
         for tol in (1e-130, 1e-135):
             batched = core_numerics._tanh_sinh_rows(

@@ -106,6 +106,29 @@ class TestPsiFromTheForm:
             assert [f.psi(t).hex() for t in FROM_HALF] == [old(t).hex() for t in FROM_HALF]
         assert all(abs(f.psi(t) - old(t)) <= 3.0 * math.ulp(old(t)) for t in FROM_HALF)
 
+    def test_from_one_half_psi_is_no_farther_from_mpmath_than_the_old_psi(self, family):
+        # where psi moves more than 2 ulps from the old psi it moves closer to
+        # the true value, and its largest error on [0.5, 1), in ulps of the
+        # true value, is no larger
+        mpmath = pytest.importorskip("mpmath")
+        f, old = FAMILIES[family][1], OLD_PSI[family]
+        with mpmath.workdps(40):
+            def error(value, t):
+                t = mpmath.mpf(t)
+                residual = (mpmath.expm1(-t) + t) / t**2
+                exact = {"I_plus": residual / (mpmath.exp(t) + 1),
+                         "I_minus": residual * t / mpmath.expm1(t),
+                         "fermi_dirac": 1 / (mpmath.exp(t) + 1)}[family]
+                return abs(mpmath.mpf(value) - exact) / math.ulp(float(exact))
+
+            new_errors = [error(f.psi(t), t) for t in FROM_HALF]
+            old_errors = [error(old(t), t) for t in FROM_HALF]
+        moved = [i for i, t in enumerate(FROM_HALF)
+                 if abs(f.psi(t) - old(t)) > 2.0 * math.ulp(old(t))]
+        assert family != "I_minus" or moved
+        assert all(new_errors[i] < old_errors[i] for i in moved)
+        assert max(new_errors) <= max(old_errors)
+
 
 class TestSubtractedRoute:
     def test_property_converges_to_the_closed_form(self):

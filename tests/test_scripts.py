@@ -41,6 +41,14 @@ def test_sweep_cost_builds_and_counts_its_cases():
     assert elements > 0 and calls > 0 and truncations > 0 and results >= 16
 
 
+def test_load_refuses_a_name_holding_another_checkout(tmp_path):
+    ab.load(ROOT, PACKAGE, "identity_engine")
+    (tmp_path / "src" / "eulerlab").mkdir(parents=True)
+    (tmp_path / "src" / "eulerlab" / "__init__.py").write_text("")
+    with pytest.raises(ValueError, match="is already"):
+        ab.load(tmp_path, PACKAGE, "identity_engine")
+
+
 def test_eta_and_constants_cost_build_their_cases():
     cases = eta_cost.cases(ab.load(ROOT, PACKAGE, "special_functions"), 13)
     assert [evaluations for _, evaluations in cases.values()] == [1, 16, 16] * 2
