@@ -12,9 +12,9 @@ as json; ``verify`` as json and csv at the points of ``VERIFY_POINTS``;
 the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
 writer from a value change); and ``eval`` of every function at the
-points of ``EVAL_POINTS`` as json and csv: 122 commands.  It compares
-stdout and the exit code of every command and exits 1 if any differ,
-naming each differing command.
+points of ``EVAL_POINTS`` as json and csv: 127 commands.  It compares
+stdout, stderr and the exit code of every command and exits 1 if any
+differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
 """
 
@@ -51,13 +51,15 @@ CONST_N = (
 
 # One interior point and one within 0.45 of the domain edge (where the
 # quadratures subtract the endpoint singularity) per quadrature identity,
-# and eq15 inside the expansion radius of its removable singularity.
+# eq15 inside the expansion radius of its removable singularity, and eq15
+# within the 0.01 margin above its edge, which exits 2 naming the margin.
 VERIFY_POINTS = (
     ("eq12", "0.5+0.5i"),
     ("eq12", "-1.7+0.3i"),
     ("eq15", "0.5+1i"),
     ("eq15", "-2.8+0.7i"),
     ("eq15", "-1.00005"),
+    ("eq15", "-2.995"),
     ("eq18", "2+1i"),
     ("eq18", "0.2+0.5i"),
 )
@@ -65,10 +67,11 @@ VERIFY_POINTS = (
 # One sweep per quadrature identity, each large enough for the batched
 # routes, and an eq17 sweep whose scalar eta and zeta sums start from
 # the first stage of the Euler-transform table (|Im(s)| <= 8), and from
-# the whole table above it.  The last three are dense enough for the
+# the whole table above it.  The next three are dense enough for the
 # batched ladder to take several blocks per level: the grid_eq15
 # benchmark sweep, eq15 where its values reach 3e6, and eq18 from its
-# domain edge.
+# domain edge.  The last is a 9-point eq15 sweep, below the batch size,
+# whose rhs is summed point by point.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
@@ -77,6 +80,7 @@ GRIDS = (
     ("eq15", "--re=-2.5:3:0.05", "--im=0:2:0.1"),
     ("eq15", "--re=3:9.5:0.1", "--im=0:3:0.5"),
     ("eq18", "--re=0.011:1.5:0.02", "--im=0:2:0.2"),
+    ("eq15", "--re=-2.25:1.75:0.5", "--im=0.5:0.5:1"),
 )
 
 EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
@@ -115,9 +119,9 @@ COMMANDS = (
 )
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, bytes]:
+def run(checkout: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     proc = ab.run(checkout, ["-m", "eulerlab.cli", *argv], check=False)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(argv: list[str]) -> int:

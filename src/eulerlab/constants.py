@@ -129,19 +129,17 @@ def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
 
     Terms decay like 2**-n, so 50 terms already exhaust double
     precision; this is the library's reference route for gamma.  The
-    summed zeta values come from one ``eta_many`` call.  Some of them are
-    an ulp or two off the scalar ``zeta``, but for every N up to 200 the
-    total is the float that scalar calls give; the tail of the error
-    bound, an ulp-sensitive product, keeps the scalar ``zeta``.  N <= 10**3
-    (2**N overflows from N = 1024).
+    zeta values come from one ``eta_many`` call, each as it is alone (N
+    = 2 too).  Some are an ulp or two off the scalar ``zeta``, but for
+    every N up to 200 the total is the float that scalar calls give; the
+    tail of the error bound, an ulp-sensitive product, keeps the scalar
+    ``zeta``.  N <= 10**3 (2**N overflows from N = 1024).
     """
     if not 2 <= n_terms <= 10**3:
         raise ValueError("n_terms must lie in [2, 10**3]")
-    # eta(2), ..., eta(N) by one matrix product.  It takes eta(N + 1) as
-    # well: a product of one column (N = 2) rounds eta(2) differently.
-    etas = eta_many([float(n) for n in range(2, n_terms + 2)]).real.tolist()
+    etas = eta_many([float(n) for n in range(2, n_terms + 1)]).real.tolist()
     total = math.log(4.0) - math.log(math.pi)
-    for n, value in enumerate(etas[:-1], start=2):
+    for n, value in enumerate(etas, start=2):
         term = 2.0 * (value / _eta_zeta_factor(n)) / (2.0**n * n)
         total += term if n % 2 == 0 else -term
     tail = zeta(float(n_terms + 1)).real / (2.0**n_terms * (n_terms + 1))

@@ -263,6 +263,18 @@ def _factor_array(form, xs: list[float]) -> np.ndarray:
     return flat.reshape(-1, 5).T
 
 
+def _store(tables: dict, key, table, size: Callable, cap: int) -> None:
+    # tables[key] = table, the newest; the oldest go while the held sizes pass cap
+    tables.pop(key, None)
+    tables[key] = table
+    held = sum(map(size, list(tables.values())))
+    for old in list(tables):  # a snapshot: another thread may insert meanwhile
+        if held <= cap:
+            break
+        gone = tables.pop(old, None)
+        held -= 0 if gone is None else size(gone)
+
+
 # (form, level <= 5, where registry and near-edge ladders end, a, b) -> per side,
 # (w, x, log x, k, f1, f2, d) at the nodes before the first outside (a, b).  The oldest
 # go past 2,560 nodes, 0.19 KB each (``eulerlab all`` and edge verifies hold 1,941).
@@ -278,12 +290,7 @@ def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
             xs = list(takewhile(lambda x: a < x < b, (edge + step * d for d, _, _ in nodes)))
             entries += [(0.5 * (b - a) * weight, x, *factors)
                         for (_, weight, _), x, factors in zip(nodes, xs, _factors(form, xs))]
-        _tables[key] = table
-        held = sum(len(hi) + len(lo) for hi, lo in list(_tables.values()))
-        for old in list(_tables):  # a snapshot: another thread may insert meanwhile
-            if held <= _TABLE_NODES:
-                break
-            held -= sum(map(len, _tables.pop(old, ())))
+        _store(_tables, key, table, lambda sides: sum(map(len, sides)), _TABLE_NODES)
     return table
 
 
@@ -392,19 +399,10 @@ _ROW_TABLE_NODES, _row_tables = 1 << 16, {}
 
 def _row_table(form, level: int, a: float, b: float, lo: int, x: np.ndarray, n: int):
     # the factors at x[:n] (or more), the nodes of the side
-    table = _row_tables.get(key := (form, level, a, b, lo))
-    have = 0 if table is None else table.shape[1]
-    if table is None or have < n:  # extended whole before a concurrent caller can see it
-        new = _factor_array(form, x[have:n].tolist())
-        table = new if table is None else np.concatenate((table, new), axis=1)
-        _row_tables.pop(key, None)
-        _row_tables[key] = table
-        held = sum(table.shape[1] for table in list(_row_tables.values()))
-        for old in list(_row_tables):  # a snapshot: another thread may insert meanwhile
-            if held <= _ROW_TABLE_NODES:
-                break
-            gone = _row_tables.pop(old, None)
-            held -= 0 if gone is None else gone.shape[1]
+    table = _row_tables.get(key := (form, level, a, b, lo), np.empty((5, 0)))
+    if (have := table.shape[1]) < n:  # extended whole before a concurrent caller can see it
+        table = np.concatenate((table, _factor_array(form, x[have:n].tolist())), axis=1)
+        _store(_row_tables, key, table, lambda factors: factors.shape[1], _ROW_TABLE_NODES)
     return table
 
 

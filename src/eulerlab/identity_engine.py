@@ -27,8 +27,6 @@ from . import constants, core_numerics, integral_forms, special_functions
 from .errors import DomainError, EulerLabError, PoleError
 
 EXCLUSION_RADIUS = 1e-6
-# Quadrature-backed routes keep a margin above the mathematical domain edge.
-DOMAIN_MARGIN = 0.01
 PANEL_SEED = 0x5EED
 # Largest sweep ``grid`` accepts, and the most values one axis builds.
 MAX_GRID_POINTS = 10**6
@@ -40,15 +38,12 @@ MAX_GRID_POINTS = 10**6
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# From this many points on, the eq12, eq15 and eq18 quadratures run the batched
-# ladder, and from _ETA_PANEL_MIN_POINTS on eq15's rhs its eta panel.  Batched over
-# scalar time (``scripts/batch_threshold.py``, each sweep from empty kernel tables,
-# shared 2-core x86-64 VM, two or three runs): quadratures at 8 points 1.02-1.14, 9
-# 0.96-1.03, 10 0.93-0.97, 11 0.87-0.93, 12 0.83-0.94; the eta panel at 8 points
-# 0.44.  The first sets speed alone: the batched quadratures return the scalar
-# ones' results to the bit.
+# From this many points on, the eq12, eq15 and eq18 quadratures and eq15's rhs run
+# their batch.  Batched over scalar time (``scripts/batch_threshold.py``, from empty
+# kernel tables, shared 2-core x86-64 VM, two or three runs): quadratures at 8 points
+# 1.02-1.14, 9 0.96-1.03, 10 0.93-0.97, 11 0.87-0.93, 12 0.83-0.94.  It sets speed
+# alone: each batch returns its scalar route's values to the bit.
 _BATCH_MIN_POINTS = 11
-_ETA_PANEL_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -184,16 +179,15 @@ def _eq11_lhs(s, tol):
     return complex(est.value), est.terms_or_n
 
 
-def _quadrature(points, tol, single, many):
-    # The quadrature route single at each point, or its batch many from
-    # _BATCH_MIN_POINTS points on.
+def _batched(points, name, *args):
+    # integral_forms' route name at each point, or name_many from _BATCH_MIN_POINTS on
     if len(points) >= _BATCH_MIN_POINTS:
-        return many(points, _quad_tol(tol))
-    return [single(s, _quad_tol(tol)) for s in points]
+        return getattr(integral_forms, name + "_many")(points, *args)
+    return [getattr(integral_forms, name)(s, *args) for s in points]
 
 
 def _eq12_lhs(points, tol):
-    return _quadrature(points, tol, integral_forms.I_minus, integral_forms.I_minus_many)
+    return _batched(points, "I_minus", _quad_tol(tol))
 
 
 def _eq12_rhs(s, tol):
@@ -217,15 +211,11 @@ def _eq14_lhs(s, tol):
 
 
 def _eq15_lhs(points, tol):
-    return _quadrature(points, tol, integral_forms.I_plus, integral_forms.I_plus_many)
+    return _batched(points, "I_plus", _quad_tol(tol))
 
 
 def _eq15_rhs(points, tol):
-    if len(points) >= _ETA_PANEL_MIN_POINTS:
-        values = integral_forms.rhs_eq15_many(points)
-    else:
-        values = map(integral_forms.rhs_eq15, points)
-    return [(value, 0) for value in values]
+    return [(value, 0) for value in _batched(points, "rhs_eq15")]
 
 
 def _eq16_lhs(s, tol):
@@ -248,7 +238,7 @@ def _eq17_rhs(s, tol):
 
 
 def _eq18_lhs(points, tol):
-    return _quadrature(points, tol, integral_forms.fermi_dirac, integral_forms.fermi_dirac_many)
+    return _batched(points, "fermi_dirac", _quad_tol(tol))
 
 
 def _eq18_rhs(s, tol):
@@ -476,8 +466,9 @@ def get_identity(token: str) -> Identity:
 def _check_point(ident: Identity, s: complex | None) -> str | None:
     # Reason the point cannot be evaluated, or None if it can (always for
     # the None of an identity without parameter).
-    if ident.s_domain is not None and s.real <= ident.s_domain + DOMAIN_MARGIN:
-        return f"outside Re(s) > {ident.s_domain:g}"
+    reason = ident.s_domain is not None and integral_forms._edge_reason(ident.s_domain, s.real)
+    if reason:
+        return reason
     for point in ident.excluded_points:
         if abs(s - point) < EXCLUSION_RADIUS:
             return f"within exclusion radius of s = {point.real:g}"

@@ -55,6 +55,7 @@ from .core_numerics import (
 )
 from .errors import DomainError
 from .special_functions import (
+    _eta_sum,
     eta,
     eta_many,
     eta_prime,
@@ -200,13 +201,22 @@ _FERMI_DIRAC = _Family(-1.0, -1.0, 0.5, _fermi_dirac_form, (-1.0,))
 # grid_eq15's points sit 0.5 and more from their edge and keep the
 # plain route and its results.
 _SUBTRACT_BELOW = 0.45
+DOMAIN_MARGIN = 0.01  # the quadrature routes refuse points this close above their edge
+
+
+def _edge_reason(edge: float, re: float) -> str | None:
+    # why a quadrature route on Re(s) > edge refuses a point of real part re, if it does
+    if re <= edge:
+        return f"outside Re(s) > {edge:g}"
+    if re <= edge + DOMAIN_MARGIN:
+        return f"within {DOMAIN_MARGIN:g} of the domain edge Re(s) = {edge:g}"
 
 
 def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
     # the integral of the family's kernel at s over (0, inf)
     s = complex(s)
-    if s.real <= family.edge + 0.01:
-        raise DomainError(f"outside Re(s) > {family.edge:g}")
+    if (reason := _edge_reason(family.edge, s.real)) is not None:
+        raise DomainError(reason)
     far = family.kernel(s)
     if s.real - family.edge >= _SUBTRACT_BELOW:
         return integrate_semi_infinite(far, tol, s.real + family.shift)
@@ -224,8 +234,8 @@ def _reduced_many(
     # I_plus_many).  The callers pass it by its module-level name, so a
     # wrapper installed there, such as perfbench's tracer, sees its calls.
     s = np.asarray(points, dtype=complex)
-    if (s.real <= family.edge + 0.01).any():
-        raise DomainError(f"outside Re(s) > {family.edge:g}")
+    if (reason := _edge_reason(family.edge, s.real.min(initial=math.inf))) is not None:
+        raise DomainError(reason)
     batch = s.real - family.edge >= _SUBTRACT_BELOW
     plain = s[batch]
     batched = integrate_semi_infinite_many(
@@ -285,15 +295,6 @@ def fermi_dirac_many(points: Sequence[complex], tol: float) -> list[QuadratureRe
     return _reduced_many(_FERMI_DIRAC, fermi_dirac, points, tol)
 
 
-def _rhs_eq15_from_eta(s: complex, eta_s2: complex, eta_s1: complex) -> complex:
-    bracket = eta_s2 + (1.0 - 2.0 * eta_s1) / (s + 1.0)
-    return gamma(s + 2.0) * bracket
-
-
-def _rhs_eq15_generic(s: complex) -> complex:
-    return _rhs_eq15_from_eta(s, eta(s + 2.0), eta(s + 1.0))
-
-
 def _rhs_eq15_limit(point: float) -> complex:
     if point == -1.0:
         # limit value eta(1) - 2 eta'(0) = ln 2 - ln(pi/2) = ln(4/pi)
@@ -302,12 +303,24 @@ def _rhs_eq15_limit(point: float) -> complex:
     return eta_prime(0.0) - 0.5 + 2.0 * eta_prime(-1.0)
 
 
+def _rhs_eq15_panel(s: list[complex], sums: Callable = eta_many) -> list[complex]:
+    # the closed form at points clear of -1, -2 and the edge, the etas at s + 2 and
+    # s + 1 from one call of sums: eta_many, or for a point or two the sum itself,
+    # which eta_many's blocks sum alike (none is reflected) but does not check
+    etas = sums(np.array([p + 2.0 for p in s] + [p + 1.0 for p in s]))
+    if not np.isfinite(etas).all():
+        raise DomainError(f"eta is not finite at s + 2 or s + 1 for s among {s}")
+    return [gamma(p + 2.0) * (eta_s2 + (1.0 - 2.0 * eta_s1) / (p + 1.0))
+            for p, eta_s2, eta_s1 in zip(s, etas.tolist(), etas[len(s) :].tolist())]
+
+
 def rhs_eq15(s: complex) -> complex:
     """Closed form gamma(s+2) [eta(s+2) + (1 - 2 eta(s+1))/(s+1)].
 
     The bracket has removable singularities at s = -1 and s = -2; the
     exact limits are returned there, and within 1e-4 of either point a
     first-order expansion around the limit replaces the generic route.
+    The etas come from ``eta_many``'s sum, so each value is ``rhs_eq15_many``'s.
     """
     s = complex(s)
     if s.real <= _PLUS.edge:
@@ -318,32 +331,22 @@ def rhs_eq15(s: complex) -> complex:
         if dist == 0.0:
             return _rhs_eq15_limit(point)
         if dist < _EXPANSION_RADIUS:
-            direction = w / dist
-            step = _SLOPE_STEP * direction
-            slope = (
-                _rhs_eq15_generic(point + step)
-                - _rhs_eq15_generic(point - step)
-            ) / (2.0 * step)
-            return _rhs_eq15_limit(point) + w * slope
-    return _rhs_eq15_generic(s)
+            step = _SLOPE_STEP * (w / dist)
+            above, below = _rhs_eq15_panel([point + step, point - step], _eta_sum)
+            return _rhs_eq15_limit(point) + w * ((above - below) / (2.0 * step))
+    return _rhs_eq15_panel([s], _eta_sum)[0]
 
 
 def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
-    """rhs_eq15 at every point, with both eta panels summed at once.
+    """rhs_eq15 at every point, to the bit, with one eta_many call for all.
 
     Points at or within the expansion radius of -1 and -2 (and points
     outside the domain, which raise) take the scalar ``rhs_eq15``.
     """
     s = np.asarray(points, dtype=complex)
-    generic = (s.real > _PLUS.edge) & (np.abs(s + 1.0) >= _EXPANSION_RADIUS) & (
-        np.abs(s + 2.0) >= _EXPANSION_RADIUS
-    )
-    panel = s[generic]
-    etas = zip(eta_many(panel + 2.0).tolist(), eta_many(panel + 1.0).tolist())
-    return [
-        _rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p)
-        for p, g in zip(s.tolist(), generic.tolist())
-    ]
+    generic = (s.real > _PLUS.edge) & (np.minimum(abs(s + 1.0), abs(s + 2.0)) >= _EXPANSION_RADIUS)
+    values = iter(_rhs_eq15_panel(s[generic].tolist()))
+    return [next(values) if g else rhs_eq15(p) for p, g in zip(s.tolist(), generic.tolist())]
 
 
 def rhs_eq12(s: complex) -> complex:

@@ -242,12 +242,12 @@ def _euler_transform(weights: np.ndarray, rest=None) -> complex | np.ndarray:
     while True:
         small = np.abs(terms) < np.maximum(_NOISE_ULPS * noise, _TERM_FLOOR)
         run = small[:-2] & small[1:-1] & small[2:]
-        if len(terms) == _TABLE_SIZE or run.any(axis=0).all():
+        if (stopped := run.any(axis=0)).all() or len(terms) == _TABLE_SIZE:
             break
         weights = np.concatenate((weights, rest(slice(rows, None))))
         terms = np.concatenate((terms, _COMPLEX_BINOMIALS[rows:] @ weights))
         noise = np.concatenate((noise, _SCALED_BINOMIALS[rows:] @ np.abs(weights)))
-    stop = np.where(run.any(axis=0), run.argmax(axis=0) + 3, _TABLE_SIZE)
+    stop = np.where(stopped, run.argmax(axis=0) + 3, _TABLE_SIZE)
     if weights.ndim == 1:
         return complex(terms[: int(stop)].sum())
     return np.where(np.arange(len(terms))[:, None] < stop, terms, 0.0).sum(axis=0)
@@ -267,7 +267,7 @@ def _eta_sum(s: complex | np.ndarray, weigh=_alternating_powers) -> complex | np
     # numpy's warning is silenced there only: np.errstate costs a scalar eta 7%.
     re, im = s.real, abs(s.imag)
     if isinstance(s, np.ndarray):
-        re, im = re.max(), im.max()
+        re, im = max(re.tolist()), max(im.tolist())
     head = _HEAD_ROWS if im <= _HEAD_MAX_IM else _TABLE_SIZE
     quiet = max(re, im) >= 3.7e307
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
@@ -296,23 +296,23 @@ def eta(s: complex) -> complex:
 def eta_many(points: Sequence[complex]) -> np.ndarray:
     """eta at every point as one array, by one matrix product per block.
 
-    Each point keeps its own stopping rule, so the values agree with
-    ``eta`` up to the rounding of the matrix product; points below
-    Re(s) = -4 take the scalar ``eta``.  Points go through in blocks of
-    _PANEL_POINTS, which keeps each working array of the sum at most
-    256 KB however many points there are.
+    Each point keeps its own stopping rule, and its value is the same
+    alone and among any points: a lone point is summed as two columns, as
+    BLAS rounds a one-column product (gemv) otherwise than a wider one
+    (gemm), which rounds each column alike.  The values agree with ``eta``
+    up to the rounding of the matrix product; points below Re(s) = -4 take
+    the scalar ``eta``.  Blocks of _PANEL_POINTS keep each array in 256 KB.
     """
     s = np.asarray(points, dtype=complex)
     if not np.isfinite(s).all():
         raise DomainError(f"non-finite argument among s = {s[~np.isfinite(s)]}")
     values = np.empty(len(s), dtype=complex)
     reflected = s.real < _REFLECT_BELOW
-    for i in np.flatnonzero(reflected):
-        values[i] = eta(s[i])
+    values[reflected] = [eta(p) for p in s[reflected].tolist()]
     summed = np.flatnonzero(~reflected)
     for start in range(0, len(summed), _PANEL_POINTS):
         block = summed[start : start + _PANEL_POINTS]
-        values[block] = _eta_sum(s[block])
+        values[block] = _eta_sum(s[block.repeat(2) if len(block) == 1 else block])[: len(block)]
     if not np.isfinite(values).all():
         raise DomainError(f"eta overflows at s = {s[~np.isfinite(values)]}")
     return values

@@ -6,7 +6,9 @@ quadrature together (``integral_forms.I_minus_many``, ``I_plus_many``,
 (``rhs_eq15_many``); each must agree with the scalar route at every
 point, evaluation counts and convergence included.  The quadratures'
 rows come from the scalar kernels' own forms, so their values and error
-estimates are the scalar route's to the bit.
+estimates are the scalar route's to the bit; ``rhs_eq15`` takes a single
+point's etas from the sum ``eta_many`` runs per block, so a sweep's every
+report field is ``verify``'s.
 """
 
 import cmath
@@ -36,7 +38,6 @@ from eulerlab.integral_forms import (
     I_minus_many,
     I_plus,
     I_plus_many,
-    eta_many,
     fermi_dirac_integrand,
     reduced_integrand_minus,
     reduced_integrand_plus,
@@ -477,26 +478,11 @@ def per_point_is_generic(s):
     )
 
 
-def per_point_rhs_eq15_many(points):
-    # rhs_eq15_many with the panel chosen point by point by the scalar rule
-    s = [complex(p) for p in points]
-    generic = [per_point_is_generic(p) for p in s]
-    panel = [p for p, g in zip(s, generic) if g]
-    etas = zip(
-        eta_many([p + 2.0 for p in panel]).tolist(),
-        eta_many([p + 1.0 for p in panel]).tolist(),
-    )
-    return [
-        integral_forms._rhs_eq15_from_eta(p, *next(etas)) if g else rhs_eq15(p)
-        for p, g in zip(s, generic)
-    ]
-
-
 class TestRhsPanelMask:
     RADIUS = integral_forms._EXPANSION_RADIUS
 
     def check(self, monkeypatch, points):
-        # rhs_eq15_many against the per-point panel, bit for bit, and the
+        # rhs_eq15_many against rhs_eq15 at every point, bit for bit, and the
         # points it hands to the scalar route against the scalar rule
         scalar = []
 
@@ -505,7 +491,7 @@ class TestRhsPanelMask:
             return rhs_eq15(s)
 
         try:
-            expected = [complex_bits(v) for v in per_point_rhs_eq15_many(points)]
+            expected = [complex_bits(rhs_eq15(p)) for p in points]
         except DomainError as exc:
             with monkeypatch.context() as m:
                 m.setattr(integral_forms, "rhs_eq15", recording)
@@ -560,8 +546,7 @@ class TestRhsPanelMask:
 class TestRhsPanel:
     def test_matches_scalar_route(self):
         points = [complex(-2.4 + 0.37 * k, 0.13 * k) for k in range(15)]
-        for s, value in zip(points, rhs_eq15_many(points)):
-            assert abs(value - rhs_eq15(s)) <= 1e-13
+        assert rhs_eq15_many(points) == [rhs_eq15(s) for s in points]
 
     def test_points_near_minus_one_take_the_expansion(self, monkeypatch):
         limits = []
@@ -584,10 +569,8 @@ def grid_matches_verify(entries):
         if isinstance(entry, SkippedPoint):
             continue
         single = verify(entry.id, entry.s, entry.tol)
-        assert (entry.evaluations, entry.passed) == (single.evaluations, single.passed)
-        assert entry.lhs == single.lhs
-        # eq15's eta panel rounds as a matrix product, not as scalar eta
-        assert abs(entry.rhs - single.rhs) <= 1e-13
+        fields = ("lhs", "rhs", "abs_err", "rel_err", "passed", "evaluations")
+        assert [getattr(entry, f) for f in fields] == [getattr(single, f) for f in fields]
 
 
 class TestBatchedSweep:
@@ -687,17 +670,18 @@ class TestBatchedSweep:
         def refuse(*args):
             raise AssertionError("batched route called")
 
-        # the quadrature below its threshold, with the eta panel above its own
-        monkeypatch.setattr(integral_forms, "I_plus_many", refuse)
-        entries = grid("eq15", (0.0, 0.25 * (engine._BATCH_MIN_POINTS - 2), 0.25), (0.0, 0.0, 1.0))
-        assert len(entries) == engine._BATCH_MIN_POINTS - 1 >= engine._ETA_PANEL_MIN_POINTS
-        grid_matches_verify(entries)
-        # both below
-        monkeypatch.setattr(integral_forms, "rhs_eq15_many", refuse)
-        n = engine._ETA_PANEL_MIN_POINTS
-        entries = grid("eq15", (0.0, 0.25 * (n - 2), 0.25), (0.0, 0.0, 1.0))
-        assert len(entries) == n - 1
-        grid_matches_verify(entries)
+        # below _BATCH_MIN_POINTS neither side batches; at it both do, and the
+        # points the two sweeps share get the same reports
+        n = engine._BATCH_MIN_POINTS
+        with monkeypatch.context() as m:
+            m.setattr(integral_forms, "I_plus_many", refuse)
+            m.setattr(integral_forms, "rhs_eq15_many", refuse)
+            below = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 2), 0.55), (0.3, 0.3, 1.0))
+        assert len(below) == n - 1
+        at = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 1), 0.55), (0.3, 0.3, 1.0))
+        assert [engine.report_to_dict(e) for e in below] == [
+            engine.report_to_dict(e) for e in at[:-1]]
+        grid_matches_verify(below)
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))
     def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch, token):

@@ -142,6 +142,10 @@ class TestVerifyCommand:
         assert code == 2
         assert "outside Re(s) > -3" in err
 
+    def test_point_within_the_margin_says_so(self, capsys):
+        code, out, err = run(capsys, "verify", "eq15", "--s=-2.995", "--format=json")
+        assert (code, out, err) == (2, "", "within 0.01 of the domain edge Re(s) = -3\n")
+
     def test_unknown_identity_lists_tokens(self, capsys):
         code, _, err = run(capsys, "verify", "eq999")
         assert code == 2

@@ -208,6 +208,18 @@ class TestGrid:
         assert isinstance(entries[0], SkippedPoint)
         assert "outside" in entries[0].reason
 
+    @pytest.mark.parametrize("token, edge", [("eq12", -2.0), ("eq15", -3.0), ("eq18", 0.0)])
+    def test_skip_reason_names_the_margin_above_the_edge(self, token, edge):
+        entries = grid(token, (edge - 0.005, edge + 0.02, 0.0025), (0.5, 0.5, 1.0))
+        outside = f"outside Re(s) > {edge:g}"
+        margin = f"within 0.01 of the domain edge Re(s) = {edge:g}"
+        reasons = [e.reason if isinstance(e, SkippedPoint) else None for e in entries]
+        expected = [outside if e.s.real <= edge else margin if e.s.real <= edge + 0.01 else None
+                    for e in entries]
+        assert reasons == expected
+        assert reasons.count(outside) >= 2 and reasons.count(margin) >= 3
+        assert reasons.count(None) >= 3
+
     def test_empty_surviving_set(self):
         entries = grid("eq12", (-5.0, -3.0, 1.0), (0.0, 0.0, 1.0))
         assert all(isinstance(e, SkippedPoint) for e in entries)

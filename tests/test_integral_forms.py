@@ -11,6 +11,7 @@ from eulerlab.errors import DomainError
 from eulerlab.integral_forms import (
     I_minus,
     I_plus,
+    I_plus_many,
     SignedKernel,
     beukers_reduced,
     fermi_dirac,
@@ -19,6 +20,7 @@ from eulerlab.integral_forms import (
     reduced_integrand_plus,
     rhs_eq12,
     rhs_eq15,
+    rhs_eq15_many,
     termwise_series_oracle,
 )
 from eulerlab.special_functions import eta, eta_prime, gamma
@@ -176,6 +178,26 @@ class TestKernelIntegrals:
             I_minus(-2.0, 1e-8)
         with pytest.raises(DomainError):
             fermi_dirac(0.0, 1e-8)
+
+    @pytest.mark.parametrize("s", [0.5 + 1e308j, complex(math.nan, 1.0), complex(1.0, math.inf)])
+    def test_rhs_eq15_raises_domain_error_where_eta_is_not_finite(self, s):
+        # the single point's etas skip eta_many's checks; gamma would raise
+        # ZeroDivisionError at 2.5+1e308j
+        with pytest.raises(DomainError):
+            rhs_eq15(s)
+        with pytest.raises(DomainError):
+            rhs_eq15_many([0.5, s])
+
+    def test_points_within_the_margin_say_so(self):
+        margin = "within 0\\.01 of the domain edge Re\\(s\\) = -3$"
+        with pytest.raises(DomainError, match=margin):
+            I_plus(-2.995, 1e-8)
+        with pytest.raises(DomainError, match=margin):
+            I_plus(complex(-2.99, 1.0), 1e-8)
+        with pytest.raises(DomainError, match=margin):
+            I_plus_many([0.5, -2.995 + 1j, 1.0], 1e-8)
+        with pytest.raises(DomainError, match="within 0\\.01 of the domain edge Re\\(s\\) = 0$"):
+            fermi_dirac(0.005, 1e-8)
 
 
 class TestFermiDirac:

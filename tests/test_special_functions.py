@@ -322,10 +322,13 @@ def one_pass_euler_transform(weights):
 
 
 def one_pass_eta_many(points):
-    # eta_many's blocks, each summed in one pass (no point here is reflected)
+    # eta_many's blocks, each summed in one pass, a block of one point as
+    # two columns (no point here is reflected)
+    blocks = [points[i : i + _PANEL_POINTS] for i in range(0, len(points), _PANEL_POINTS)]
     return np.concatenate([
-        one_pass_euler_transform(_alternating_powers(points[i : i + _PANEL_POINTS]))[0]
-        for i in range(0, len(points), _PANEL_POINTS)
+        one_pass_euler_transform(_alternating_powers(np.resize(block, max(2, len(block)))))[0]
+        [: len(block)]
+        for block in blocks
     ])
 
 
@@ -378,6 +381,31 @@ class TestTwoStageSum:
         assert (stops <= _HEAD_ROWS).any() and straddling.any()
         assert ((stops > _HEAD_ROWS + 2) & (stops < _TABLE_SIZE)).any()
         assert (stops == _TABLE_SIZE).any()
+
+    def test_eta_many_value_does_not_depend_on_the_panel(self):
+        # a point's value alone equals its value at any position of a panel
+        # of any size: one-point tail blocks (1, 129 and 257 points), blocks
+        # that a large |Im(s)| sends to the whole table, and reflected points
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(st.sampled_from([1, 2, 3, 128, 129, 257]),
+                          st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5]),
+                          st.sampled_from([0.0, 0.02, 0.3]))
+        def check(size, seed, reflected_share, far_share):
+            rng = np.random.default_rng(seed)
+            re = rng.uniform(-4.0, 10.0, size) - 8.0 * (rng.random(size) < reflected_share)
+            im = rng.uniform(-3.0, 3.0, size) + rng.uniform(-90.0, 90.0, size) * (
+                rng.random(size) < far_share)
+            panel = re + 1j * im
+            values = eta_many(panel)
+            # each point one place on, so that points cross block boundaries
+            assert eta_many(np.roll(panel, 1)).tobytes() == np.roll(values, 1).tobytes()
+            for i in rng.choice(size, min(size, 4), replace=False).tolist() + [size - 1]:
+                assert values[i] == eta_many(panel[i : i + 1])[0]
+
+        check()
 
     @pytest.mark.parametrize("derivative", [False, True], ids=["eta", "eta_prime"])
     def test_second_stage_matches_one_pass(self, derivative):
@@ -521,9 +549,8 @@ class TestFunctionalEquationBand:
                 assert abs(value - eta(s)) <= 1e-13
 
     # Worst |eta_many - eta| / max(1, |eta|) over the panels below, by
-    # band of Re(s).  BLAS rounds the matrix product by column count, so
-    # a point's value depends on its batch; the cancelling sum below
-    # Re(s) = -1 magnifies that rounding.  Measured worst: 1.1e-15,
+    # band of Re(s).  The matrix product rounds otherwise than the scalar
+    # sum; the cancelling sum below Re(s) = -1 magnifies that rounding.  Measured worst: 1.1e-15,
     # 5.7e-15 and 8.6e-12; each route's own error against mpmath is about
     # 2e-15, 2e-14 and 9e-11 there.
     STRAY = ((0.0, 2e-15), (-1.0, 1e-14), (-4.0, 2e-11))
