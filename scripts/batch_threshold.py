@@ -2,7 +2,7 @@
 
 Usage:
 
-    python scripts/batch_threshold.py [--rounds 101] [--sizes 1,4,8,10,11,12,16]
+    python scripts/batch_threshold.py [--rounds 101] [--sizes 1,2,4,8,10,11,12,13,14,16]
 
 Run from the repository root (``src/`` is put on the path).  For each
 reduced family (``I_minus``, ``I_plus``, ``fermi_dirac``, at the
@@ -22,8 +22,9 @@ from which the batch is cheaper in every family is where
 ``identity_engine._BATCH_MIN_POINTS`` belongs.  The last rows time
 eq15's right-hand side, ``rhs_eq15`` at every point against
 ``rhs_eq15_many``, which sums every point's etas by one ``eta_many``
-call, on the I_plus points; eq15's rhs batches from the same threshold.
-Both give the same values, so the threshold sets speed alone.
+call, on the I_plus points; eq15's rhs batches from two points on (at
+one, ``rhs_eq15_many`` is the slower).  Both give the same values, so
+the threshold sets speed alone.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def clear_tables() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=101)
-    parser.add_argument("--sizes", default="1,4,8,10,11,12,16")
+    parser.add_argument("--sizes", default="1,2,4,8,10,11,12,13,14,16")
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     print("| family | points | scalar ms | batched ms | batched/scalar | batch faster |")

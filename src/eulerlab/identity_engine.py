@@ -38,12 +38,12 @@ MAX_GRID_POINTS = 10**6
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# From this many points on, the eq12, eq15 and eq18 quadratures and eq15's rhs run
-# their batch.  Batched over scalar time (``scripts/batch_threshold.py``, from empty
-# kernel tables, shared 2-core x86-64 VM, two or three runs): quadratures at 8 points
-# 1.02-1.14, 9 0.96-1.03, 10 0.93-0.97, 11 0.87-0.93, 12 0.83-0.94.  It sets speed
-# alone: each batch returns its scalar route's values to the bit.
-_BATCH_MIN_POINTS = 11
+# From this many points on, the eq12, eq15 and eq18 quadratures run their batch.
+# Batched over scalar time (``scripts/batch_threshold.py --rounds 101``, from empty
+# kernel tables, shared 2-core x86-64 VM, two runs, three families): 10 points
+# 1.02-1.07, 11 1.00-1.11, 12 0.92-1.03, 13 0.86-1.03, 14 0.80-0.99, 16 0.75-0.85.
+# It sets speed alone: each batch returns its scalar route's values to the bit.
+_BATCH_MIN_POINTS = 14
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,10 @@ def _eq15_lhs(points, tol):
 
 
 def _eq15_rhs(points, tol):
-    return [(value, 0) for value in _batched(points, "rhs_eq15")]
+    # batched from two points on: at one, rhs_eq15_many takes 1.35x rhs_eq15's time
+    if len(points) == 1:
+        return [(integral_forms.rhs_eq15(points[0]), 0)]
+    return [(value, 0) for value in integral_forms.rhs_eq15_many(points)]
 
 
 def _eq16_lhs(s, tol):
@@ -466,7 +469,7 @@ def get_identity(token: str) -> Identity:
 def _check_point(ident: Identity, s: complex | None) -> str | None:
     # Reason the point cannot be evaluated, or None if it can (always for
     # the None of an identity without parameter).
-    reason = ident.s_domain is not None and integral_forms._edge_reason(ident.s_domain, s.real)
+    reason = ident.s_domain is not None and integral_forms._edge_reason(ident.s_domain, s)
     if reason:
         return reason
     for point in ident.excluded_points:

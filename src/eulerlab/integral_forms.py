@@ -204,18 +204,20 @@ _SUBTRACT_BELOW = 0.45
 DOMAIN_MARGIN = 0.01  # the quadrature routes refuse points this close above their edge
 
 
-def _edge_reason(edge: float, re: float) -> str | None:
-    # why a quadrature route on Re(s) > edge refuses a point of real part re, if it does
-    if re <= edge:
+def _edge_reason(edge: float, s: complex) -> str | None:
+    # why a quadrature route on Re(s) > edge refuses the point s, if it does
+    if s.real <= edge:
         return f"outside Re(s) > {edge:g}"
-    if re <= edge + DOMAIN_MARGIN:
+    if s.real <= edge + DOMAIN_MARGIN:
         return f"within {DOMAIN_MARGIN:g} of the domain edge Re(s) = {edge:g}"
+    if math.isinf(s.imag * math.log(2.0**-1022)):  # from |Im(s)| = 2.5e305 on
+        return f"Im(s) ln t overflows near t = 0 at Im(s) = {s.imag:g}"
 
 
 def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
     # the integral of the family's kernel at s over (0, inf)
     s = complex(s)
-    if (reason := _edge_reason(family.edge, s.real)) is not None:
+    if (reason := _edge_reason(family.edge, s)) is not None:
         raise DomainError(reason)
     far = family.kernel(s)
     if s.real - family.edge >= _SUBTRACT_BELOW:
@@ -234,7 +236,8 @@ def _reduced_many(
     # I_plus_many).  The callers pass it by its module-level name, so a
     # wrapper installed there, such as perfbench's tracer, sees its calls.
     s = np.asarray(points, dtype=complex)
-    if (reason := _edge_reason(family.edge, s.real.min(initial=math.inf))) is not None:
+    im = s.imag[abs(s.imag).argmax()].item() if len(s) else 0.0  # the largest in size
+    if (reason := _edge_reason(family.edge, complex(s.real.min(initial=math.inf), im))) is not None:
         raise DomainError(reason)
     batch = s.real - family.edge >= _SUBTRACT_BELOW
     plain = s[batch]

@@ -62,7 +62,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +83,7 @@ _HEAD_MAX_IM = 8.0
 # (about 3e-6 absolute on [-5, -4)); eta and zeta take the functional
 # equation there instead.
 _REFLECT_BELOW = -4.0
+_OVERFLOW_FROM = 3.7e307  # max float / log 128: past Re(s) or |Im(s)| here -s log(k+1) overflows
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -172,16 +173,19 @@ def gamma(s: complex) -> complex:
     x, t, acc = _lanczos(s)
     try:
         value = math.sqrt(_TWO_PI) * t ** (x + 0.5) * cmath.exp(-t) * acc
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter where its phase is not finite
         value = complex(math.nan)
     if cmath.isfinite(value) and value != 0.0:
         return value
     # The power alone overflowed (raising, or as inf turning the product
     # into nan) or underflowed; fold exp(-t) into it.
+    exponent = (x + 0.5) * cmath.log(t) - t
     try:
-        value = math.sqrt(_TWO_PI) * cmath.exp((x + 0.5) * cmath.log(t) - t) * acc
+        value = math.sqrt(_TWO_PI) * cmath.exp(exponent) * acc
     except OverflowError:
         value = complex(math.inf)
+    except ValueError:  # an infinite phase, from |Im(s)| near max float: the size decides
+        value = complex(math.inf if exponent.real > 0.0 else 0.0)
     if not cmath.isfinite(value):
         raise DomainError(f"Gamma overflows at s = {s}")
     if value == 0.0:
@@ -260,18 +264,35 @@ def _alternating_powers(s: complex | np.ndarray, rows: slice = slice(None)) -> n
     return _SIGNS[rows] * np.exp(-s * _LOG_K1[rows])
 
 
-def _eta_sum(s: complex | np.ndarray, weigh=_alternating_powers) -> complex | np.ndarray:
-    # The sum with weights weigh(s, rows) at a point or array of points with
-    # Re(s) >= -4.  From Re(s) or |Im(s)| = 3.7e307 (max float / log 128) on,
-    # -s log(k+1) overflows to weights of 0 or nan (nan raises in the caller);
-    # numpy's warning is silenced there only: np.errstate costs a scalar eta 7%.
+def _eta_sum(s: complex | np.ndarray, weigh=None) -> complex | np.ndarray:
+    # The sum with weights weigh(rows), by default _alternating_powers(s, rows), at a
+    # point or array of points with Re(s) >= -4.  From _OVERFLOW_FROM on weights are 0
+    # or nan (nan raises in the caller); numpy's warning is silenced there only.
     re, im = s.real, abs(s.imag)
     if isinstance(s, np.ndarray):
         re, im = max(re.tolist()), max(im.tolist())
     head = _HEAD_ROWS if im <= _HEAD_MAX_IM else _TABLE_SIZE
-    quiet = max(re, im) >= 3.7e307
+    quiet = max(re, im) >= _OVERFLOW_FROM
+    weigh = weigh or (lambda rows: _alternating_powers(s, rows))
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-        return _euler_transform(weigh(s, slice(head)), lambda rows: weigh(s, rows))
+        return _euler_transform(weigh(slice(head)), weigh)
+
+
+def _part_powers(re: np.ndarray, im: np.ndarray) -> Callable:
+    # weigh(re_at, im_at, rows) = _alternating_powers(re[re_at] + i im[im_at], rows)
+    # to the bit, from exp(-re log(k+1)) per real part and exp(-i im log(k+1)) per
+    # imaginary part: with Re(s) >= -4 the real exponent stays below 20, and below
+    # 708 numpy's complex exp is exp(Re) times cos(Im) and sin(Im) (core_numerics.
+    # _complex_powers).  A zero phase's sign may differ; the signs' product makes it +0.
+    scale = np.exp(np.outer(_LOG_K1, -re) + 0j).real
+    phase = np.exp(-1j * np.outer(_LOG_K1, im))
+
+    def weigh(re_at: np.ndarray, im_at: np.ndarray, rows: slice) -> np.ndarray:
+        powers, factor = phase[rows][:, im_at], scale[rows][:, re_at]
+        powers.real *= factor
+        powers.imag *= factor
+        return _SIGNS[rows, None] * powers
+    return weigh
 
 
 def _finite_value(name: str, s: complex, value: complex) -> complex:
@@ -299,7 +320,9 @@ def eta_many(points: Sequence[complex]) -> np.ndarray:
     Each point keeps its own stopping rule, and its value is the same
     alone and among any points: a lone point is summed as two columns, as
     BLAS rounds a one-column product (gemv) otherwise than a wider one
-    (gemm), which rounds each column alike.  The values agree with ``eta``
+    (gemm), which rounds each column alike.  Past _PANEL_POINTS points each
+    distinct point is summed once, its weights formed per distinct real and
+    imaginary part where points share few.  The values agree with ``eta``
     up to the rounding of the matrix product; points below Re(s) = -4 take
     the scalar ``eta``.  Blocks of _PANEL_POINTS keep each array in 256 KB.
     """
@@ -310,9 +333,25 @@ def eta_many(points: Sequence[complex]) -> np.ndarray:
     reflected = s.real < _REFLECT_BELOW
     values[reflected] = [eta(p) for p in s[reflected].tolist()]
     summed = np.flatnonzero(~reflected)
-    for start in range(0, len(summed), _PANEL_POINTS):
-        block = summed[start : start + _PANEL_POINTS]
-        values[block] = _eta_sum(s[block.repeat(2) if len(block) == 1 else block])[: len(block)]
+    args, sums, columns, at, powers = s, values, summed, None, None
+    if len(summed) > _PANEL_POINTS:
+        re, re_at = np.unique(s[summed].real.view(np.int64), return_inverse=True)
+        if len(re) < len(summed):  # else no two points are alike
+            im, im_at = np.unique(s[summed].imag.view(np.int64), return_inverse=True)
+            _, first, at = np.unique(re_at * len(im) + im_at, return_index=True,
+                                     return_inverse=True)
+            args, re_at, im_at = s[summed[first]], re_at[first], im_at[first]
+            sums, columns = np.empty(len(first), dtype=complex), np.arange(len(first))
+            if (2 * (len(re) + len(im)) <= len(first)
+                    and max(args.real.max(), abs(args.imag).max()) < _OVERFLOW_FROM):
+                powers = _part_powers(re.view(float), im.view(float))
+    for start in range(0, len(columns), _PANEL_POINTS):
+        block = columns[start : start + _PANEL_POINTS]
+        block = block.repeat(2) if len(block) == 1 else block
+        sums[block] = _eta_sum(args[block], powers and (
+            lambda rows, b=block: powers(re_at[b], im_at[b], rows)))
+    if at is not None:
+        values[summed] = sums[at]
     if not np.isfinite(values).all():
         raise DomainError(f"eta overflows at s = {s[~np.isfinite(values)]}")
     return values
@@ -326,7 +365,7 @@ def eta_prime(s: complex) -> complex:
     s = _finite(s)
     _reject_cancelling_sum(s)
     return _finite_value("eta_prime", s, _eta_sum(
-        s, lambda s, rows: -_LOG_K1[rows] * _alternating_powers(s, rows)))
+        s, lambda rows: -_LOG_K1[rows] * _alternating_powers(s, rows)))
 
 
 def _eta_zeta_factor(s: complex) -> complex:

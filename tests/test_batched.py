@@ -666,22 +666,38 @@ class TestBatchedSweep:
         assert calls == [many]
         grid_matches_verify(below + at)
 
-    def test_sweep_below_the_batch_size_runs_point_by_point(self, monkeypatch):
+    def test_sweep_below_the_batch_size_runs_its_quadrature_point_by_point(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("batched route called")
 
-        # below _BATCH_MIN_POINTS neither side batches; at it both do, and the
-        # points the two sweeps share get the same reports
+        # below _BATCH_MIN_POINTS the quadrature runs point by point (eq15's rhs
+        # batches from two points on), and the points the sweep one point longer
+        # shares with it get the same reports
         n = engine._BATCH_MIN_POINTS
         with monkeypatch.context() as m:
             m.setattr(integral_forms, "I_plus_many", refuse)
-            m.setattr(integral_forms, "rhs_eq15_many", refuse)
             below = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 2), 0.55), (0.3, 0.3, 1.0))
         assert len(below) == n - 1
         at = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 1), 0.55), (0.3, 0.3, 1.0))
         assert [engine.report_to_dict(e) for e in below] == [
             engine.report_to_dict(e) for e in at[:-1]]
         grid_matches_verify(below)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 10])
+    def test_eq15_rhs_batches_from_two_points(self, monkeypatch, count):
+        calls = []
+        for name in ("rhs_eq15", "rhs_eq15_many"):
+            original = getattr(integral_forms, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(integral_forms, name, counting)
+        entries = grid("eq15", (-2.9, -2.9 + 0.55 * (count - 1), 0.55), (0.3, 0.3, 1.0))
+        assert len(entries) == count
+        assert calls == ["rhs_eq15" if count == 1 else "rhs_eq15_many"]
+        grid_matches_verify(entries)
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))
     def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch, token):

@@ -302,6 +302,13 @@ class TestExitCodeMatrix:
             (["eval", "zeta_prime", "1+1e-200i"], 2),
             (["eval", "eta", "0.5+1e308i"], 2),
             (["verify", "eq17", "--s=1+1e-310i"], 2),
+            # |Im(s)| = 1e308: Gamma underflows to zero (before, a ZeroDivisionError
+            # traceback and exit 1)
+            (["eval", "gamma", "0.5+1e308i"], 2),
+            (["eval", "gamma", "2.5-1e308i"], 2),
+            (["eval", "gamma", "-3.5+1e308i"], 2),
+            (["eval", "gamma", "1e-320-1e308i"], 2),
+            (["verify", "eq16", "--s=2.5+1e308i"], 2),
             # an --out path that cannot be written: no such directory, or a directory
             (["verify", "eq3", "--format=json", "--out", "/nonexistent/dir/x.json"], 2),
             (["verify", "eq3", "--out", "."], 2),
@@ -311,6 +318,19 @@ class TestExitCodeMatrix:
         code = main(argv)
         capsys.readouterr()
         assert code == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eq12", "--s=0.5+1e308i"],
+        ["verify", "eq15", "--s=2.5+1e308i"],
+        ["verify", "eq18", "--s=2.5-1e308i"],
+        ["eval", "gamma", "2.5+1e308i"],
+        ["verify", "eq16", "--s=-3.5+1e308i"],
+    ])
+    def test_huge_imaginary_part_names_the_point(self, capsys, argv):
+        # one line naming the point, not "math domain error" or a traceback
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "e+308" in err
 
     def test_huge_argument_warns_nothing(self, capsys):
         # the weights' exponent overflows on the way to weights of 0

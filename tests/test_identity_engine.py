@@ -220,6 +220,13 @@ class TestGrid:
         assert reasons.count(outside) >= 2 and reasons.count(margin) >= 3
         assert reasons.count(None) >= 3
 
+    @pytest.mark.parametrize("token", ["eq12", "eq15", "eq18"])
+    def test_points_whose_phase_overflows_are_skipped(self, token):
+        # as verify refuses them; before, verify raised a bare ValueError
+        entries = grid(token, (2.5, 3.0, 0.5), (-1e308, 0.0, 1e308))
+        reasons = [e.reason if isinstance(e, SkippedPoint) else None for e in entries]
+        assert reasons == ["Im(s) ln t overflows near t = 0 at Im(s) = -1e+308"] * 2 + [None] * 2
+
     def test_empty_surviving_set(self):
         entries = grid("eq12", (-5.0, -3.0, 1.0), (0.0, 0.0, 1.0))
         assert all(isinstance(e, SkippedPoint) for e in entries)

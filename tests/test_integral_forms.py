@@ -199,6 +199,18 @@ class TestKernelIntegrals:
         with pytest.raises(DomainError, match="within 0\\.01 of the domain edge Re\\(s\\) = 0$"):
             fermi_dirac(0.005, 1e-8)
 
+    @pytest.mark.parametrize("im", [1e308, -3e305])
+    def test_points_whose_phase_overflows_say_so(self, im):
+        # Im(s) ln t overflows near t = 0 from |Im(s)| = 2.5e305 on: before,
+        # the walk raised a bare "math domain error" (ValueError) at 1e308
+        text = f"Im\\(s\\) ln t overflows near t = 0 at Im\\(s\\) = {im:g}".replace("+", "\\+")
+        for route in (I_plus, integral_forms.I_minus, fermi_dirac):
+            with pytest.raises(DomainError, match=text):
+                route(complex(2.5, im), 1e-8)
+        with pytest.raises(DomainError, match=text):
+            I_plus_many([0.5, complex(2.5, im), 1.0, complex(3.0, -1e300)], 1e-8)
+        assert integral_forms._edge_reason(-3.0, complex(2.5, 2.5e305)) is None
+
 
 class TestFermiDirac:
     def test_at_one_equals_ln2(self):

@@ -10,6 +10,7 @@ cases, so a rename that would break one fails the suite.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,8 +51,16 @@ def test_load_refuses_a_name_holding_another_checkout(tmp_path):
 
 
 def test_eta_and_constants_cost_build_their_cases():
-    cases = eta_cost.cases(ab.load(ROOT, PACKAGE, "special_functions"), 13)
-    assert [evaluations for _, evaluations in cases.values()] == [1, 16, 16] * 2
+    module = ab.load(ROOT, PACKAGE, "special_functions")
+    cases = eta_cost.cases(module, 13)
+    assert [evaluations for _, evaluations in cases.values()] == [1, 16, 16] * 2 + [1] * 5
+    # the sweep panel is rhs_eq15_many's at the grid_eq15 workload's points: its
+    # 3,276 distinct arguments are summed from 128 rows x 177 distinct parts
+    points = identity_engine._grid_points((-2.5, 3.0, 0.05), (0.0, 2.0, 0.1))
+    stacked = [p + 2.0 for p in points] + [p + 1.0 for p in points]
+    assert eta_cost.sweep_panel(len(points)).tobytes() == np.array(stacked).tobytes()
+    assert eta_cost.counts(module, cases["eta_many[4662] sweep panel"][0]) == (22656, 3276)
+    assert eta_cost.counts(module, cases["eta_many[4] sweep panel"][0]) == (256, 4)
     assert list(constants_cost.cases(ROOT, PACKAGE)) == list(constants_cost.CASES)
 
 

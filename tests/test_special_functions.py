@@ -9,6 +9,7 @@ import pytest
 
 from eulerlab.core_numerics import integrate_semi_infinite
 from eulerlab.errors import DomainError, IllConditionedError, PoleError
+from eulerlab.identity_engine import _grid_points
 from eulerlab.integral_forms import rhs_eq12, rhs_eq15, rhs_eq15_many
 from eulerlab import special_functions
 from eulerlab.special_functions import (
@@ -24,6 +25,7 @@ from eulerlab.special_functions import (
     _TERM_FLOOR,
     _alternating_powers,
     _euler_transform,
+    _part_powers,
     eta,
     eta_many,
     eta_prime,
@@ -385,19 +387,23 @@ class TestTwoStageSum:
     def test_eta_many_value_does_not_depend_on_the_panel(self):
         # a point's value alone equals its value at any position of a panel
         # of any size: one-point tail blocks (1, 129 and 257 points), blocks
-        # that a large |Im(s)| sends to the whole table, and reflected points
+        # that a large |Im(s)| sends to the whole table, reflected points, and
+        # grid-shaped panels, whose repeated points and few distinct parts
+        # take the part tables past one block
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
         @hypothesis.given(st.sampled_from([1, 2, 3, 128, 129, 257]),
                           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5]),
-                          st.sampled_from([0.0, 0.02, 0.3]))
-        def check(size, seed, reflected_share, far_share):
+                          st.sampled_from([0.0, 0.02, 0.3]), st.booleans())
+        def check(size, seed, reflected_share, far_share, grid_shaped):
             rng = np.random.default_rng(seed)
             re = rng.uniform(-4.0, 10.0, size) - 8.0 * (rng.random(size) < reflected_share)
             im = rng.uniform(-3.0, 3.0, size) + rng.uniform(-90.0, 90.0, size) * (
                 rng.random(size) < far_share)
+            if grid_shaped:
+                re, im = rng.choice(re[:8], size), rng.choice(im[:5], size)
             panel = re + 1j * im
             values = eta_many(panel)
             # each point one place on, so that points cross block boundaries
@@ -440,6 +446,115 @@ class TestTwoStageSum:
             if derivative:
                 block = -_LOG_K1[:, None] * block
             assert one_pass_euler_transform(block)[1].max() <= _HEAD_ROWS
+
+
+def sweep_panel(re_range, im_range, extra=()):
+    # the etas rhs_eq15_many asks for over an eq15 grid, s + 2 then s + 1, and extra
+    points = np.array(_grid_points(re_range, im_range))
+    return np.concatenate([points + 2.0, points + 1.0, np.asarray(extra, dtype=complex)])
+
+
+def alone(points):
+    # each point's eta as the lone point of a panel: the scalar eta where it is reflected
+    summed = points.real >= -4.0
+    values = np.array([0j if kept else eta(s) for s, kept in zip(points.tolist(), summed)])
+    values[summed] = one_pass_eta_many(points[summed])
+    return values
+
+
+@pytest.fixture
+def part_tables(monkeypatch):
+    # (real, imaginary) part counts of each panel whose weights come from the part tables
+    built = []
+
+    def spy(re, im):
+        built.append((len(re), len(im)))
+        return _part_powers(re, im)
+
+    monkeypatch.setattr(special_functions, "_part_powers", spy)
+    return built
+
+
+class TestDistinctArguments:
+    """Past one block eta_many sums each distinct point once, from weights
+    formed per distinct real and imaginary part where the points share few:
+    every value must stay the one the point has alone, to the bit."""
+
+    REFLECTED = [-5.5 + 0.3j, -7.25, -5.5 + 0.3j]
+
+    @pytest.mark.parametrize("re_range,im_range,extra", [
+        ((-2.5, 3.0, 0.05), (0.0, 2.0, 0.1), ()),  # the grid_eq15 workload's sweep
+        ((-2.9, 3.0, 0.5), (-8.0, 8.0, 0.5), REFLECTED),  # |Im(s)| up to 8, and at it
+        ((-2.0, 1.0, 0.25), (8.5, 90.0, 9.0), REFLECTED),  # |Im(s)| in (8, 90]
+        ((-1.0, 9.5, 0.25), (-80.0, 4.0, 12.0), ()),  # both stages of the table
+    ], ids=["workload", "im_up_to_8", "im_8_90", "mixed"])
+    def test_grid_panels_match_each_point_alone(self, part_tables, re_range, im_range, extra):
+        panel = sweep_panel(re_range, im_range, extra)
+        values = eta_many(panel)
+        assert part_tables, "the panel must take the part tables"
+        assert values.tobytes() == alone(panel).tobytes()
+
+    @pytest.mark.parametrize("distinct", [129, 257])
+    def test_one_point_tail_block(self, part_tables, distinct):
+        # distinct points from a grid of 3 imaginary parts, each twice: the last
+        # block of distinct points holds one, summed as two columns as a lone point is
+        rows = -(-distinct // 3)
+        points = np.array(_grid_points((0.5, 0.5 + 0.1 * (rows - 1), 0.1), (0.0, 2.0, 1.0)))
+        points = points[:distinct]
+        panel = np.concatenate([points, points[::-1]])
+        assert len(np.unique(panel)) == distinct
+        values = eta_many(panel)
+        assert part_tables
+        assert values.tobytes() == alone(panel).tobytes()
+
+    def test_repeated_arguments_get_identical_bits(self, part_tables):
+        panel = sweep_panel((-2.9, 3.0, 0.5), (0.0, 2.0, 0.5))
+        panel = np.concatenate([panel, panel[::3], panel[:5]])
+        values = eta_many(panel)
+        assert part_tables
+        for s in np.unique(panel):
+            same = values[panel == s]
+            assert len(np.unique(same.view(np.int64).reshape(-1, 2), axis=0)) == 1
+        assert values.tobytes() == alone(panel).tobytes()
+
+    def test_signed_zero_parts_each_equal_their_value_alone(self, part_tables):
+        # -0.0 and 0.0 are told apart: each keeps the bits it has alone, past
+        # the real part where the weights underflow too
+        zeros = [complex(r, z) for r in (2.0, 3.0, -1.5, 0.0, -0.0, 200.0, 900.0)
+                 for z in (0.0, -0.0)]
+        panel = np.concatenate([sweep_panel((-2.9, 3.0, 0.5), (0.0, 2.0, 0.5)), zeros * 3])
+        values = eta_many(panel)
+        assert part_tables
+        for i in range(len(panel)):
+            assert values[i : i + 1].tobytes() == eta_many(panel[i : i + 1]).tobytes()
+
+    def test_part_weights_are_the_powers_to_the_bit(self):
+        re = np.array([-4.0, -1.5, -0.0, 0.0, 5e-324, 0.5, 2.0, 200.0, 900.0, 1e300])
+        im = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -7.3, 60.0, -90.0, 1e300])
+        re_at, im_at = (a.ravel() for a in np.meshgrid(np.arange(len(re)), np.arange(len(im)),
+                                                       indexing="ij"))
+        points = np.empty(len(re_at), dtype=complex)
+        points.real, points.imag = re[re_at], im[im_at]
+        for rows in (slice(_HEAD_ROWS), slice(_HEAD_ROWS, None), slice(None)):
+            weights = _part_powers(re, im)(re_at, im_at, rows)
+            assert weights.tobytes() == _alternating_powers(points, rows).tobytes()
+
+    @pytest.mark.parametrize("point", [
+        0.5 + 1e308j, 1.0 + 3.8e307j, 1e300 + 1j, 1e308, 5e-324 + 5e-324j, 0.5 - 5e-324j,
+    ])
+    def test_huge_and_subnormal_parts_as_alone(self, point):
+        # a panel past one block holding the point raises where the point alone
+        # does, and otherwise gives it the value it has alone, without a warning
+        panel = np.append(sweep_panel((-2.9, 3.0, 0.25), (0.0, 2.0, 0.5)), point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = eta_many([point])
+            except DomainError:
+                with pytest.raises(DomainError):
+                    eta_many(panel)
+                return
+            assert eta_many(panel)[-1:].tobytes() == expected.tobytes()
 
 
 class TestEtaPrime:
