@@ -11,8 +11,9 @@ same three formats, and the series routes at the ``--n`` of ``CONST_N``
 as json; ``verify`` as json and csv at the points of ``VERIFY_POINTS``;
 the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
-writer from a value change); and ``eval`` of every function at the
-points of ``EVAL_POINTS`` as json and csv: 127 commands.  It compares
+writer from a value change); ``eval`` of every function at the points
+of ``EVAL_POINTS`` as json and csv; and the grid of ``STALLED_RANGE``,
+whose step does not advance its axis: 128 commands.  It compares
 stdout, stderr and the exit code of every command and exits 1 if any
 differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
@@ -83,6 +84,9 @@ GRIDS = (
     ("eq15", "--re=-2.25:1.75:0.5", "--im=0.5:0.5:1"),
 )
 
+# A step below the float spacing of its bounds: the axis stops at once.
+STALLED_RANGE = ("eq15", "--re=2.5:2.5:1", "--im=1e308:1e308:1")
+
 EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
 
 # A complex point, a negative argparse takes as a number, a positive
@@ -116,6 +120,7 @@ COMMANDS = (
         for s in EVAL_POINTS
         for fmt in ("json", "csv")
     ]
+    + [["grid", *STALLED_RANGE]]
 )
 
 

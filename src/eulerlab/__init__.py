@@ -5,14 +5,10 @@ Glaisher-Kinkelin constant, and the alternating zeta function."""
 from types import ModuleType as _ModuleType
 
 from .core_numerics import (
-    ProductIntegrand,
     QuadratureResult,
-    SeriesResult,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
-    integrate_unit_square,
-    sum_series,
 )
 from .constants import (
     ConstantEstimate,
@@ -46,17 +42,14 @@ from .integral_forms import (
     I_minus,
     I_plus,
     I_plus_many,
-    SignedKernel,
     beukers_reduced,
     fermi_dirac,
     fermi_dirac_integrand,
-    integrand_2d,
     reduced_integrand_minus,
     reduced_integrand_plus,
     rhs_eq12,
     rhs_eq15,
     rhs_eq15_many,
-    termwise_series_oracle,
 )
 from .special_functions import (
     eta,

@@ -1,4 +1,4 @@
-"""Quadrature and series-summation primitives with explicit error control.
+"""Quadrature primitives with explicit error control.
 
 All routines are pure functions of their arguments and are safe to call
 concurrently.  Finite intervals are handled by tanh-sinh (double
@@ -79,37 +79,6 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class SeriesResult:
-    """Partial sum of a series with the best available remainder bound.
-
-    ``remainder_bound`` is the magnitude of the first omitted term for
-    alternating series with decreasing terms, and ``None`` (unknown)
-    otherwise.  ``converged`` is False when the term cap was reached
-    before the tolerance.
-    """
-
-    value: complex
-    terms_used: int
-    remainder_bound: float | None
-    converged: bool
-
-
-class ProductIntegrand:
-    """A unit-square integrand of the form f(x, y) = g(x*y).
-
-    Integrands carrying this marker collapse exactly to a single
-    integral: the double integral of g(x*y) over the open unit square
-    equals the integral of g(u) * (-ln u) over (0, 1).
-    """
-
-    def __init__(self, g: Callable[[float], complex]):
-        self.g = g
-
-    def __call__(self, x: float, y: float) -> complex:
-        return self.g(x * y)
 
 
 # --------------------------------------------------------------------------
@@ -727,76 +696,3 @@ def integrate_semi_infinite_many(
     return list(map(QuadratureResult, values.tolist(), estimates.tolist(),
                     evals.tolist(), converged.tolist()))
 
-
-def integrate_unit_square(
-    f: Callable[[float, float], complex], tol: float
-) -> QuadratureResult:
-    """Integrate f over the open unit square.
-
-    A ProductIntegrand (f(x, y) = g(x*y)) is collapsed exactly to the
-    single integral of g(u) (-ln u) on (0, 1).  Anything else is done by
-    iterated tanh-sinh, x inside y; singularities are allowed on the
-    boundary only.  Achievable tolerances are looser than in one
-    dimension; requests below ~1e-6 may come back with converged=False.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if isinstance(f, ProductIntegrand):
-        g = f.g
-        return integrate_finite(lambda u: g(u) * (-math.log(u)), 0.0, 1.0, tol)
-
-    inner_tol = tol / 20.0
-    outer_tol = 0.8 * tol
-    inner_evals = 0
-    inner_excess = 0.0
-
-    def sliced(y: float) -> complex:
-        nonlocal inner_evals, inner_excess
-        inner = integrate_finite(lambda x: f(x, y), 0.0, 1.0, inner_tol)
-        inner_evals += inner.evaluations
-        if not inner.converged:
-            # Unconverged slices sit next to a boundary singularity; weight
-            # their residual by the outer measure they can influence
-            # (tanh-sinh outer weight <= ~150 * distance to the boundary).
-            inner_excess += inner.abs_error_estimate * 150.0 * min(y, 1.0 - y)
-        return inner.value
-
-    outer = integrate_finite(sliced, 0.0, 1.0, outer_tol)
-    return QuadratureResult(
-        outer.value,
-        outer.abs_error_estimate + inner_tol + inner_excess,
-        inner_evals,
-        outer.converged and inner_excess <= 0.1 * tol,
-    )
-
-
-def sum_series(
-    term: Callable[[int], complex],
-    tol: float,
-    max_terms: int,
-    alternating: bool = False,
-) -> SeriesResult:
-    """Sum term(1) + term(2) + ... until |term(n)| < tol or the cap.
-
-    The first term whose magnitude drops below tol is still included.
-    With ``alternating`` set, the remainder bound is the magnitude of
-    the first omitted term (valid for alternating series with
-    monotonically decreasing term magnitudes); otherwise the remainder
-    is unknown and reported as None.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
-    total: complex = 0.0
-    n = 0
-    converged = False
-    while n < max_terms:
-        n += 1
-        t = term(n)
-        total += t
-        if abs(t) < tol:
-            converged = True
-            break
-    bound = abs(term(n + 1)) if alternating else None
-    return SeriesResult(total, n, bound, converged)

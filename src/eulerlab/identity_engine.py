@@ -269,6 +269,10 @@ def _range_values(lo: float, hi: float, step: float) -> list[float]:
         v = lo + k * step
         if v > hi + 1e-9 * step:
             break
+        if values and v == values[-1]:
+            raise ValueError(
+                f"step {step:g} is below the float spacing of the range {lo:g}:{hi:g}"
+            )
         if k == MAX_GRID_POINTS:
             raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points")
         values.append(v)

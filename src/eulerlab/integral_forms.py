@@ -35,19 +35,15 @@ result is the scalar route's to the bit.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import euler_gamma_series, ln_4_over_pi
 from .core_numerics import (
     PowerKernel,
     PowerRows,
     QuadratureResult,
-    SeriesResult,
-    _power,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
@@ -62,13 +58,6 @@ from .special_functions import (
     gamma,
     zeta_minus_pole,
 )
-
-
-class SignedKernel(enum.Enum):
-    """Sign choice in the 1 +- xy denominator of the square integrands."""
-
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 # Exact limits of the plus-kernel family exist at s = -1 and s = -2;
@@ -129,16 +118,6 @@ def _minus_form(t: float) -> tuple[int, float, float, float]:
         half = math.exp(-0.5 * t)
         return 0, (t - 1.0) * half, half, 1.0
     return 0, math.expm1(-t) + t, 1.0, math.expm1(t)
-
-
-def integrand_2d(kernel: SignedKernel, s: complex, x: float, y: float) -> complex:
-    """(1-x)/(1 +- xy) * (-ln xy)**s on the open unit square."""
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError("x and y must lie in the open unit interval")
-    s = complex(s)
-    neg_log = -(math.log(x) + math.log(y))
-    denom = 1.0 + x * y if kernel is SignedKernel.PLUS else 1.0 - x * y
-    return (1.0 - x) / denom * _power(neg_log, s)
 
 
 def fermi_dirac_integrand(s: complex, t: float) -> complex:
@@ -381,19 +360,3 @@ def beukers_reduced(order: int, tol: float) -> QuadratureResult:
             lambda u: 0.5 * math.log(u) ** 2 / (1.0 - u), 0.0, 1.0, tol
         )
     raise ValueError("order must be 2 or 3")
-
-
-def termwise_series_oracle(kernel: SignedKernel, n_terms: int) -> SeriesResult:
-    """Partial sums of sum_n (+-1)**(n-1) (1/n - ln((n+1)/n)).
-
-    Termwise integration of the geometric expansion of the square
-    integrals produces exactly these series, so they are an independent
-    route to the plus/minus kernel values at s = -1.  They are the
-    ``constants`` series of ln(4/pi) and of Euler's gamma (bound unknown).
-    """
-    if kernel is SignedKernel.PLUS:
-        series = ln_4_over_pi(n_terms, "series")
-        bound = series.error_bound
-    else:
-        series, bound = euler_gamma_series(n_terms), None
-    return SeriesResult(series.value, n_terms, bound, True)

@@ -4,6 +4,14 @@ The frozen constants below were cross-checked against high-precision
 arbitrary-precision evaluation before being pinned; everything else in
 the suite is recomputed through routes independent of the code paths
 they check.
+
+The oracles are the paper's identities in their literal forms:
+``integrate_unit_square`` with ``integrand_2d`` integrates the double
+integrals over the unit square as the paper states them, and
+``sum_series`` sums a series term by term.  No route of the library
+runs them (a literal square integral costs more than all of
+``eulerlab all``), so they live here, where the tests check the exact
+1D reductions and the ``constants`` series against them.
 """
 
 import math
@@ -12,7 +20,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from typing import Callable, NamedTuple
+
 import pytest
+
+from eulerlab.core_numerics import QuadratureResult, _power, integrate_finite
+from eulerlab.errors import DomainError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -44,6 +57,89 @@ def dirichlet_eta_partial(s: complex, n_terms: int) -> complex:
 
 def central_difference(f, s: complex, h: float = 1e-5) -> complex:
     return (f(s + h) - f(s - h)) / (2.0 * h)
+
+
+def integrand_2d(sign: int, s: complex, x: float, y: float) -> complex:
+    """(1-x)/(1 + sign*xy) * (-ln xy)**s on the open unit square, sign = +1 or -1."""
+    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+        raise DomainError("x and y must lie in the open unit interval")
+    neg_log = -(math.log(x) + math.log(y))
+    return (1.0 - x) / (1.0 + sign * x * y) * _power(neg_log, complex(s))
+
+
+def integrate_unit_square(
+    f: Callable[[float, float], complex], tol: float
+) -> QuadratureResult:
+    """Integrate f over the open unit square by iterated tanh-sinh, x inside y.
+
+    Singularities are allowed on the boundary only.  Achievable
+    tolerances are looser than in one dimension; requests below ~1e-6
+    may come back with converged=False.
+    """
+    inner_tol = tol / 20.0
+    outer_tol = 0.8 * tol
+    inner_evals = 0
+    inner_excess = 0.0
+
+    def sliced(y: float) -> complex:
+        nonlocal inner_evals, inner_excess
+        inner = integrate_finite(lambda x: f(x, y), 0.0, 1.0, inner_tol)
+        inner_evals += inner.evaluations
+        if not inner.converged:
+            # Unconverged slices sit next to a boundary singularity; weight
+            # their residual by the outer measure they can influence
+            # (tanh-sinh outer weight <= ~150 * distance to the boundary).
+            inner_excess += inner.abs_error_estimate * 150.0 * min(y, 1.0 - y)
+        return inner.value
+
+    outer = integrate_finite(sliced, 0.0, 1.0, outer_tol)
+    return QuadratureResult(
+        outer.value,
+        outer.abs_error_estimate + inner_tol + inner_excess,
+        inner_evals,
+        outer.converged and inner_excess <= 0.1 * tol,
+    )
+
+
+class SeriesResult(NamedTuple):
+    """Partial sum of a series and its remainder bound (None: unknown)."""
+
+    value: complex
+    terms_used: int
+    remainder_bound: float | None
+    converged: bool
+
+
+def sum_series(
+    term: Callable[[int], complex],
+    tol: float,
+    max_terms: int,
+    alternating: bool = False,
+) -> SeriesResult:
+    """Sum term(1) + term(2) + ... until |term(n)| < tol or the cap.
+
+    The first term whose magnitude drops below tol is still included.
+    With ``alternating`` set, the remainder bound is the magnitude of
+    the first omitted term (valid for alternating series with
+    monotonically decreasing term magnitudes); otherwise it is None.
+    ``converged`` is False when the cap was reached before the tolerance.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
+    total: complex = 0.0
+    n = 0
+    converged = False
+    while n < max_terms:
+        n += 1
+        t = term(n)
+        total += t
+        if abs(t) < tol:
+            converged = True
+            break
+    bound = abs(term(n + 1)) if alternating else None
+    return SeriesResult(total, n, bound, converged)
 
 
 @pytest.fixture(scope="session")

@@ -18,25 +18,23 @@ from eulerlab import identity_engine as engine
 from eulerlab.cli import main as cli_main
 from eulerlab.constants import (
     euler_formula_gamma,
+    euler_gamma_series,
     glaisher_limit,
     glaisher_zeta,
     ln_4_over_pi,
     stirling_ratio,
 )
-from eulerlab.core_numerics import integrate_unit_square
 from eulerlab.integral_forms import (
     I_minus,
     I_plus,
-    SignedKernel,
     beukers_reduced,
     fermi_dirac,
-    integrand_2d,
     rhs_eq12,
     rhs_eq15,
-    termwise_series_oracle,
 )
 from eulerlab.special_functions import eta, eta_prime, gamma, zeta, zeta_minus_pole
 
+from conftest import integrand_2d, integrate_unit_square
 
 
 def _conclude(name: str, ok: bool, detail: str) -> bool:
@@ -52,7 +50,7 @@ def gamma_ref():
 def test_criterion_01_euler_constant_integral(gamma_ref):
     start = time.perf_counter()
     quad_err = abs(I_minus(-1.0, 1e-10).value - gamma_ref)
-    series_err = abs(termwise_series_oracle(SignedKernel.MINUS, 10**6).value - gamma_ref)
+    series_err = abs(euler_gamma_series(10**6).value - gamma_ref)
     elapsed = time.perf_counter() - start
     ok = quad_err <= 1e-9 and series_err <= 1e-6 and elapsed < 1.0
     assert _conclude(
@@ -247,14 +245,12 @@ def test_criterion_12_limit_ratio_convergence_order():
 
 def test_criterion_13_square_vs_reduced():
     worst = 0.0
-    for kernel in (SignedKernel.PLUS, SignedKernel.MINUS):
+    for sign in (1, -1):
         for s in (0.0, 0.5, 1.0):
             square = integrate_unit_square(
-                lambda x, y: integrand_2d(kernel, s, x, y), 1e-6
+                lambda x, y: integrand_2d(sign, s, x, y), 1e-6
             ).value
-            reduced = (
-                I_plus(s, 1e-9) if kernel is SignedKernel.PLUS else I_minus(s, 1e-9)
-            ).value
+            reduced = (I_plus(s, 1e-9) if sign == 1 else I_minus(s, 1e-9)).value
             worst = max(worst, abs(square - reduced))
     ok = worst <= 1e-5
     assert _conclude(

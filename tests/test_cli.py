@@ -332,6 +332,40 @@ class TestExitCodeMatrix:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "e+308" in err
 
+    def test_finite_points_keep_the_exit_code_contract(self, capsys):
+        # eval of every function and verify of the parameterised identities,
+        # at finite points from subnormal to 1e308 in each part: exit 0, 1
+        # or 2, nothing raised out of main, one stderr line on exit 2 and at
+        # most one on exit 1
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # a part where the routes compute values, any finite double, a
+        # log-uniform magnitude, or an end of the range itself
+        part = st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(-1e308, 1e308),
+            st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                      st.integers(-323, 308)),
+            st.sampled_from([1e308, -1e308, 5e-324, -5e-324]),
+        )
+        command = st.one_of(
+            st.sampled_from(["eta", "eta_prime", "gamma", "zeta", "zeta_prime"]).map(
+                lambda name: ["eval", name]),
+            st.sampled_from(["eq12", "eq15", "eq16", "eq17", "eq18"]).map(
+                lambda token: ["verify", token]),
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(command, part, part)
+        def check(argv, re, im):
+            s = f"{re}{im:+}i"  # shortest round-trip digits, as repr
+            code = main(argv + ([s] if argv[0] == "eval" else [f"--s={s}"]))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, s)
+            assert err.count("\n") in {0: (0,), 1: (0, 1), 2: (1,)}[code], (argv, s, err)
+
+        check()
+
     def test_huge_argument_warns_nothing(self, capsys):
         # the weights' exponent overflows on the way to weights of 0
         with warnings.catch_warnings():

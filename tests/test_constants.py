@@ -20,10 +20,9 @@ from eulerlab.constants import (
     stirling_ratio,
     wallis_partial,
 )
-from eulerlab.core_numerics import sum_series
 from eulerlab.special_functions import zeta, zeta_prime
 
-from conftest import EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI
+from conftest import EULER_GAMMA, GLAISHER_A, LN_4_OVER_PI, sum_series
 
 
 def _one_array_sums(count):

@@ -5,14 +5,13 @@ import pytest
 
 from eulerlab import core_numerics, identity_engine
 from eulerlab.core_numerics import (
-    ProductIntegrand,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_split,
-    integrate_unit_square,
-    sum_series,
 )
 from eulerlab.errors import DomainError, IntegrandError
+
+from conftest import integrate_unit_square, sum_series
 
 
 def basel_series_oracle(n_terms: int = 200000) -> tuple[float, float]:
@@ -192,6 +191,7 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda t: math.exp(-t), 1e-9, 179.0)
 
 
+# The literal-form oracles of conftest, checked against closed forms.
 class TestIntegrateUnitSquare:
     def test_constant(self):
         r = integrate_unit_square(lambda x, y: 1.0, 1e-8)
@@ -206,11 +206,6 @@ class TestIntegrateUnitSquare:
         f = lambda x, y: (1.0 - x) / ((1.0 - x * y) * -(math.log(x) + math.log(y)))
         r = integrate_unit_square(f, 1e-6)
         assert abs(r.value - gamma_reference) <= 1e-5
-
-    def test_product_form_collapse(self):
-        r = integrate_unit_square(ProductIntegrand(lambda u: 1.0 / (1.0 - u)), 1e-11)
-        assert r.converged
-        assert abs(r.value - math.pi**2 / 6.0) <= 1e-11
 
 
 class TestSumSeries:

@@ -62,7 +62,7 @@ class TestPsi:
         for s in (f.edge + 0.02 + 1j, f.edge + 0.3 + 0j):
             for t in (1e-200, 1e-6, 0.3, 0.4999, 0.5, 0.9):
                 expected = kernel(s, t)
-                got = integral_forms._power(t, s + f.c) * f.psi(t)
+                got = core_numerics._power(t, s + f.c) * f.psi(t)
                 assert abs(got - expected) <= 4e-15 * abs(expected)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -13,7 +13,6 @@ import pytest
 
 from eulerlab import constants, integral_forms, special_functions
 from eulerlab import identity_engine as engine
-from eulerlab.core_numerics import integrate_unit_square
 from eulerlab.errors import DomainError, IntegrandError
 from eulerlab.identity_engine import (
     SkippedPoint,
@@ -26,14 +25,9 @@ from eulerlab.identity_engine import (
     verify,
     verify_all,
 )
-from eulerlab.integral_forms import (
-    I_minus,
-    SignedKernel,
-    integrand_2d,
-    termwise_series_oracle,
-)
+from eulerlab.integral_forms import I_minus
 
-from conftest import run_bounded
+from conftest import integrand_2d, integrate_unit_square, run_bounded
 
 LIBRARY = ("constants", "core_numerics", "integral_forms", "special_functions")
 
@@ -315,6 +309,7 @@ for re_range, im_range in [
     ((0.0, 1.0, 1.0), (0.0, 0.0, nan)),
     ((0.0, 1.0, 1e-300), (0.0, 0.0, 1.0)),
     ((0.0, 1.0, 0.001), (0.0, 1.0, 0.001)),
+    ((2.5, 2.5, 1.0), (1e308, 1e308, 1.0)),
 ]:
     try:
         engine.grid("eq15", re_range, im_range)
@@ -327,7 +322,7 @@ for re_range, im_range in [
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == 4 * ["range bounds and step must be finite"] + 2 * [
             f"a grid holds at most {engine.MAX_GRID_POINTS} points"
-        ]
+        ] + ["step 1 is below the float spacing of the range 1e+308:1e+308"]
 
     def test_sweep_shares_the_routes_time_among_its_reports(self):
         start = time.perf_counter()
@@ -380,9 +375,9 @@ class TestVerifyAll:
 class TestThreeRouteConsistency:
     def test_euler_constant_routes_agree_pairwise(self, gamma_reference):
         quadrature = I_minus(-1.0, 1e-9).value
-        series = termwise_series_oracle(SignedKernel.MINUS, 10**6).value
+        series = constants.euler_gamma_series(10**6).value
         square = integrate_unit_square(
-            lambda x, y: integrand_2d(SignedKernel.MINUS, -1.0, x, y), 1e-6
+            lambda x, y: integrand_2d(-1, -1.0, x, y), 1e-6
         ).value
         for a, b in [(quadrature, series), (quadrature, square), (series, square)]:
             assert abs(a - b) <= 2e-5

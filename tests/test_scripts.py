@@ -77,8 +77,8 @@ def test_subtract_threshold_names_the_threshold():
     assert all(callable(route) for _, route, _ in subtract_threshold.FAMILIES)
 
 
-def test_compare_outputs_runs_127_commands():
-    assert len(compare_outputs.COMMANDS) == 127
+def test_compare_outputs_runs_128_commands():
+    assert len(compare_outputs.COMMANDS) == 128
 
 
 def test_edge_equivalence_draws_the_edge_panel():
