@@ -3,6 +3,7 @@
 Usage:
 
     python scripts/batch_threshold.py [--rounds 101] [--sizes 1,2,4,8,10,11,12,13,14,16]
+        [--gamma-sizes 64,96,128,160,192,256]
 
 Run from the repository root (``src/`` is put on the path).  For each
 reduced family (``I_minus``, ``I_plus``, ``fermi_dirac``, at the
@@ -23,8 +24,13 @@ from which the batch is cheaper in every family is where
 eq15's right-hand side, ``rhs_eq15`` at every point against
 ``rhs_eq15_many``, which sums every point's etas by one ``eta_many``
 call, on the I_plus points; eq15's rhs batches from two points on (at
-one, ``rhs_eq15_many`` is the slower).  Both give the same values, so
-the threshold sets speed alone.
+one, ``rhs_eq15_many`` is the slower).  The last rows time scalar
+``gamma`` at every point against ``special_functions._gamma_many`` over
+all of them, at the sizes of ``--gamma-sizes``, on the points s + 2 of
+the I_plus points (so Re(s + 2) lies between -0.5 and 4, both sides of
+the reflection at 1/2): the smallest size from which the batch is the
+cheaper is where ``integral_forms._GAMMA_BATCH_MIN_POINTS`` belongs.
+Each pair gives the same values, so the thresholds set speed alone.
 """
 
 from __future__ import annotations
@@ -38,15 +44,17 @@ from ab import alternate, compare
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eulerlab import core_numerics, integral_forms  # noqa: E402
+from eulerlab import core_numerics, integral_forms, special_functions  # noqa: E402
 
-# (name, edge, quadrature tolerance of its identity's default tol, or None
-# for a route without one)
+# (name, scalar route, batched route, edge, quadrature tolerance of its
+# identity's default tol, or None for a route without one); gamma's points
+# lie 2 to the right of I_plus's, and it takes --gamma-sizes
 FAMILIES = (
-    ("I_minus", -2.0, 1e-9),
-    ("I_plus", -3.0, 1e-9),
-    ("fermi_dirac", 0.0, 1e-10),
-    ("rhs_eq15", -3.0, None),
+    ("I_minus", integral_forms.I_minus, integral_forms.I_minus_many, -2.0, 1e-9),
+    ("I_plus", integral_forms.I_plus, integral_forms.I_plus_many, -3.0, 1e-9),
+    ("fermi_dirac", integral_forms.fermi_dirac, integral_forms.fermi_dirac_many, 0.0, 1e-10),
+    ("rhs_eq15", integral_forms.rhs_eq15, integral_forms.rhs_eq15_many, -3.0, None),
+    ("gamma", special_functions.gamma, special_functions._gamma_many, -1.0, None),
 )
 
 
@@ -59,14 +67,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=101)
     parser.add_argument("--sizes", default="1,2,4,8,10,11,12,13,14,16")
+    parser.add_argument("--gamma-sizes", default="64,96,128,160,192,256")
     args = parser.parse_args(argv)
-    sizes = [int(n) for n in args.sizes.split(",")]
     print("| family | points | scalar ms | batched ms | batched/scalar | batch faster |")
     print("|---|---|---|---|---|---|")
-    for name, edge, tol in FAMILIES:
-        single = getattr(integral_forms, name)
-        many = getattr(integral_forms, name + "_many")
-        for n in sizes:
+    for name, single, many, edge, tol in FAMILIES:
+        sizes = args.gamma_sizes if name == "gamma" else args.sizes
+        for n in [int(n) for n in sizes.split(",")]:
             rng = random.Random(1)
             points = [
                 complex(edge + rng.uniform(0.5, 5.0), rng.uniform(0.0, 2.0))

@@ -13,7 +13,7 @@ the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
 writer from a value change); ``eval`` of every function at the points
 of ``EVAL_POINTS`` as json and csv; and the grid of ``STALLED_RANGE``,
-whose step does not advance its axis: 128 commands.  It compares
+whose step does not advance its axis: 131 commands.  It compares
 stdout, stderr and the exit code of every command and exits 1 if any
 differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
@@ -71,8 +71,12 @@ VERIFY_POINTS = (
 # the whole table above it.  The next three are dense enough for the
 # batched ladder to take several blocks per level: the grid_eq15
 # benchmark sweep, eq15 where its values reach 3e6, and eq18 from its
-# domain edge.  The last is a 9-point eq15 sweep, below the batch size,
-# whose rhs is summed point by point.
+# domain edge.  Then a 9-point eq15 sweep, below the batch size, whose rhs
+# is summed point by point.  The last is an eq15 sweep past
+# integral_forms._GAMMA_BATCH_MIN_POINTS, whose Gamma(s + 2) runs as
+# arrays: it holds the skipped points -1 and -2, the c_powi points (Im 0,
+# half-integer s) that _gamma_many hands to scalar gamma, both sides of the
+# reflection at Re(s + 2) = 1/2, and |Im(s)| up to 60.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
@@ -82,6 +86,7 @@ GRIDS = (
     ("eq15", "--re=3:9.5:0.1", "--im=0:3:0.5"),
     ("eq18", "--re=0.011:1.5:0.02", "--im=0:2:0.2"),
     ("eq15", "--re=-2.25:1.75:0.5", "--im=0.5:0.5:1"),
+    ("eq15", "--re=-2.5:9.5:0.25", "--im=-60:60:10"),
 )
 
 # A step below the float spacing of its bounds: the axis stops at once.

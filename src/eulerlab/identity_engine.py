@@ -215,7 +215,7 @@ def _eq15_lhs(points, tol):
 
 
 def _eq15_rhs(points, tol):
-    # batched from two points on: at one, rhs_eq15_many takes 1.35x rhs_eq15's time
+    # batched from two points on: at one, rhs_eq15 skips rhs_eq15_many's mask and lists
     if len(points) == 1:
         return [(integral_forms.rhs_eq15(points[0]), 0)]
     return [(value, 0) for value in integral_forms.rhs_eq15_many(points)]

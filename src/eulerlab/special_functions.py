@@ -12,6 +12,17 @@ Relative error of gamma against mpmath (30 digits): below 2e-14 for
 |Re(s)| <= 10 and |Im(s)| <= 2, growing with |s| to below 4e-13 for
 |Re(s)| up to 170 and below 6e-13 for |Im(s)| up to 300.
 
+``_gamma_many`` runs gamma's Lanczos and reflection branches over arrays
+with gamma's bits: it writes out CPython's complex product, _Py_c_quot
+(branching on |Re b| >= |Im b|), _Py_c_pow (hypot, pow, atan2, exp, log),
+cmath.exp and cmath.sin, as numpy's complex * and / round apart (FMA).
+np.hypot, np.float_power, np.cos, np.sin, the complex np.exp and np.sin
+(below 708.4, where cmath rescales), and atan2, exp and log as parts of the
+complex np.log and np.exp give libm's bits; np.power, np.arctan2 and the
+float np.exp and np.log do not.  Other paths of gamma (pole, c_powi, log
+space) take gamma itself.  Python 3.14 changed mixed float/complex
+arithmetic, moving signed zeros; the bit tests against gamma guard this.
+
 The sum converges geometrically for every complex s, but in double
 precision its rows cancel once the weights (k+1)**-s grow.  Each outer
 term n is known only to a few ulps of its row's magnitude sum
@@ -66,6 +77,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core_numerics import _LOG_LARGE_DOUBLE
 from .errors import DomainError, IllConditionedError, PoleError
 
 _LN2 = math.log(2.0)
@@ -191,6 +203,63 @@ def gamma(s: complex) -> complex:
     if value == 0.0:
         raise DomainError(f"Gamma underflows to zero at s = {s}")
     return value
+
+
+def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:  # re + i im, exactly
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
+def _mul(a, b) -> np.ndarray:
+    # CPython's complex product (a float x enters as x + 0j), without numpy's FMA
+    return _join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quot(a, b) -> np.ndarray:
+    # CPython's _Py_c_quot, branching on |Re b| >= |Im b|; nan where it raises
+    (ar, ai), (br, bi) = (a.real, a.imag), (b.real, b.imag)
+    big = abs(br) >= abs(bi)
+    p, q = np.where(big, br, bi), np.where(big, bi, br)
+    ratio = q / p
+    denom = p + q * ratio
+    u, v = np.where(big, ar, ai), np.where(big, ai, ar)
+    return _join((u + v * ratio) / denom, np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _gamma_many(points: Sequence[complex], shift=0.0, single: Callable = gamma) -> np.ndarray:
+    """gamma(s + shift) at every point s, each value gamma's to the bit (see the
+    module docstring); a point gamma treats otherwise takes single(s) there."""
+    s = np.asarray(points, dtype=complex)
+    z = s + shift if shift else s
+    reflect = z.real < 0.5
+    with np.errstate(all="ignore"):
+        x = np.where(reflect, 1.0 - z, z) - 1.0  # gamma(1 - z) for the reflection
+        acc = _LANCZOS_COEFFS[0]
+        for k, c in enumerate(_LANCZOS_COEFFS[1:], 1):
+            acc = acc + _quot(c, x + k)
+        t, e = x + _LANCZOS_G + 0.5, x + 0.5
+        # t**e as _Py_c_pow forms it.  Im(e) = 0 means Im(e), Im(t) and atan2 are
+        # +0.0, so dividing by exp(0) and adding 0 log |t| keep the bits.
+        size, at = np.hypot(t.real, t.imag), np.log(t).imag
+        turn = at * e.imag
+        length = np.float_power(size, e.real) / np.exp(turn.astype(complex)).real
+        phase = at * e.real + e.imag * np.log(size.astype(complex)).real
+        power = _join(length * np.cos(phase), length * np.sin(phase))
+        values = _mul(_mul(_mul(math.sqrt(_TWO_PI), power), np.exp(-t)), acc)
+        powi = (e.imag == 0.0) & (e.real == np.floor(e.real)) & (abs(e.real) <= 100.0)
+        ok = ~powi & (turn < _LOG_LARGE_DOUBLE) & np.isfinite(values) & (values != 0.0)
+        # _sin_pi: sin(pi (z - m)), m the integer nearest Re(z), negated for odd m
+        m = np.rint(z.real)
+        w = _mul(math.pi, z - m)
+        product = _mul(np.where(m % 2.0 == 0.0, np.sin(w), -np.sin(w)), values)
+        quotient = _quot(math.pi, product)
+        bent = ((abs(w.imag) <= _LOG_LARGE_DOUBLE) & np.isfinite(product) & (product != 0.0)
+                & np.isfinite(quotient))
+        pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+        ok &= np.isfinite(z) & ~pole & (~reflect | bent)
+    values = np.where(reflect, quotient, values)
+    for i in np.flatnonzero(~ok).tolist():
+        values[i] = single(complex(s[i]))
+    return values
 
 
 # --------------------------------------------------------------------------

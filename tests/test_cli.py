@@ -112,6 +112,15 @@ class TestEval:
         assert code == 2
         assert "underflows to zero" in err
 
+    @pytest.mark.parametrize("token", ["eq12", "eq15", "eq18"])
+    @pytest.mark.parametrize("im", ["1e5", "1e16"])
+    def test_gamma_underflow_names_the_point_given(self, capsys, token, im):
+        # eq12's and eq15's closed forms named Gamma's argument s + 2 alone
+        code, _, err = run(capsys, "verify", token, f"--s=0.5+{im}i")
+        assert code == 2
+        assert f"at s = {complex(0.5, float(im))}" in err.splitlines()[0]
+        assert "underflows to zero" in err
+
     def test_eta_below_minus_two(self, capsys):
         # a fixed 1e-15 truncation kept summing rounding noise and
         # printed -0.0878411208008592, 8e-11 off
@@ -309,6 +318,9 @@ class TestExitCodeMatrix:
             (["eval", "gamma", "-3.5+1e308i"], 2),
             (["eval", "gamma", "1e-320-1e308i"], 2),
             (["verify", "eq16", "--s=2.5+1e308i"], 2),
+            # Gamma(s + 2), or Gamma(s) for eq18, underflows to zero
+            *[(["verify", token, f"--s=0.5+{im}i"], 2)
+              for token in ("eq12", "eq15", "eq18") for im in ("1e5", "1e16")],
             # an --out path that cannot be written: no such directory, or a directory
             (["verify", "eq3", "--format=json", "--out", "/nonexistent/dir/x.json"], 2),
             (["verify", "eq3", "--out", "."], 2),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from eulerlab import constants, core_numerics, integral_forms
 from eulerlab.errors import DomainError
+from eulerlab.identity_engine import _grid_points
 from eulerlab.integral_forms import (
+    _GAMMA_BATCH_MIN_POINTS,
     I_minus,
     I_plus,
     I_plus_many,
@@ -323,3 +326,33 @@ class TestReductionExactness:
         )
         reduced = I_plus(s, 1e-9) if sign == 1 else I_minus(s, 1e-9)
         assert abs(square.value - reduced.value) <= 1e-5
+
+
+class TestBatchedGammaRhs:
+    """From _GAMMA_BATCH_MIN_POINTS generic points on, rhs_eq15_many forms
+    Gamma(s+2) and the bracket as arrays: its values stay rhs_eq15's bits."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 500])
+    def test_sizes_on_both_sides_of_the_threshold(self, extra):
+        rng = random.Random(extra)
+        points = [complex(rng.uniform(-2.99, 12.0), rng.uniform(-40.0, 40.0))
+                  for _ in range(_GAMMA_BATCH_MIN_POINTS + extra)]
+        # and the limits, the expansion radius and the c_powi points on the axis
+        points += [-1.0, -2.0, -1.00005, complex(-2.0, 5e-5), -2.5, -1.5, 0.5, 2.5]
+        expected = np.array([rhs_eq15(s) for s in points])
+        assert np.array(rhs_eq15_many(points)).tobytes() == expected.tobytes()
+
+    def test_sweep_matches_each_point(self):
+        points = _grid_points((-2.5, 9.5, 0.25), (-60.0, 60.0, 10.0))
+        points = [s for s in points if s not in (-1.0, -2.0)]
+        expected = np.array([rhs_eq15(s) for s in points])
+        assert np.array(rhs_eq15_many(points)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("im", [1e5, 1e16])
+    def test_gamma_errors_name_the_callers_point(self, im):
+        s = complex(0.5, im)
+        text = f"Gamma(s + 2) fails at s = {s}"
+        batched = lambda p: rhs_eq15_many([1.0] * _GAMMA_BATCH_MIN_POINTS + [p])  # noqa: E731
+        for route in (rhs_eq12, rhs_eq15, batched):
+            with pytest.raises(DomainError, match=re.escape(text)):
+                route(s)

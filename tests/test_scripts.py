@@ -65,7 +65,8 @@ def test_eta_and_constants_cost_build_their_cases():
 
 
 def test_batch_threshold_runs_one_round(capsys):
-    assert batch_threshold.main(["--rounds", "1", "--sizes", "1"]) == 0
+    # gamma against _gamma_many included, at its own sizes
+    assert batch_threshold.main(["--rounds", "1", "--sizes", "1", "--gamma-sizes", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split(" | ")[0] for row in rows] == [
         f"| {name}" for name, *_ in batch_threshold.FAMILIES]
@@ -77,8 +78,8 @@ def test_subtract_threshold_names_the_threshold():
     assert all(callable(route) for _, route, _ in subtract_threshold.FAMILIES)
 
 
-def test_compare_outputs_runs_128_commands():
-    assert len(compare_outputs.COMMANDS) == 128
+def test_compare_outputs_runs_131_commands():
+    assert len(compare_outputs.COMMANDS) == 131
 
 
 def test_edge_equivalence_draws_the_edge_panel():

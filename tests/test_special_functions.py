@@ -796,3 +796,95 @@ class TestAgainstMpmath:
     def test_zeta_at_integers(self, mp):
         worst = max(abs(zeta(float(n)) - float(mp.zeta(n))) for n in range(2, 52))
         assert worst <= 2e-15
+
+
+def _gamma_or_error(s: complex):
+    try:
+        return gamma(s)
+    except Exception as exc:  # any error gamma raises, to compare by type and text
+        return type(exc), str(exc)
+
+
+class TestGammaMany:
+    """_gamma_many returns scalar gamma's value to the bit at every point, or
+    raises what gamma raises at the first point where gamma raises."""
+
+    def check(self, points, batched_at_least=0):
+        points = [complex(p) for p in points]
+        expected = [_gamma_or_error(p) for p in points]
+        errors = [e for e in expected if isinstance(e, tuple)]
+        if errors:
+            with pytest.raises(errors[0][0]) as caught:
+                special_functions._gamma_many(points)
+            assert str(caught.value) == errors[0][1]
+        kept = [p for p, e in zip(points, expected) if not isinstance(e, tuple)]
+        fallbacks = []
+
+        def single(s):
+            fallbacks.append(s)
+            return gamma(s)
+
+        values = special_functions._gamma_many(kept, 0.0, single)
+        want = np.array([e for e in expected if not isinstance(e, tuple)], dtype=complex)
+        assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert len(kept) - len(fallbacks) >= batched_at_least
+        return fallbacks
+
+    def test_sweep_points_and_seeded_panel(self):
+        sweep = [p + 2.0 for p in _grid_points((-2.5, 3.0, 0.05), (0.0, 2.0, 0.1))]
+        assert len(sweep) == 2331
+        self.check(sweep, batched_at_least=2200)
+        rng = random.Random(28)
+        panel = [complex(rng.uniform(-40, 40), rng.uniform(-30, 30)) for _ in range(60000)]
+        assert self.check(panel, batched_at_least=60000) == []
+
+    def test_real_axis_and_half_integers(self):
+        # an integer exponent s - 1/2 (or 1/2 - s for the reflection) of at
+        # most 100 in size takes CPython's c_powi: those points are gamma's own
+        halves = [k / 2.0 for k in range(-200, 344)]
+        fallbacks = self.check(halves + list(np.linspace(-40.0, 40.0, 2001)), 1900)
+        assert any(p.real % 1.0 == 0.5 for p in fallbacks)
+
+    def test_signed_zero_imaginary_parts(self):
+        axis = np.linspace(-30.0, 30.0, 1001)
+        self.check([complex(x, y) for x in axis for y in (0.0, -0.0)], 1900)
+        self.check([complex(x, y) for x in (0.0, -0.0) for y in np.linspace(-5, 5, 101)], 200)
+
+    def test_next_to_the_poles(self):
+        self.check([complex(-k + d, y) for k in range(40) for d in (-1e-9, 1e-9, -1e-12)
+                    for y in (0.0, -0.0, 1e-10, -1e-9)], 400)
+        self.check([0.0, -1.0, -7.0, complex(-3.0, -0.0), math.inf, complex(1.0, math.nan)])
+
+    def test_both_sides_of_one_half(self):
+        self.check([complex(0.5 + d, y) for d in (-1e-15, -1e-9, 0.0, 1e-15, 1e-9, 1e-3, -1e-3)
+                    for y in (0.0, -0.0, 1e-300, 0.25, -7.5)], 25)
+
+    def test_real_part_up_to_overflow(self):
+        # the Lanczos power overflows from about 142.25 (gamma's log-space path)
+        fallbacks = self.check(list(np.linspace(100.0, 172.0, 1441))
+                               + [complex(x, 3.0) for x in np.linspace(160.0, 171.6, 117)], 800)
+        assert any(p.real > 142.25 for p in fallbacks)
+
+    def test_imaginary_part_up_to_underflow(self):
+        rng = random.Random(470)
+        # cmath.sin rescales past |pi Im(s)| = 708.4 (|Im(s)| 225.5), cexp past an
+        # exponent atan2(Im t, Re t) Im(s) of 709.08 (|Im(s)| from about 456, where
+        # Gamma is still above 1e-308 for Re(s) near 12), and Gamma underflows near 470
+        bands = [(-6.0, 6.0, 220.0, 232.0), (0.5, 14.0, 455.0, 462.0), (-6.0, 6.0, 440.0, 480.0)]
+        points = [complex(rng.uniform(a, b), rng.choice((1, -1)) * rng.uniform(lo, hi))
+                  for a, b, lo, hi in bands for _ in range(3000)]
+        fallbacks = self.check(points, 3000)
+        assert any(abs(p.imag) < 232.0 for p in fallbacks)
+        assert any(abs(p.imag) > 470.0 for p in fallbacks)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        parts = st.floats(-200.0, 200.0) | st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, 171.5])
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(st.builds(complex, parts, parts), min_size=1, max_size=8))
+        def prop(points):
+            self.check(points)
+
+        prop()
