@@ -13,7 +13,7 @@ the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
 writer from a value change); ``eval`` of every function at the points
 of ``EVAL_POINTS`` as json and csv; and the grid of ``STALLED_RANGE``,
-whose step does not advance its axis: 131 commands.  It compares
+whose step does not advance its axis: 135 commands.  It compares
 stdout, stderr and the exit code of every command and exits 1 if any
 differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
@@ -52,14 +52,17 @@ CONST_N = (
 
 # One interior point and one within 0.45 of the domain edge (where the
 # quadratures subtract the endpoint singularity) per quadrature identity,
-# eq15 inside the expansion radius of its removable singularity, and eq15
-# within the 0.01 margin above its edge, which exits 2 naming the margin.
+# eq15 inside the expansion radius of each removable singularity, eq12
+# within 0.05 of its own (where zeta_minus_pole fills it), and eq15 within
+# the 0.01 margin above its edge, which exits 2 naming the margin.
 VERIFY_POINTS = (
     ("eq12", "0.5+0.5i"),
     ("eq12", "-1.7+0.3i"),
     ("eq15", "0.5+1i"),
     ("eq15", "-2.8+0.7i"),
     ("eq15", "-1.00005"),
+    ("eq15", "-1.99995+0.00003i"),
+    ("eq12", "-0.98+0.01i"),
     ("eq15", "-2.995"),
     ("eq18", "2+1i"),
     ("eq18", "0.2+0.5i"),

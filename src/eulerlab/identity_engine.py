@@ -195,19 +195,7 @@ def _eq12_rhs(s, tol):
 
 
 def _eq14_lhs(s, tol):
-    # Richardson extrapolation in eps**2 of the symmetrized pole-removed
-    # zeta at s = 1 +- {0.1, 0.05, 0.025}.  In exact arithmetic this is
-    # zeta_minus_pole(1.0): all six values lie on its ring cubic, so each
-    # level returns the cubic's constant term.  The stack costs 12 zeta
-    # calls against the ring's 4, and rounds to ...773 against ...772;
-    # it stays because that ulp moves eq14's abs_err further from gamma.
-    zmp = special_functions.zeta_minus_pole
-    e0, e1, e2 = (
-        0.5 * (zmp(1.0 + eps) + zmp(1.0 - eps)) for eps in (0.1, 0.05, 0.025)
-    )
-    r1 = (4.0 * e1 - e0) / 3.0
-    r2 = (4.0 * e2 - e1) / 3.0
-    return (16.0 * r2 - r1) / 15.0, 6
+    return special_functions.zeta_minus_pole(1.0), 0
 
 
 def _eq15_lhs(points, tol):
@@ -398,7 +386,7 @@ _REGISTRY: dict[str, Identity] = {
             "eq14",
             "zeta(s) - 1/(s-1) tends to Euler's constant as s -> 1",
             None, (), 1e-6,
-            "Richardson extrapolation of pole-removed zeta to s = 1",
+            "pole-removed zeta at s = 1, from the eta sum's divided difference",
             "geometrically convergent zeta series for Euler's constant",
             _pointwise(_eq14_lhs), _pointwise(_gamma_reference),
         ),
@@ -493,16 +481,19 @@ def _evaluate(
     ident: Identity, points: list[complex | None], tol: float
 ) -> list[tuple[tuple[RouteValue, RouteValue], float]]:
     # Both route values at each point, with the point's share of their
-    # time.  Each route runs once over all the points.
+    # time.  Each route runs once over all the points, the rhs first, so a
+    # closed form that refuses a point does so before the quadrature runs.
     start = time.perf_counter()
     try:
-        sides = list(zip(ident.lhs(points, tol), ident.rhs(points, tol)))
+        rhs = ident.rhs(points, tol)
+        sides = list(zip(ident.lhs(points, tol), rhs))
     except (EulerLabError, ArithmeticError):
         if len(points) == 1:
             raise
-        # Point by point, so the error raised is the first failing point's,
-        # as a verify call there raises it.
-        sides = [pair for s in points for pair in zip(ident.lhs([s], tol), ident.rhs([s], tol))]
+        # Point by point, the rhs first, so the error raised is the first
+        # failing point's, as a verify call there raises it.
+        sides = [(lhs, rhs) for s in points
+                 for rhs in ident.rhs([s], tol) for lhs in ident.lhs([s], tol)]
     elapsed = (time.perf_counter() - start) / len(points)
     return [(pair, elapsed) for pair in sides]
 

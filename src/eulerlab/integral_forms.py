@@ -51,23 +51,21 @@ from .core_numerics import (
 )
 from .errors import DomainError
 from .special_functions import (
+    _eta_divided,
     _eta_sum,
     _gamma_many,
     _mul,
     _quot,
     eta,
     eta_many,
-    eta_prime,
     gamma,
     zeta_minus_pole,
 )
 
 
-# Exact limits of the plus-kernel family exist at s = -1 and s = -2;
-# inside this radius of either point the bracket of the closed form
-# cancels catastrophically and a first-order expansion is used instead.
+# Within this radius of s = -1 or -2, where eq15's bracket cancels,
+# rhs_eq15 takes it apart by eta's divided differences.
 _EXPANSION_RADIUS = 1e-4
-_SLOPE_STEP = 1e-3
 
 # Taylor coefficients of (e**-t - 1 + t) / (t**2/2): 2 (-1)**j / (j+2)!
 _RESIDUAL_COEFFS = tuple(
@@ -280,14 +278,6 @@ def fermi_dirac_many(points: Sequence[complex], tol: float) -> list[QuadratureRe
     return _reduced_many(_FERMI_DIRAC, fermi_dirac, points, tol)
 
 
-def _rhs_eq15_limit(point: float) -> complex:
-    if point == -1.0:
-        # limit value eta(1) - 2 eta'(0) = ln 2 - ln(pi/2) = ln(4/pi)
-        return eta(1.0) - 2.0 * eta_prime(0.0)
-    # point == -2.0: limit value eta'(0) - 1/2 + 2 eta'(-1)
-    return eta_prime(0.0) - 0.5 + 2.0 * eta_prime(-1.0)
-
-
 def _gamma_s2(s: complex) -> complex:
     # Gamma(s + 2) of eq12's and eq15's closed forms, its DomainError naming s too
     try:
@@ -320,23 +310,22 @@ def _rhs_eq15_panel(s: np.ndarray, sums: Callable = eta_many) -> list[complex]:
 def rhs_eq15(s: complex) -> complex:
     """Closed form gamma(s+2) [eta(s+2) + (1 - 2 eta(s+1))/(s+1)].
 
-    The bracket has removable singularities at s = -1 and s = -2; the
-    exact limits are returned there, and within 1e-4 of either point a
-    first-order expansion around the limit replaces the generic route.
-    The etas come from ``eta_many``'s sum, so each value is ``rhs_eq15_many``'s.
+    The bracket has removable singularities at s = -1 and s = -2.  Within
+    1e-4 of either (the points included) the divided differences
+    D_a(w) = [eta(a + w) - eta(a)] / w, with eta(0) = 1/2 and eta(-1) = 1/4,
+    take it apart: Gamma(s+2) [eta(s+2) - 2 D_0(s+1)] near -1 and
+    Gamma(s+3) [D_0(s+2) + (1/2 - 2 D_-1(s+2))/(s+1)] near -2.  Elsewhere
+    the etas come from ``eta_many``'s sum, so each value is ``rhs_eq15_many``'s.
     """
     s = complex(s)
     if s.real <= _PLUS.edge:
         raise DomainError(f"outside Re(s) > {_PLUS.edge:g}")
-    for point in (-1.0, -2.0):
-        w = s - point
-        dist = abs(w)
-        if dist == 0.0:
-            return _rhs_eq15_limit(point)
-        if dist < _EXPANSION_RADIUS:
-            step = _SLOPE_STEP * (w / dist)
-            above, below = _rhs_eq15_panel(np.array([point + step, point - step]), _eta_sum)
-            return _rhs_eq15_limit(point) + w * ((above - below) / (2.0 * step))
+    if abs(s + 1.0) < _EXPANSION_RADIUS:
+        return _gamma_s2(s) * (eta(s + 2.0) - 2.0 * _eta_divided(0.0, s + 1.0))
+    if abs(s + 2.0) < _EXPANSION_RADIUS:
+        w = s + 2.0
+        bracket = _eta_divided(0.0, w) + (0.5 - 2.0 * _eta_divided(-1.0, w)) / (s + 1.0)
+        return gamma(s + 3.0) * bracket
     return _rhs_eq15_panel(np.array([s]), _eta_sum)[0]
 
 
@@ -357,7 +346,7 @@ def rhs_eq12(s: complex) -> complex:
 
     The bracket is exactly the pole-removed zeta at s+2, so the limit
     point s = -1 (where the value is Euler's gamma) and its whole
-    neighbourhood are served by the same ring-extrapolated route.
+    neighbourhood are served by ``zeta_minus_pole``'s divided difference.
     """
     s = complex(s)
     if s.real <= _MINUS.edge:

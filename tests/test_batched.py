@@ -549,17 +549,17 @@ class TestRhsPanel:
         assert rhs_eq15_many(points) == [rhs_eq15(s) for s in points]
 
     def test_points_near_minus_one_take_the_expansion(self, monkeypatch):
-        limits = []
-        original = integral_forms._rhs_eq15_limit
+        scalar = []
+        original = integral_forms.rhs_eq15
 
-        def counting(point):
-            limits.append(point)
-            return original(point)
+        def counting(s):
+            scalar.append(s)
+            return original(s)
 
-        monkeypatch.setattr(integral_forms, "_rhs_eq15_limit", counting)
+        monkeypatch.setattr(integral_forms, "rhs_eq15", counting)
         near = -1.0 + 5e-5j
         values = rhs_eq15_many([0.5, near, 1.5 + 1j])
-        assert limits == [-1.0]
+        assert scalar == [near]
         monkeypatch.undo()
         assert values[1] == rhs_eq15(near)
 

@@ -179,7 +179,7 @@ class TestSubtractedRoute:
         def refuse(*args):
             raise AssertionError("special function called by a quadrature route")
 
-        for name in ("gamma", "eta", "eta_many", "eta_prime", "zeta_minus_pole"):
+        for name in ("gamma", "eta", "eta_many", "_eta_divided", "zeta_minus_pole"):
             monkeypatch.setattr(integral_forms, name, refuse)
         route, edge = FAMILIES[family][0], FAMILIES[family][1].edge
         assert route(complex(edge + 0.05, 1.0), QUAD_TOL).converged

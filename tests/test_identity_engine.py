@@ -38,8 +38,9 @@ SHARED_BY_DESIGN = {
     "eq16": {"special_functions.gamma"},
     # zeta is eta divided by 1 - 2**(1-s)
     "eq17": {"special_functions.eta"},
-    # the gamma reference sums zeta(n); an Euler-Maclaurin zeta would part them
-    "eq14": {"special_functions.eta", "special_functions.zeta"},
+    # the gamma reference sums zeta(n) and the lhs eta's divided difference:
+    # they share the Euler-transform sum's private helpers, no public function
+    "eq14": set(),
 }
 
 
@@ -269,6 +270,22 @@ class TestGrid:
             verify("eq18", 2.0)
         with pytest.raises(DomainError, match=r"rhs failed at s = \(2\+0j\)"):
             grid("eq18", (1.0, 4.0, 1.0), (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("token, route", [
+        ("eq12", "I_minus"), ("eq15", "I_plus"), ("eq18", "fermi_dirac"),
+    ])
+    def test_a_refusing_closed_form_runs_no_quadrature(self, token, route, monkeypatch):
+        # Gamma underflows at Im(s) = 1e16: the closed form raises before the
+        # quadrature runs, in verify and in a sweep's point-by-point fallback
+        def refuse(*args):
+            raise AssertionError(f"{route} ran at a point its closed form refuses")
+
+        monkeypatch.setattr(integral_forms, route, refuse)
+        monkeypatch.setattr(integral_forms, route + "_many", refuse)
+        with pytest.raises(DomainError, match="underflows to zero"):
+            verify(token, 0.5 + 1e16j)
+        with pytest.raises(DomainError, match="underflows to zero"):
+            grid(token, (0.5, 1.0, 0.5), (1e16, 1e16, 4.0))
 
     def test_every_sweep_report_is_made_by_verify(self, monkeypatch):
         # A sweep checks each point once and returns what verify made from

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import re
@@ -251,6 +252,22 @@ class TestClosedForms:
             eta(s + 2.0) + (1.0 - 2.0 * eta(s + 1.0)) / (s + 1.0)
         )
         assert abs(rhs_eq15(s) - generic) <= 1e-8
+
+    @pytest.mark.parametrize("point, bound", [(-1.0, 2e-14), (-2.0, 2e-13)])
+    def test_eq15_near_its_removable_points_against_mpmath(self, point, bound):
+        # rings inside the expansion radius, where eta's divided differences
+        # take the cancelling bracket apart
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for radius in (1e-7, 1e-6, 1e-5, 5e-5, 9.9e-5):
+                for k in range(12):
+                    s = point + radius * cmath.exp(2j * math.pi * (k + rng.random()) / 12)
+                    m = mpmath.mpc(s.real, s.imag)
+                    bracket = mpmath.altzeta(m + 2) + (1 - 2 * mpmath.altzeta(m + 1)) / (m + 1)
+                    worst = max(worst, abs(rhs_eq15(s) - complex(mpmath.gamma(m + 2) * bracket)))
+        assert worst <= bound
 
     def test_eq12_values(self):
         assert abs(rhs_eq12(0.0) - (math.pi**2 / 6.0 - 1.0)) <= 1e-12

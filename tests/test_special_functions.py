@@ -576,6 +576,29 @@ class TestEtaPrime:
             assert abs(eta_prime(s) - fd) <= 1e-8
 
 
+class TestEtaDivided:
+    """[eta(a + w) - eta(a)] / w, the Euler-transform sum that fills the
+    removable singularities of zeta_minus_pole and rhs_eq15."""
+
+    @pytest.mark.parametrize("a", [1.0, 0.0, -1.0])
+    def test_at_zero_is_eta_prime(self, a):
+        expected = eta_prime(a)
+        assert abs(special_functions._eta_divided(a, 0.0) - expected) <= 4 * math.ulp(abs(expected))
+
+    @pytest.mark.parametrize("a, bound", [(1.0, 2e-15), (0.0, 2e-14), (-1.0, 2e-13)])
+    def test_on_a_disc_against_mpmath(self, a, bound):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0xD15C)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(100):
+                w = 0.05 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                m = mpmath.mpc(w.real, w.imag)
+                expected = (mpmath.altzeta(a + m) - mpmath.altzeta(a)) / m
+                worst = max(worst, abs(special_functions._eta_divided(a, w) - complex(expected)))
+        assert worst <= bound
+
+
 class TestZeta:
     def test_known_values(self):
         assert abs(zeta(2.0) - math.pi**2 / 6.0) <= 1e-12
@@ -625,14 +648,36 @@ class TestZetaMinusPole:
         assert abs(zeta_minus_pole(0.0) - 0.5) <= 1e-12
 
     def test_limit_is_euler_gamma(self):
-        assert abs(zeta_minus_pole(1.0) - EULER_GAMMA) <= 1e-8
+        assert abs(zeta_minus_pole(1.0) - EULER_GAMMA) <= 1e-15
+
+    def test_near_the_pole_against_mpmath(self):
+        # inside |s - 1| < 0.05, where eta's divided difference fills the pole
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0x2E7A)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(312):
+                s = 1.0 + 0.05 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                m = mpmath.mpc(s.real, s.imag)
+                worst = max(worst, abs(zeta_minus_pole(s) - complex(mpmath.zeta(m) - 1 / (m - 1))))
+        assert worst <= 2e-15
+
+    def test_continuous_across_the_branch_radius(self):
+        # the divided difference just inside |s - 1| = 0.05 meets the direct
+        # difference just outside, whose zeta(s) ~ 20 carries ~1e-13
+        rng = random.Random(0xC0)
+        for _ in range(200):
+            u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            inside, outside = 1.0 + 0.05 * (1.0 - 1e-12) * u, 1.0 + 0.05 * (1.0 + 1e-12) * u
+            assert abs(inside - 1.0) < 0.05 <= abs(outside - 1.0)
+            assert abs(zeta_minus_pole(inside) - zeta_minus_pole(outside)) <= 5e-13
 
     @pytest.mark.parametrize(
         "s", [1.001, 0.999, 1.02, 0.98, 1.0 + 0.03j, 1.0 - 0.02j, 0.96 + 0.02j]
     )
     def test_ring_matches_direct_difference(self, s):
         # at these distances the direct difference still has ~1e-13
-        # absolute accuracy, making it an oracle for the ring branch
+        # absolute accuracy, making it an oracle for the divided-difference branch
         s = complex(s)
         direct = zeta(s) - 1.0 / (s - 1.0)
         assert abs(zeta_minus_pole(s) - direct) <= 1e-8
