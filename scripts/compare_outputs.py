@@ -13,7 +13,7 @@ the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
 writer from a value change); ``eval`` of every function at the points
 of ``EVAL_POINTS`` as json and csv; and the grid of ``STALLED_RANGE``,
-whose step does not advance its axis: 135 commands.  It compares
+whose step does not advance its axis: 150 commands.  It compares
 stdout, stderr and the exit code of every command and exits 1 if any
 differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
@@ -53,8 +53,10 @@ CONST_N = (
 # One interior point and one within 0.45 of the domain edge (where the
 # quadratures subtract the endpoint singularity) per quadrature identity,
 # eq15 inside the expansion radius of each removable singularity, eq12
-# within 0.05 of its own (where zeta_minus_pole fills it), and eq15 within
-# the 0.01 margin above its edge, which exits 2 naming the margin.
+# within 0.05 of its own (where zeta_minus_pole fills it), eq15 within
+# the 0.01 margin above its edge, which exits 2 naming the margin, and three
+# points whose scalar ladders pass the kernel tables' last level (5): eq18
+# and eq12 to level 9, eq15 to level 7.
 VERIFY_POINTS = (
     ("eq12", "0.5+0.5i"),
     ("eq12", "-1.7+0.3i"),
@@ -66,6 +68,9 @@ VERIFY_POINTS = (
     ("eq15", "-2.995"),
     ("eq18", "2+1i"),
     ("eq18", "0.2+0.5i"),
+    ("eq18", "1+40i"),
+    ("eq12", "-1.5+25i"),
+    ("eq15", "0.5+20i"),
 )
 
 # One sweep per quadrature identity, each large enough for the batched
@@ -74,12 +79,14 @@ VERIFY_POINTS = (
 # the whole table above it.  The next three are dense enough for the
 # batched ladder to take several blocks per level: the grid_eq15
 # benchmark sweep, eq15 where its values reach 3e6, and eq18 from its
-# domain edge.  Then a 9-point eq15 sweep, below the batch size, whose rhs
-# is summed point by point.  The last is an eq15 sweep past
+# domain edge.  Then a 9-point eq15 sweep, below the batch size, whose
+# quadrature runs point by point.  The next is an eq15 sweep past
 # integral_forms._GAMMA_BATCH_MIN_POINTS, whose Gamma(s + 2) runs as
 # arrays: it holds the skipped points -1 and -2, the c_powi points (Im 0,
 # half-integer s) that _gamma_many hands to scalar gamma, both sides of the
-# reflection at Re(s + 2) = 1/2, and |Im(s)| up to 60.
+# reflection at Re(s + 2) = 1/2, and |Im(s)| up to 60.  Then eq18 sweeps
+# of 13 and 14 points, on each side of integral_forms._BATCH_MIN_POINTS, and
+# a one-point eq15 sweep, whose rhs sums its lone point alone.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
@@ -90,6 +97,9 @@ GRIDS = (
     ("eq18", "--re=0.011:1.5:0.02", "--im=0:2:0.2"),
     ("eq15", "--re=-2.25:1.75:0.5", "--im=0.5:0.5:1"),
     ("eq15", "--re=-2.5:9.5:0.25", "--im=-60:60:10"),
+    ("eq18", "--re=0.25:3.25:0.25", "--im=0:0:1"),
+    ("eq18", "--re=0.25:3.5:0.25", "--im=0:0:1"),
+    ("eq15", "--re=0.5:0.5:1", "--im=1:1:1"),
 )
 
 # A step below the float spacing of its bounds: the axis stops at once.

@@ -41,7 +41,7 @@ SWEEPS = {
 }
 # Registry-sized batches: the left-hand sides of eq12 and eq15 over their
 # default points, and of eq18 over 16 points, at or above
-# identity_engine._BATCH_MIN_POINTS (its 4 default points run point by
+# integral_forms._BATCH_MIN_POINTS (its 4 default points run point by
 # point).
 BATCHES = {"eq12": None, "eq15": None, "eq18": [complex(0.5 * k, 0.5) for k in range(1, 17)]}
 

@@ -44,9 +44,6 @@ from .integral_forms import (
     I_plus_many,
     beukers_reduced,
     fermi_dirac,
-    fermi_dirac_integrand,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
     rhs_eq12,
     rhs_eq15,
     rhs_eq15_many,

@@ -8,14 +8,16 @@ above -1).  Semi-infinite integrals of exponentially decaying integrands
 are truncated at an analytically bounded tail.  Non-convergence is
 reported in the result, never raised.
 
-``integrate_finite`` walks each refinement level node by node, one side
-after the other.  A ``PowerKernel``, x**e_k times factors free of its
-parameter, takes those factors from a bounded cache of tables, one per
-level and interval, and forms only the power per call.  Many
-integrals of one family (``integrate_semi_infinite_many``) take every
-level as points x nodes arrays, with the walk's evaluations, truncation,
-order of addition and verdict, so rows of the walk's integrand values
-give its results to the bit.  ``PowerRows``, the PowerKernels of a family
+Both ladders read a level's nodes, weights and stopping index from one
+cache (``_level_sides``).  ``integrate_finite`` walks each level node by
+node, one side after the other.  A ``PowerKernel``, x**e_k times factors
+free of its parameter, is formed at each node by one expression, its
+factors read from a bounded cache of tables (one per level and interval)
+up to level 5 and computed at the node past it.  Many integrals of one
+family (``integrate_semi_infinite_many``) take every level as points x
+nodes arrays, with the walk's evaluations, truncation, order of addition
+and verdict, so rows of the walk's integrand values give its results to
+the bit.  ``PowerRows``, the PowerKernels of a family
 as rows, read the same factors from tables of their own, built by the
 same function over the nodes a sweep reaches, and form a block's powers
 from its distinct real and imaginary parts.  Past level 0 a side reaches
@@ -34,7 +36,7 @@ import cmath
 import dataclasses
 import functools
 import math
-from itertools import chain, repeat, takewhile, zip_longest
+from itertools import chain, repeat, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,10 +105,11 @@ _DELTA_FLOOR = 1e-280
 
 
 @functools.cache
-def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (delta, weight, t) of the level's nodes, as arrays
     h = 0.5 ** level
     ks = range(0, int(_T_CAP / h) + 1) if level == 0 else range(1, int(_T_CAP / h) + 1, 2)
-    nodes = []
+    deltas, weights, ts = [], [], []
     for k in ks:
         t = k * h
         u = _HALF_PI * math.sinh(t)
@@ -114,33 +117,22 @@ def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
         delta = 2.0 * s2 / (1.0 + s2)
         if delta < _DELTA_FLOOR:
             break
-        weight = _HALF_PI * math.cosh(t) * delta * (2.0 - delta)
-        nodes.append((delta, weight, t))
-    return tuple(nodes)
-
-
-def _power(t: float, s: complex) -> complex:
-    # t**s for real t > 0 through the real logarithm
-    if s.imag == 0.0:
-        return t**s.real
-    return cmath.exp(s * math.log(t))
+        deltas.append(delta)
+        weights.append(_HALF_PI * math.cosh(t) * delta * (2.0 - delta))
+        ts.append(t)
+    return np.array(deltas), np.array(weights), np.array(ts)
 
 
 class PowerKernel(NamedTuple):
     """x -> x**exponents[k] * f1 * f2 / d for x > 0, where (k, f1, f2, d) = form(x).
 
+    integrate_finite forms it at each node by one expression (``_walk_level``).
     form does not depend on the parameter s of the exponents s + c_k, and
     must not raise for any x > 0: integrate_finite tabulates it.
     """
 
     form: Callable[[float], tuple]
     exponents: tuple[complex, ...]
-
-    def __call__(self, x: float) -> complex:
-        if not x > 0.0:
-            raise ValueError("t must be positive")
-        k, f1, f2, d = self.form(x)
-        return _power(x, self.exponents[k]) * f1 * f2 / d
 
 
 class PowerRows(NamedTuple):
@@ -158,8 +150,8 @@ class PowerRows(NamedTuple):
 
     def values(self, s: np.ndarray, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
         # The kernel at every (x[i], s[j]) from the factors (log x, k, f1, f2, d)
-        # at each node, with PowerKernel's operations, so every value equals
-        # PowerKernel's (but for the sign of a zero part, which no ladder sum
+        # at each node, with the node walk's operations, so every value equals
+        # the walk's (but for the sign of a zero part, which no ladder sum
         # keeps): float_power is the C library's pow, as float ** is.
         logs, k, f1, f2, d = factors
         e = np.array(self.offsets)[k.astype(np.intp)]  # each node's exponent offset
@@ -213,17 +205,9 @@ def _complex_powers(s: np.ndarray, e: np.ndarray, logs: np.ndarray) -> np.ndarra
     return values
 
 
-def _side(level: int, a: float, b: float, lo: bool) -> tuple[tuple, float, float]:
-    # (nodes, edge, step) of one side of a level, whose nodes are at edge +
-    # step * delta; level 0's lo side has no midpoint
-    if lo:
-        return _nodes(level)[1 if level == 0 else 0:], a, 0.5 * (b - a)
-    return _nodes(level), b, -0.5 * (b - a)
-
-
-def _factors(form, xs: list[float]) -> list[tuple]:
-    # (log x, k, f1, f2, d) at each x, with math: the kernel tables of both ladders
-    return [(math.log(x), *form(x)) for x in xs]
+def _factors(form, xs: list[float]):
+    # (log x, k, f1, f2, d) at each x in turn, with math: the kernel factors of both ladders
+    return ((math.log(x), *form(x)) for x in xs)
 
 
 def _factor_array(form, xs: list[float]) -> np.ndarray:
@@ -244,21 +228,35 @@ def _store(tables: dict, key, table, size: Callable, cap: int) -> None:
         held -= 0 if gone is None else size(gone)
 
 
+@functools.lru_cache(maxsize=2 * (MAX_LEVEL + 1))
+def _level_sides(level: int, a: float, b: float) -> tuple[tuple, tuple]:
+    # (nodes, weights, t, valid, walk) of the hi and lo side of a level on (a, b):
+    # arrays whose first valid nodes lie inside, and the lists of those nodes,
+    # weights and t for the node walk, which would take 15% longer converting
+    # them per call; the cache holds two ladders
+    halfspan = 0.5 * (b - a)
+    delta, weight, t = _nodes(level)
+    w = halfspan * weight
+    x_hi = b - halfspan * delta
+    # Level 0's first node (t = 0) is the midpoint, visited once.
+    lo = 1 if level == 0 else 0
+    x_lo = (a + halfspan * delta)[lo:]
+    valid = [int(inside.argmin()) if not inside.all() else len(inside)
+             for inside in ((x_hi < b) & (x_hi > a), (x_lo > a) & (x_lo < b))]
+    return tuple((xs, ws, ts, n, [v[:n].tolist() for v in (xs, ws, ts)])
+                 for xs, ws, ts, n in ((x_hi, w, t, valid[0]), (x_lo, w[lo:], t[lo:], valid[1])))
+
+
 # (form, level <= 5, where registry and near-edge ladders end, a, b) -> per side,
-# (w, x, log x, k, f1, f2, d) at the nodes before the first outside (a, b).  The oldest
-# go past 2,560 nodes, 0.19 KB each (``eulerlab all`` and edge verifies hold 1,941).
+# (log x, k, f1, f2, d) at the nodes inside (a, b).  The oldest go past 2,560
+# nodes, 0.16 KB each (``eulerlab all`` and edge verifies hold 1,941).
 _TABLE_LEVELS, _TABLE_NODES, _tables = 5, 2560, {}
 
 
 def _table(form, level: int, a: float, b: float) -> tuple[list, list]:
     table = _tables.get(key := (form, level, a, b))
     if table is None:  # built whole before a concurrent caller can see it
-        table = ([], [])
-        for lo, entries in enumerate(table):
-            nodes, edge, step = _side(level, a, b, bool(lo))
-            xs = list(takewhile(lambda x: a < x < b, (edge + step * d for d, _, _ in nodes)))
-            entries += [(0.5 * (b - a) * weight, x, *factors)
-                        for (_, weight, _), x, factors in zip(nodes, xs, _factors(form, xs))]
+        table = tuple(list(_factors(form, walk[0])) for *_, walk in _level_sides(level, a, b))
         _store(_tables, key, table, lambda sides: sum(map(len, sides)), _TABLE_NODES)
     return table
 
@@ -274,26 +272,27 @@ def _walk_level(
     tail is the last contribution (times h) of a side that ran out of
     nodes while still above thresh (an endpoint singularity too strong
     for the node range, so the sum misses real mass), else 0.  A
-    PowerKernel's factors come from _table up to _TABLE_LEVELS.
+    PowerKernel's factors come from _table up to _TABLE_LEVELS, and from
+    its form at the node past it.
     """
-    h, halfspan = 0.5 ** level, 0.5 * (b - a)
-    tables = None
-    if isinstance(f, PowerKernel) and level <= _TABLE_LEVELS:
-        tables, e, exp = _table(f.form, level, a, b), f.exponents, cmath.exp
+    h = 0.5 ** level
+    kernel = isinstance(f, PowerKernel)
+    if kernel:
+        tables = _table(f.form, level, a, b) if level <= _TABLE_LEVELS else None
+        e, exp = f.exponents, cmath.exp
         real = e[0].imag == 0.0
         e = [p.real for p in e] if real else e
     walked, tail, inf = [], 0.0, math.inf
-    for lo in (False, True):
-        nodes, edge, step = _side(level, a, b, lo)
+    for lo, (nodes, _, _, _, (xs, ws, ts)) in enumerate(_level_sides(level, a, b)):
+        factors = repeat(None)
+        if kernel:
+            factors = tables[lo] if tables else _factors(f.form, xs)
         contribs, small, last = [], 0, 0.0
-        for (delta, weight, t), entry in zip(nodes, tables[lo] if tables else repeat(None)):
+        for x, w, t, entry in zip(xs, ws, ts, factors):
             if entry is None:
-                x = edge + step * delta
-                if x <= a or x >= b:
-                    break
-                w, fx = halfspan * weight, f(x)
+                fx = f(x)
             else:
-                w, x, lx, k, f1, f2, d = entry
+                lx, k, f1, f2, d = entry
                 fx = (x ** e[k] if real else exp(e[k] * lx)) * f1 * f2 / d
             contrib = w * fx
             last = abs(contrib) * h
@@ -306,7 +305,7 @@ def _walk_level(
                     break
             else:
                 small = 0
-        else:  # no stop: a table ends at the first node outside, nodes run out
+        else:  # no stop: the side's nodes inside (a, b) ran out
             if len(contribs) == len(nodes) and last >= thresh:
                 tail = max(tail, last)
         walked.append(contribs)
@@ -335,28 +334,6 @@ def _abs(z: np.ndarray) -> np.ndarray:
     # abs() of each element, the C library's hypot of its parts; numpy's
     # complex abs, 8x faster, can differ from it in the last bit
     return np.hypot(z.real, z.imag)
-
-
-@functools.cache
-def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (delta, weight, t) of _nodes(level) as arrays
-    return tuple(np.array(_nodes(level)).T)
-
-
-@functools.lru_cache(maxsize=2 * (MAX_LEVEL + 1))
-def _level_sides(level: int, a: float, b: float) -> tuple[tuple, tuple]:
-    # (nodes, weights, t, valid) of the hi and lo side of a level on (a, b),
-    # whose first valid nodes lie inside; the cache holds two ladders
-    halfspan = 0.5 * (b - a)
-    delta, weight, t = _node_arrays(level)
-    w = halfspan * weight
-    x_hi = b - halfspan * delta
-    # Level 0's first node (t = 0) is the midpoint, visited once.
-    lo = 1 if level == 0 else 0
-    x_lo = (a + halfspan * delta)[lo:]
-    valid = [int(inside.argmin()) if not inside.all() else len(inside)
-             for inside in ((x_hi < b) & (x_hi > a), (x_lo > a) & (x_lo < b))]
-    return (x_hi, w, t, valid[0]), (x_lo, w[lo:], t[lo:], valid[1])
 
 
 # (form, level, a, b, side) -> the factors (log x, k, f1, f2, d) of PowerRows at
@@ -391,7 +368,7 @@ def _walk_side(
     magnitude (_abs).  The stop test takes numpy's, so a stop could move
     only for a contribution within an ulp of thresh.
     """
-    x, w, t, valid = side
+    x, w, t, valid, _ = side
     reach = len(fx)
     contrib = np.multiply(w[:reach, None], fx, out=out)
     mag = np.abs(contrib) * h

@@ -38,13 +38,6 @@ MAX_GRID_POINTS = 10**6
 RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
-# From this many points on, the eq12, eq15 and eq18 quadratures run their batch.
-# Batched over scalar time (``scripts/batch_threshold.py --rounds 101``, from empty
-# kernel tables, shared 2-core x86-64 VM, two runs, three families): 10 points
-# 1.02-1.07, 11 1.00-1.11, 12 0.92-1.03, 13 0.86-1.03, 14 0.80-0.99, 16 0.75-0.85.
-# It sets speed alone: each batch returns its scalar route's values to the bit.
-_BATCH_MIN_POINTS = 14
-
 
 @dataclass(frozen=True)
 class Identity:
@@ -179,15 +172,8 @@ def _eq11_lhs(s, tol):
     return complex(est.value), est.terms_or_n
 
 
-def _batched(points, name, *args):
-    # integral_forms' route name at each point, or name_many from _BATCH_MIN_POINTS on
-    if len(points) >= _BATCH_MIN_POINTS:
-        return getattr(integral_forms, name + "_many")(points, *args)
-    return [getattr(integral_forms, name)(s, *args) for s in points]
-
-
 def _eq12_lhs(points, tol):
-    return _batched(points, "I_minus", _quad_tol(tol))
+    return integral_forms.I_minus_many(points, _quad_tol(tol))
 
 
 def _eq12_rhs(s, tol):
@@ -199,13 +185,10 @@ def _eq14_lhs(s, tol):
 
 
 def _eq15_lhs(points, tol):
-    return _batched(points, "I_plus", _quad_tol(tol))
+    return integral_forms.I_plus_many(points, _quad_tol(tol))
 
 
 def _eq15_rhs(points, tol):
-    # batched from two points on: at one, rhs_eq15 skips rhs_eq15_many's mask and lists
-    if len(points) == 1:
-        return [(integral_forms.rhs_eq15(points[0]), 0)]
     return [(value, 0) for value in integral_forms.rhs_eq15_many(points)]
 
 
@@ -229,7 +212,7 @@ def _eq17_rhs(s, tol):
 
 
 def _eq18_lhs(points, tol):
-    return _batched(points, "fermi_dirac", _quad_tol(tol))
+    return integral_forms.fermi_dirac_many(points, _quad_tol(tol))
 
 
 def _eq18_rhs(s, tol):

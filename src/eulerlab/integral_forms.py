@@ -26,10 +26,10 @@ Methods of Numerical Integration, 2.12):
 The remainder behaves like t**(Re(s+c)+1) and is regular.  The subtracted
 term is elementary (no gamma, zeta or eta), so the quadrature routes stay
 independent of the closed forms they are checked against.
-``I_plus_many``, ``I_minus_many`` and ``fermi_dirac_many`` evaluate every
-level of a sweep as points x nodes arrays built from tables of the same
-parameter-free form of each kernel (``_Family.rows``), so each point's
-result is the scalar route's to the bit.
+From ``_BATCH_MIN_POINTS`` points on, ``I_plus_many``, ``I_minus_many`` and
+``fermi_dirac_many`` evaluate every level of a sweep as points x nodes
+arrays built from tables of the same parameter-free form of each kernel
+(``_Family.rows``), so each point's result is the scalar route's to the bit.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .core_numerics import (
 )
 from .errors import DomainError
 from .special_functions import (
+    _EXPANSION_RADIUS,
     _eta_divided,
     _eta_sum,
     _gamma_many,
@@ -61,11 +62,6 @@ from .special_functions import (
     gamma,
     zeta_minus_pole,
 )
-
-
-# Within this radius of s = -1 or -2, where eq15's bracket cancels,
-# rhs_eq15 takes it apart by eta's divided differences.
-_EXPANSION_RADIUS = 1e-4
 
 # Taylor coefficients of (e**-t - 1 + t) / (t**2/2): 2 (-1)**j / (j+2)!
 _RESIDUAL_COEFFS = tuple(
@@ -80,19 +76,10 @@ def _residual_series(t: float) -> float:
     return 0.5 * ((((((acc + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
 
 
-def reduced_integrand_plus(s: complex, t: float) -> complex:
-    """Integrand t**s (t - 1 + e**-t)/(e**t + 1) of the plus-kernel family.
-
-    Behaves like t**(s+2)/4 as t -> 0, so it is integrable for
-    Re(s) > -3.  Below t = 0.5 the numerator's t**2 scale is folded
-    into the power so that neither factor over- or underflows at the
-    deepest quadrature nodes.
-    """
-    return _PLUS.kernel(s)(t)
-
-
 def _plus_form(t: float) -> tuple[int, float, float, float]:
-    # reduced_integrand_plus(s, t) = t**(s + (0, 2)[k]) f1 f2 / d
+    # the plus kernel t**s (t - 1 + e**-t)/(e**t + 1) = t**(s + (0, 2)[k]) f1 f2 / d;
+    # below t = 0.5 the numerator's t**2 scale is folded into the power, so that
+    # neither factor over- or underflows at the deepest nodes
     if t < 0.5:
         return 1, _residual_series(t), 1.0, math.exp(t) + 1.0
     if t > 40.0:
@@ -101,18 +88,8 @@ def _plus_form(t: float) -> tuple[int, float, float, float]:
     return 0, math.expm1(-t) + t, 1.0, math.exp(t) + 1.0
 
 
-def reduced_integrand_minus(s: complex, t: float) -> complex:
-    """Integrand t**s (t - 1 + e**-t)/(e**t - 1) of the minus-kernel family.
-
-    Behaves like t**(s+1)/2 as t -> 0 (integrable for Re(s) > -2); the
-    small-t branch mirrors the plus kernel's overflow-safe split.  Where
-    e**t overflows it is t**s (t - 1) e**(-t/2) e**(-t/2).
-    """
-    return _MINUS.kernel(s)(t)
-
-
 def _minus_form(t: float) -> tuple[int, float, float, float]:
-    # reduced_integrand_minus(s, t) = t**(s + (0, 1)[k]) f1 f2 / d
+    # the minus kernel t**s (t - 1 + e**-t)/(e**t - 1) = t**(s + (0, 1)[k]) f1 f2 / d
     if t < 0.5:
         return 1, _residual_series(t), t / math.expm1(t), 1.0
     if t > 709.782712893384:  # e**t overflows, e**-t is below the normal range
@@ -121,17 +98,9 @@ def _minus_form(t: float) -> tuple[int, float, float, float]:
     return 0, math.expm1(-t) + t, 1.0, math.expm1(t)
 
 
-def fermi_dirac_integrand(s: complex, t: float) -> complex:
-    """Integrand t**(s-1)/(e**t + 1) of the Fermi-Dirac-type integral.
-
-    Above t = 40 it is formed as t**(s-1) e**-t / (1 + e**-t), which
-    keeps e**t from overflowing at the far end of the range.
-    """
-    return _FERMI_DIRAC.kernel(s)(t)
-
-
 def _fermi_dirac_form(t: float) -> tuple[int, float, float, float]:
-    # fermi_dirac_integrand(s, t) = t**(s - 1) f1 f2 / d
+    # the Fermi-Dirac kernel t**(s-1)/(e**t + 1) = t**(s - 1) f1 f2 / d; above
+    # t = 40 e**-t / (1 + e**-t), which keeps e**t from overflowing
     if t > 40.0:
         et = math.exp(-t)
         return 0, et, 1.0, 1.0 + et
@@ -164,8 +133,8 @@ class _Family(NamedTuple):
     @property
     def rows(self) -> PowerRows:
         # the kernel at every (t[i], s[j]) as a (len(t), len(s)) array, each
-        # value kernel(s[j])(t[i]); the batched ladder reads the form's factors
-        # from its tables
+        # value kernel(s[j]) at t[i] as the node walk forms it; the batched
+        # ladder reads the form's factors from its tables
         return PowerRows(self.form, self.offsets)
 
 
@@ -208,6 +177,14 @@ def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
     return dataclasses.replace(result, value=family.psi0 / (power + 1.0) + result.value)
 
 
+# From this many points on, I_minus_many, I_plus_many and fermi_dirac_many run their
+# batch.  Batched over scalar time (``scripts/batch_threshold.py --rounds 101``, from empty
+# kernel tables, shared 2-core x86-64 VM, two runs, three families): 10 points
+# 1.02-1.07, 11 1.00-1.11, 12 0.92-1.03, 13 0.86-1.03, 14 0.80-0.99, 16 0.75-0.85.
+# It sets speed alone: each batch returns its scalar route's values to the bit.
+_BATCH_MIN_POINTS = 14
+
+
 def _reduced_many(
     family: _Family, single: Callable[[complex, float], QuadratureResult],
     points: Sequence[complex], tol: float,
@@ -215,9 +192,11 @@ def _reduced_many(
     # single, the family's public scalar route, at every point (see
     # I_plus_many).  The callers pass it by its module-level name, so a
     # wrapper installed there, such as perfbench's tracer, sees its calls.
+    if len(points) < _BATCH_MIN_POINTS:
+        return [single(p, tol) for p in points]
     s = np.asarray(points, dtype=complex)
-    im = s.imag[abs(s.imag).argmax()].item() if len(s) else 0.0  # the largest in size
-    if (reason := _edge_reason(family.edge, complex(s.real.min(initial=math.inf), im))) is not None:
+    im = s.imag[abs(s.imag).argmax()].item()  # the largest in size
+    if (reason := _edge_reason(family.edge, complex(s.real.min(), im))) is not None:
         raise DomainError(reason)
     batch = s.real - family.edge >= _SUBTRACT_BELOW
     plain = s[batch]
@@ -263,7 +242,8 @@ def I_plus_many(points: Sequence[complex], tol: float) -> list[QuadratureResult]
     Agrees with ``I_plus`` point by point to the bit, evaluation counts
     and convergence included: the rows are the scalar kernel's values;
     see ``core_numerics.integrate_semi_infinite_many``.  Points within
-    _SUBTRACT_BELOW of the edge take ``I_plus`` itself.
+    _SUBTRACT_BELOW of the edge, and every point of fewer than
+    _BATCH_MIN_POINTS, take ``I_plus`` itself.
     """
     return _reduced_many(_PLUS, I_plus, points, tol)
 
@@ -311,7 +291,7 @@ def rhs_eq15(s: complex) -> complex:
     """Closed form gamma(s+2) [eta(s+2) + (1 - 2 eta(s+1))/(s+1)].
 
     The bracket has removable singularities at s = -1 and s = -2.  Within
-    1e-4 of either (the points included) the divided differences
+    _EXPANSION_RADIUS of either (the points included) the divided differences
     D_a(w) = [eta(a + w) - eta(a)] / w, with eta(0) = 1/2 and eta(-1) = 1/4,
     take it apart: Gamma(s+2) [eta(s+2) - 2 D_0(s+1)] near -1 and
     Gamma(s+3) [D_0(s+2) + (1/2 - 2 D_-1(s+2))/(s+1)] near -2.  Elsewhere
@@ -333,11 +313,15 @@ def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
     """rhs_eq15 at every point, to the bit, with one eta_many call for all.
 
     Points at or within the expansion radius of -1 and -2 (and points
-    outside the domain, which raise) take the scalar ``rhs_eq15``.
+    outside the domain, which raise) take the scalar ``rhs_eq15``.  The etas
+    of a lone point of the panel come from the sum itself, as in ``rhs_eq15``.
     """
     s = np.asarray(points, dtype=complex)
-    generic = (s.real > _PLUS.edge) & (np.minimum(abs(s + 1.0), abs(s + 2.0)) >= _EXPANSION_RADIUS)
-    values = iter(_rhs_eq15_panel(s[generic]))
+    # distances by hypot, as abs() takes them (numpy's complex abs can differ in the last bit)
+    near = np.minimum(np.hypot(s.real + 1.0, s.imag), np.hypot(s.real + 2.0, s.imag))
+    generic = (s.real > _PLUS.edge) & (near >= _EXPANSION_RADIUS)
+    panel = s[generic]
+    values = iter(_rhs_eq15_panel(panel, _eta_sum if len(panel) == 1 else eta_many))
     return [next(values) if g else rhs_eq15(p) for p, g in zip(s.tolist(), generic.tolist())]
 
 

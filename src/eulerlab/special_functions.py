@@ -96,6 +96,10 @@ _HEAD_MAX_IM = 8.0
 # equation there instead.
 _REFLECT_BELOW = -4.0
 _OVERFLOW_FROM = 3.7e307  # max float / log 128: past Re(s) or |Im(s)| here -s log(k+1) overflows
+# Within this distance of a removable singularity filled by _eta_divided
+# (zeta_minus_pole's at 1, eq15's bracket at -1 and -2), where the direct
+# difference cancels: the divided differences hold to 1e-13 of mpmath up to it.
+_EXPANSION_RADIUS = 0.05
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -540,15 +544,15 @@ def zeta_prime(s: complex) -> complex:
 def zeta_minus_pole(s: complex) -> complex:
     """zeta(s) - 1/(s-1), with the removable singularity at s = 1 filled.
 
-    Inside |s-1| < 0.05, where the direct difference is ill-conditioned,
-    w = s - 1 and z = -w ln 2 give 1 - 2**-w = w ln 2 (1 + z F), with
-    F = (e**z - 1 - z) / z**2 by its Taylor series, and eta(s) = ln 2 + w D,
-    with D = ``_eta_divided(1, w)``; the value is
+    Inside |s-1| < _EXPANSION_RADIUS, where the direct difference is
+    ill-conditioned, w = s - 1 and z = -w ln 2 give 1 - 2**-w =
+    w ln 2 (1 + z F), with F = (e**z - 1 - z) / z**2 by its Taylor series,
+    and eta(s) = ln 2 + w D, with D = ``_eta_divided(1, w)``; the value is
     (D + ln(2)**2 F) / (ln 2 (1 + z F)), Euler's constant at s = 1.
     """
     s = _finite(s)
     w = s - 1.0
-    if abs(w) >= 0.05:
+    if abs(w) >= _EXPANSION_RADIUS:
         return zeta(s) - 1.0 / w
     z = -w * _LN2
     f = sum(z**j / math.factorial(j + 2) for j in range(10))

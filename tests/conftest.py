@@ -12,8 +12,15 @@ integrals over the unit square as the paper states them, and
 runs them (a literal square integral costs more than all of
 ``eulerlab all``), so they live here, where the tests check the exact
 1D reductions and the ``constants`` series against them.
+
+The reduced kernels have no scalar function in the library: the ladders
+form a ``PowerKernel`` at their nodes.  ``kernel_value`` forms one at a
+point by the same operations, and ``plus_kernel``, ``minus_kernel`` and
+``fermi_dirac_kernel`` are the three families' kernels as functions of
+(s, t).
 """
 
+import cmath
 import math
 import os
 import subprocess
@@ -24,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from eulerlab.core_numerics import QuadratureResult, _power, integrate_finite
+from eulerlab import integral_forms
+from eulerlab.core_numerics import PowerKernel, QuadratureResult, integrate_finite
 from eulerlab.errors import DomainError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -46,6 +54,36 @@ EQ9_VALUE = (
 )
 
 
+def power(t: float, s: complex) -> complex:
+    """t**s for real t > 0 through the real logarithm."""
+    if s.imag == 0.0:
+        return t**s.real
+    return cmath.exp(s * math.log(t))
+
+
+def kernel_value(kernel: PowerKernel, t: float) -> complex:
+    """The kernel at t > 0, t**exponents[k] * f1 * f2 / d with (k, f1, f2, d) = form(t)."""
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    k, f1, f2, d = kernel.form(t)
+    return power(t, kernel.exponents[k]) * f1 * f2 / d
+
+
+def plus_kernel(s: complex, t: float) -> complex:
+    """t**s (t - 1 + e**-t)/(e**t + 1), the plus-kernel family's integrand."""
+    return kernel_value(integral_forms._PLUS.kernel(s), t)
+
+
+def minus_kernel(s: complex, t: float) -> complex:
+    """t**s (t - 1 + e**-t)/(e**t - 1), the minus-kernel family's integrand."""
+    return kernel_value(integral_forms._MINUS.kernel(s), t)
+
+
+def fermi_dirac_kernel(s: complex, t: float) -> complex:
+    """t**(s-1)/(e**t + 1), the Fermi-Dirac-type integrand."""
+    return kernel_value(integral_forms._FERMI_DIRAC.kernel(s), t)
+
+
 def dirichlet_eta_partial(s: complex, n_terms: int) -> complex:
     """Direct alternating Dirichlet sum (valid oracle for Re(s) > 0)."""
     total = 0.0 + 0.0j
@@ -64,7 +102,7 @@ def integrand_2d(sign: int, s: complex, x: float, y: float) -> complex:
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError("x and y must lie in the open unit interval")
     neg_log = -(math.log(x) + math.log(y))
-    return (1.0 - x) / (1.0 + sign * x * y) * _power(neg_log, complex(s))
+    return (1.0 - x) / (1.0 + sign * x * y) * power(neg_log, complex(s))
 
 
 def integrate_unit_square(

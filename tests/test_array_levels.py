@@ -30,9 +30,9 @@ from eulerlab import identity_engine, integral_forms
 from eulerlab.errors import IntegrandError
 from eulerlab.integral_forms import (
     I_minus,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
 )
+
+from conftest import minus_kernel, plus_kernel
 
 QUAD_TOL = 1e-9  # what the eq12/eq15/eq18 default tolerances ask of their quadrature
 
@@ -68,9 +68,9 @@ class TestArrayLevels:
 
         batched, = integrate_semi_infinite_many(recording_rows, [s], QUAD_TOL, [s.real + 1.0])
         plain = integrate_semi_infinite(
-            functools.partial(reduced_integrand_plus, s), QUAD_TOL, s.real + 1.0
+            functools.partial(plus_kernel, s), QUAD_TOL, s.real + 1.0
         )
-        assert max(level_sizes) >= len(core_numerics._nodes(6))
+        assert max(level_sizes) >= len(core_numerics._nodes(6)[0])
         assert batched.evaluations == plain.evaluations > 0
         assert batched.converged == plain.converged
         assert batched.value == plain.value
@@ -147,17 +147,17 @@ class TestUnresolvedTail:
     def test_minus_kernel_next_to_its_edge_stays_unconverged(self):
         # the ladder on the raw kernel, which I_minus no longer takes there
         s = complex(-1.95)
-        kernel = functools.partial(reduced_integrand_minus, s)
+        kernel = functools.partial(minus_kernel, s)
         result = integrate_semi_infinite(kernel, QUAD_TOL, s.real + 1.0)
         T, _, finite_tol = core_numerics._truncation(QUAD_TOL, s.real + 1.0)
-        marked = one_row(rows_of(reduced_integrand_minus), s, 0.0, T, finite_tol)
+        marked = one_row(rows_of(minus_kernel), s, 0.0, T, finite_tol)
         assert not result.converged and not marked.converged
         assert result.evaluations == marked.evaluations
         # a level's side that runs out of nodes while still carrying mass
         # leaves an unresolved tail; the estimate covers the largest
         tail = max(
             core_numerics._walk_level(
-                lambda t: reduced_integrand_minus(s, t), 0.0, T, level, finite_tol * 1e-3
+                lambda t: minus_kernel(s, t), 0.0, T, level, finite_tol * 1e-3
             )[2]
             for level in range(MAX_LEVEL + 1)
         )
@@ -223,7 +223,7 @@ def whole_walk_side(f, params, x, w, t, h, thresh, inside):
 def whole_rows_level(f, params, a, b, level, thresh):
     h = 0.5 ** level
     halfspan = 0.5 * (b - a)
-    delta, weight, t = core_numerics._node_arrays(level)
+    delta, weight, t = core_numerics._nodes(level)
     w = halfspan * weight
     x_hi = b - halfspan * delta
     x_lo = a + halfspan * delta

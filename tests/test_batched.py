@@ -38,20 +38,19 @@ from eulerlab.integral_forms import (
     I_minus_many,
     I_plus,
     I_plus_many,
-    fermi_dirac_integrand,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
     rhs_eq15,
     rhs_eq15_many,
 )
+
+from conftest import fermi_dirac_kernel, kernel_value, minus_kernel, plus_kernel
 
 QUAD_TOL = 1e-9  # what eq15's default tolerance asks of its quadrature
 
 # (scalar kernel, the family whose rows the batch evaluates, domain edge)
 KERNELS = {
-    "plus": (reduced_integrand_plus, integral_forms._PLUS, -3.0),
-    "minus": (reduced_integrand_minus, integral_forms._MINUS, -2.0),
-    "fermi_dirac": (fermi_dirac_integrand, integral_forms._FERMI_DIRAC, 0.0),
+    "plus": (plus_kernel, integral_forms._PLUS, -3.0),
+    "minus": (minus_kernel, integral_forms._MINUS, -2.0),
+    "fermi_dirac": (fermi_dirac_kernel, integral_forms._FERMI_DIRAC, 0.0),
 }
 
 # identity -> (scalar quadrature, its batch, lowest Re(s) of a test sweep)
@@ -72,7 +71,7 @@ def assert_same_quadrature(batched, scalar):
 def raw_scalar(s):
     # the single-integral ladder on the raw plus kernel over (0, T)
     return integrate_semi_infinite(
-        functools.partial(reduced_integrand_plus, s), QUAD_TOL, s.real + 1.0
+        functools.partial(plus_kernel, s), QUAD_TOL, s.real + 1.0
     )
 
 
@@ -233,7 +232,7 @@ def test_complex_powers_past_708_are_cmaths_exp():
     assert len(s) >= core_numerics._FACTOR_MIN_ROWS
     expected = np.array([[cmath.exp(p * log) for p in s.tolist()] for log in logs.tolist()])
     assert (np.exp(s[None, :] * logs[:, None]) != expected).any()  # numpy's own rule parts
-    kernel = np.array([[integral_forms._MINUS.kernel(p)(t) for p in s.tolist()]
+    kernel = np.array([[kernel_value(integral_forms._MINUS.kernel(p), t) for p in s.tolist()]
                        for t in band.tolist()])
     assert (kernel.real != 0.0).all() and (kernel.imag != 0.0).all()
     for j in [slice(None), *([j] for j in range(len(s)))]:
@@ -251,7 +250,7 @@ class TestPastLogLargeDouble:
     def test_rows_at_a_level_zero_node_of_0_1000(self):
         s, t = 102.6 + 0.5j, 999.9887
         assert integral_forms._MINUS.rows(np.array([s]), np.array([t]))[0, 0] == (
-            reduced_integrand_minus(s, t))
+            minus_kernel(s, t))
 
     @pytest.mark.parametrize("family", ["plus", "minus", "fermi_dirac"])
     @pytest.mark.parametrize("tol", [1e-9, 1e-300, 10.0])
@@ -288,7 +287,7 @@ def test_minus_rows_past_the_overflow_of_e_to_the_t():
     values = integral_forms._MINUS.rows(s, t)
     for i, ti in enumerate(t):
         for j, sj in enumerate(s):
-            expected = reduced_integrand_minus(sj, ti)
+            expected = minus_kernel(sj, ti)
             assert abs(expected) > 1e-300
             assert values[i, j] == expected
 
@@ -339,7 +338,7 @@ class TestBatchedLadder:
         # the ladder leaves early only on convergence, so this one walked
         # every level
         assert not integrate_finite(
-            lambda t: reduced_integrand_plus(points[1], t), 0.0, 50.0, QUAD_TOL
+            lambda t: plus_kernel(points[1], t), 0.0, 50.0, QUAD_TOL
         ).converged
         for s, batched in zip(points, raw_batch(points)):
             assert_same_quadrature(batched, raw_scalar(s))
@@ -564,6 +563,52 @@ class TestRhsPanel:
         assert values[1] == rhs_eq15(near)
 
 
+class TestSmallSweeps:
+    """Below _BATCH_MIN_POINTS the *_many routes run their scalar route."""
+
+    @pytest.mark.parametrize("token", sorted(QUADRATURES))
+    def test_below_the_threshold_each_point_takes_the_scalar_route(self, monkeypatch, token):
+        single_name, many_name, _ = QUADRATURES[token]
+        single, many = getattr(integral_forms, single_name), getattr(integral_forms, many_name)
+        # points on both sides of _SUBTRACT_BELOW above the edge, one of them real
+        edge = {"eq12": -2.0, "eq15": -3.0, "eq18": 0.0}[token]
+        points = [complex(edge + 0.2 + 0.3 * k, 0.2 * k)
+                  for k in range(integral_forms._BATCH_MIN_POINTS - 1)]
+        expected = {n: [bits(single(s, QUAD_TOL)) for s in points[:n]] for n in (1, 2, len(points))}
+        calls = []
+
+        def counting(s, tol):
+            calls.append(s)
+            return single(s, tol)
+
+        def refuse(*args):
+            raise AssertionError("batch called")
+
+        monkeypatch.setattr(integral_forms, single_name, counting)
+        monkeypatch.setattr(integral_forms, "integrate_semi_infinite_many", refuse)
+        for n, results in expected.items():
+            calls.clear()
+            assert [bits(r) for r in many(points[:n], QUAD_TOL)] == results
+            assert calls == points[:n]
+
+    def test_a_lone_rhs_point_is_summed_by_the_sum(self, monkeypatch):
+        expected = [complex_bits(rhs_eq15(s)) for s in (0.5 + 1j, -2.5 + 0.3j)]
+        calls = []
+        for name in ("_eta_sum", "eta_many"):
+            original = getattr(integral_forms, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(integral_forms, name, counting)
+        assert [complex_bits(v) for v in rhs_eq15_many([0.5 + 1j])] == expected[:1]
+        assert calls == ["_eta_sum"]
+        calls.clear()
+        assert [complex_bits(v) for v in rhs_eq15_many([0.5 + 1j, -2.5 + 0.3j])] == expected
+        assert calls == ["eta_many"]
+
+
 def grid_matches_verify(entries):
     for entry in entries:
         if isinstance(entry, SkippedPoint):
@@ -579,7 +624,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("token, re_lo", [("eq15", -2.5), ("eq12", -1.95), ("eq18", 0.05)])
     def test_grid_reports_match_verify(self, token, re_lo):
         entries = grid(token, (re_lo, 3.0, 0.35), (0.0, 2.0, 0.65))
-        assert sum(isinstance(e, VerificationReport) for e in entries) >= engine._BATCH_MIN_POINTS
+        assert sum(isinstance(e, VerificationReport) for e in entries) >= integral_forms._BATCH_MIN_POINTS
         grid_matches_verify(entries)
 
     # (identity, re range, im range, a node the rows pass, whether points
@@ -610,7 +655,7 @@ class TestBatchedSweep:
         monkeypatch.setattr(integral_forms, "integrate_semi_infinite_many", recording)
         entries = grid(token, re_range, im_range)
         reports = [e for e in entries if isinstance(e, VerificationReport)]
-        assert len(reports) >= engine._BATCH_MIN_POINTS
+        assert len(reports) >= integral_forms._BATCH_MIN_POINTS
         assert any(e.s.imag == 0.0 for e in reports) and any(e.s.imag for e in reports)
         assert min(nodes) < 0.5 and max(nodes) > far
         edge = {"eq15": -3.0, "eq12": -2.0, "eq18": 0.0}[token]
@@ -621,8 +666,8 @@ class TestBatchedSweep:
         grid_matches_verify(engine.verify_all({"eq15": 1e-8}))
 
     def test_grid_point_within_expansion_radius_of_minus_one(self):
-        entries = grid("eq15", (-1.00005, 0.25 * engine._BATCH_MIN_POINTS, 0.25), (0.0, 0.0, 1.0))
-        assert len(entries) >= engine._BATCH_MIN_POINTS
+        entries = grid("eq15", (-1.00005, 0.25 * integral_forms._BATCH_MIN_POINTS, 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) >= integral_forms._BATCH_MIN_POINTS
         assert entries[0].s == -1.00005 + 0j
         assert entries[0].rhs == rhs_eq15(-1.00005)
         grid_matches_verify(entries)
@@ -637,16 +682,20 @@ class TestBatchedSweep:
                 return _original(*args)
 
             monkeypatch.setattr(integral_forms, name, counting)
-        entries = grid("eq15", (0.0, 0.25 * (engine._BATCH_MIN_POINTS - 1), 0.25), (0.0, 0.0, 1.0))
-        assert len(entries) == engine._BATCH_MIN_POINTS
+        entries = grid("eq15", (0.0, 0.25 * (integral_forms._BATCH_MIN_POINTS - 1), 0.25), (0.0, 0.0, 1.0))
+        assert len(entries) == integral_forms._BATCH_MIN_POINTS
         assert sorted(calls) == ["I_plus_many", "rhs_eq15_many"]
         calls.clear()
+        # one point: I_plus_many runs I_plus, and rhs_eq15_many sums it alone
         verify("eq15", 0.5 + 1j)
-        assert sorted(calls) == ["I_plus", "rhs_eq15"]
+        assert sorted(calls) == ["I_plus", "I_plus_many", "rhs_eq15_many"]
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))
     def test_quadrature_batches_from_the_threshold_on(self, monkeypatch, token):
-        single, many, re_lo = QUADRATURES[token]
+        # the sweep calls the *_many route, which runs the batch below it
+        # (integrate_semi_infinite_many) from _BATCH_MIN_POINTS points on
+        single, _, re_lo = QUADRATURES[token]
+        many = "integrate_semi_infinite_many"
         calls = []
         for name in (single, many):
             original = getattr(integral_forms, name)
@@ -656,13 +705,13 @@ class TestBatchedSweep:
                 return _original(*args)
 
             monkeypatch.setattr(integral_forms, name, counting)
-        n = engine._BATCH_MIN_POINTS
+        n = integral_forms._BATCH_MIN_POINTS
         below = grid(token, (re_lo, re_lo + 0.25 * (n - 2), 0.25), (0.0, 0.0, 1.0))
-        assert len(below) == engine._BATCH_MIN_POINTS - 1
+        assert len(below) == integral_forms._BATCH_MIN_POINTS - 1
         assert calls == [single] * len(below)
         calls.clear()
         at = grid(token, (re_lo, re_lo + 0.25 * (n - 1), 0.25), (0.0, 0.0, 1.0))
-        assert len(at) == engine._BATCH_MIN_POINTS
+        assert len(at) == integral_forms._BATCH_MIN_POINTS
         assert calls == [many]
         grid_matches_verify(below + at)
 
@@ -673,9 +722,9 @@ class TestBatchedSweep:
         # below _BATCH_MIN_POINTS the quadrature runs point by point (eq15's rhs
         # batches from two points on), and the points the sweep one point longer
         # shares with it get the same reports
-        n = engine._BATCH_MIN_POINTS
+        n = integral_forms._BATCH_MIN_POINTS
         with monkeypatch.context() as m:
-            m.setattr(integral_forms, "I_plus_many", refuse)
+            m.setattr(integral_forms, "integrate_semi_infinite_many", refuse)
             below = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 2), 0.55), (0.3, 0.3, 1.0))
         assert len(below) == n - 1
         at = grid("eq15", (-2.9, -2.9 + 0.55 * (n - 1), 0.55), (0.3, 0.3, 1.0))
@@ -685,8 +734,9 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 10])
     def test_eq15_rhs_batches_from_two_points(self, monkeypatch, count):
+        # rhs_eq15_many sums a lone point's etas by _eta_sum, more by eta_many
         calls = []
-        for name in ("rhs_eq15", "rhs_eq15_many"):
+        for name in ("_eta_sum", "eta_many"):
             original = getattr(integral_forms, name)
 
             def counting(*args, _name=name, _original=original):
@@ -696,17 +746,18 @@ class TestBatchedSweep:
             monkeypatch.setattr(integral_forms, name, counting)
         entries = grid("eq15", (-2.9, -2.9 + 0.55 * (count - 1), 0.55), (0.3, 0.3, 1.0))
         assert len(entries) == count
-        assert calls == ["rhs_eq15" if count == 1 else "rhs_eq15_many"]
+        assert calls == ["_eta_sum" if count == 1 else "eta_many"]
         grid_matches_verify(entries)
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))
     def test_failing_batch_gives_the_point_by_point_error(self, monkeypatch, token):
-        single_name, many_name, re_lo = QUADRATURES[token]
-        ranges = ((re_lo, re_lo + 2.0, 0.25), (0.0, 0.0, 1.0))
+        # a sweep long enough to batch; the batch below the *_many route fails
+        single_name, _, re_lo = QUADRATURES[token]
+        ranges = ((re_lo, re_lo + 3.5, 0.25), (0.0, 0.0, 1.0))
         bad = engine._grid_points(*ranges)[3]
         original = getattr(integral_forms, single_name)
 
-        def batch(points, tol):
+        def batch(*args):
             raise IntegrandError("batch failed")
 
         def single(s, tol):
@@ -714,7 +765,8 @@ class TestBatchedSweep:
                 raise IntegrandError(f"failed at s = {s}")
             return original(s, tol)
 
-        monkeypatch.setattr(integral_forms, many_name, batch)
+        assert len(engine._grid_points(*ranges)) >= integral_forms._BATCH_MIN_POINTS
+        monkeypatch.setattr(integral_forms, "integrate_semi_infinite_many", batch)
         monkeypatch.setattr(integral_forms, single_name, single)
         with pytest.raises(IntegrandError, match=re.escape(f"failed at s = {bad}")):
             grid(token, *ranges)

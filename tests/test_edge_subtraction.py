@@ -21,19 +21,18 @@ from eulerlab.integral_forms import (
     I_plus,
     I_plus_many,
     fermi_dirac,
-    fermi_dirac_integrand,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
 )
+
+from conftest import fermi_dirac_kernel, minus_kernel, plus_kernel, power
 
 QUAD_TOL = 1e-9  # what the eq12/eq15/eq18 default tolerances ask of their quadrature
 THRESHOLD = integral_forms._SUBTRACT_BELOW
 
 # route, family and scalar kernel of each reduced integral
 FAMILIES = {
-    "I_minus": (I_minus, integral_forms._MINUS, reduced_integrand_minus),
-    "I_plus": (I_plus, integral_forms._PLUS, reduced_integrand_plus),
-    "fermi_dirac": (fermi_dirac, integral_forms._FERMI_DIRAC, fermi_dirac_integrand),
+    "I_minus": (I_minus, integral_forms._MINUS, minus_kernel),
+    "I_plus": (I_plus, integral_forms._PLUS, plus_kernel),
+    "fermi_dirac": (fermi_dirac, integral_forms._FERMI_DIRAC, fermi_dirac_kernel),
 }
 
 
@@ -62,7 +61,7 @@ class TestPsi:
         for s in (f.edge + 0.02 + 1j, f.edge + 0.3 + 0j):
             for t in (1e-200, 1e-6, 0.3, 0.4999, 0.5, 0.9):
                 expected = kernel(s, t)
-                got = core_numerics._power(t, s + f.c) * f.psi(t)
+                got = power(t, s + f.c) * f.psi(t)
                 assert abs(got - expected) <= 4e-15 * abs(expected)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

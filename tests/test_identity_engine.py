@@ -296,7 +296,7 @@ class TestGrid:
         monkeypatch.setattr(engine, "_check_point", lambda *a: checked.append(a) or check_point(*a))
         entries = grid("eq15", (-3.5, 2.5, 0.25), (0.0, 0.0, 1.0))
         reports = [e for e in entries if isinstance(e, VerificationReport)]
-        assert len(reports) >= engine._BATCH_MIN_POINTS
+        assert len(reports) >= integral_forms._BATCH_MIN_POINTS
         assert len(checked) == len(entries) > len(reports)
         assert all(a is b for a, b in zip(made, reports)) and len(made) == len(reports)
 

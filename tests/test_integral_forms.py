@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from eulerlab import constants, core_numerics, integral_forms
+from eulerlab import constants, integral_forms
 from eulerlab.errors import DomainError
 from eulerlab.identity_engine import _grid_points
 from eulerlab.integral_forms import (
@@ -17,8 +17,6 @@ from eulerlab.integral_forms import (
     I_plus_many,
     beukers_reduced,
     fermi_dirac,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
     rhs_eq12,
     rhs_eq15,
     rhs_eq15_many,
@@ -32,6 +30,9 @@ from conftest import (
     ZETA_3,
     integrand_2d,
     integrate_unit_square,
+    minus_kernel,
+    plus_kernel,
+    power,
     sum_series,
 )
 
@@ -82,11 +83,11 @@ class TestReducedIntegrands:
         # raw formula (t^(s+1) - 2 t^s)/(e^t + 1) + e^-t t^s at s=0, t=ln 2
         t = math.log(2.0)
         raw = (t - 2.0) / (math.exp(t) + 1.0) + math.exp(-t)
-        assert abs(reduced_integrand_plus(0.0, t) - raw) <= 1e-15
+        assert abs(plus_kernel(0.0, t) - raw) <= 1e-15
 
     def test_minus_spot_value(self):
         expected = 1.0 / (math.e - 1.0) - 1.0 / math.e
-        assert abs(reduced_integrand_minus(0.0, 1.0) - expected) <= 1e-15
+        assert abs(minus_kernel(0.0, 1.0) - expected) <= 1e-15
 
     def test_matches_naive_formula_midrange(self):
         # validates the rearranged numerator against the defining formula
@@ -100,28 +101,28 @@ class TestReducedIntegrands:
                 )
                 naive_minus = t ** (s + 1) / math.expm1(t) - math.exp(-t) * t**s
                 scale = max(1.0, abs(t ** (s + 1) / math.expm1(t)))
-                assert abs(reduced_integrand_plus(s, t) - naive_plus) <= 1e-12 * max(
+                assert abs(plus_kernel(s, t) - naive_plus) <= 1e-12 * max(
                     1.0, abs(naive_plus)
                 )
-                assert abs(reduced_integrand_minus(s, t) - naive_minus) <= 1e-12 * scale
+                assert abs(minus_kernel(s, t) - naive_minus) <= 1e-12 * scale
 
     def test_plus_small_t_quarter_law(self):
         # leading behavior t^(s+2)/4, checked with Richardson consistency
-        ratios = [reduced_integrand_plus(0.0, t).real / t**2 for t in (1e-3, 1e-4, 1e-5)]
-        assert abs(reduced_integrand_plus(0.0, 1e-4).real - 2.5e-9) / 2.5e-9 <= 0.01
+        ratios = [plus_kernel(0.0, t).real / t**2 for t in (1e-3, 1e-4, 1e-5)]
+        assert abs(plus_kernel(0.0, 1e-4).real - 2.5e-9) / 2.5e-9 <= 0.01
         deviations = [abs(r - 0.25) for r in ratios]
         assert deviations[1] <= deviations[0] and deviations[2] <= deviations[1]
         extrapolated = ratios[1] + (ratios[2] - ratios[1]) / 0.9
         assert abs(extrapolated - 0.25) <= 1e-4
 
     def test_minus_small_t_half_law(self):
-        ratios = [reduced_integrand_minus(0.0, t).real / t for t in (1e-3, 1e-4, 1e-5)]
-        assert abs(reduced_integrand_minus(0.0, 1e-4).real - 5e-5) / 5e-5 <= 0.01
+        ratios = [minus_kernel(0.0, t).real / t for t in (1e-3, 1e-4, 1e-5)]
+        assert abs(minus_kernel(0.0, 1e-4).real - 5e-5) / 5e-5 <= 0.01
         deviations = [abs(r - 0.5) for r in ratios]
         assert deviations[1] <= deviations[0] and deviations[2] <= deviations[1]
 
     def test_plus_integrable_at_low_exponent(self):
-        value = reduced_integrand_plus(-2.5, 1e-6)
+        value = plus_kernel(-2.5, 1e-6)
         assert abs(value) < math.inf
         assert abs(value.real - 1e-6**-0.5 / 4.0) / (1e-6**-0.5 / 4.0) <= 0.01
 
@@ -132,7 +133,7 @@ class TestReducedIntegrands:
         rng = random.Random(3)
         for t in [709.79, 710.0, 745.5, 999.0] + [rng.uniform(709.8, 1000.0) for _ in range(40)]:
             for s in (0.0, 2.5, 60.0, 100.0, -1.5 + 2j, 90.0 - 0.5j):
-                got = reduced_integrand_minus(s, t)
+                got = minus_kernel(s, t)
                 with mpmath.workdps(40):
                     t_mp, s_mp = mpmath.mpf(t), mpmath.mpc(s)
                     want = complex(t_mp**s_mp * (t_mp - 1 + mpmath.exp(-t_mp)) / mpmath.expm1(t_mp))
@@ -146,16 +147,16 @@ class TestReducedIntegrands:
         for t in (0.5, 1.0, 40.0, 300.0, 709.0, top):
             for s in (0.0, 2.5, -1.5 + 2j):
                 s = complex(s)
-                before = core_numerics._power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
-                assert reduced_integrand_minus(s, t) == before
+                before = power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
+                assert minus_kernel(s, t) == before
         with pytest.raises(OverflowError):
             math.expm1(math.nextafter(top, math.inf))
 
     def test_positive_t_required(self):
         with pytest.raises(ValueError):
-            reduced_integrand_plus(0.0, 0.0)
+            plus_kernel(0.0, 0.0)
         with pytest.raises(ValueError):
-            reduced_integrand_minus(0.0, -1.0)
+            minus_kernel(0.0, -1.0)
 
 
 class TestKernelIntegrals:
@@ -268,6 +269,24 @@ class TestClosedForms:
                     bracket = mpmath.altzeta(m + 2) + (1 - 2 * mpmath.altzeta(m + 1)) / (m + 1)
                     worst = max(worst, abs(rhs_eq15(s) - complex(mpmath.gamma(m + 2) * bracket)))
         assert worst <= bound
+
+    @pytest.mark.parametrize("point, inside, outside", [(-1.0, 3e-14, 1e-13), (-2.0, 3e-13, 1.5e-12)])
+    def test_eq15_across_the_expansion_radius_against_mpmath(self, point, inside, outside):
+        # rings from just past 1e-4 to just inside and outside 0.05, the
+        # radius: out to it the generic bracket still cancels (2e-10 off at
+        # 1e-4 from -2, 4e-12 at 0.01), and the divided differences hold
+        mpmath = pytest.importorskip("mpmath")
+        worst = {}
+        with mpmath.workdps(40):
+            for radius in (1.01e-4, 1e-3, 0.01, 0.03, 0.0499, 0.0501):
+                for k in range(24):
+                    s = point + radius * cmath.exp(2j * math.pi * (k + 0.37) / 24)
+                    m = mpmath.mpc(s.real, s.imag)
+                    bracket = mpmath.altzeta(m + 2) + (1 - 2 * mpmath.altzeta(m + 1)) / (m + 1)
+                    error = abs(rhs_eq15(s) - complex(mpmath.gamma(m + 2) * bracket))
+                    worst[radius] = max(worst.get(radius, 0.0), error)
+        assert max(e for r, e in worst.items() if r < 0.05) <= inside
+        assert worst[0.0501] <= outside
 
     def test_eq12_values(self):
         assert abs(rhs_eq12(0.0) - (math.pi**2 / 6.0 - 1.0)) <= 1e-12

@@ -8,7 +8,6 @@ The batched ladder's PowerRows read tables of the same factors, built
 by the same function over the nodes a sweep reaches.
 """
 
-import cmath
 import math
 import sys
 import threading
@@ -18,19 +17,8 @@ import pytest
 
 from eulerlab import core_numerics, integral_forms
 from eulerlab.core_numerics import MAX_LEVEL, PowerKernel, integrate_finite
-from eulerlab.integral_forms import (
-    fermi_dirac_integrand,
-    reduced_integrand_minus,
-    reduced_integrand_plus,
-)
 
-from conftest import run_bounded
-
-
-def _power(t, s):
-    if s.imag == 0.0:
-        return t**s.real
-    return cmath.exp(s * math.log(t))
+from conftest import fermi_dirac_kernel, kernel_value, minus_kernel, plus_kernel, power, run_bounded
 
 
 def _residual_series(t):
@@ -40,32 +28,32 @@ def _residual_series(t):
 # The kernel bodies before they became forms, as the reference.
 def reference_plus(s, t):
     if t < 0.5:
-        return _power(t, s + 2.0) * _residual_series(t) / (math.exp(t) + 1.0)
+        return power(t, s + 2.0) * _residual_series(t) / (math.exp(t) + 1.0)
     if t > 40.0:
         et = math.exp(-t)
-        return _power(t, s) * (t - 1.0 + et) * et / (1.0 + et)
-    return _power(t, s) * (math.expm1(-t) + t) / (math.exp(t) + 1.0)
+        return power(t, s) * (t - 1.0 + et) * et / (1.0 + et)
+    return power(t, s) * (math.expm1(-t) + t) / (math.exp(t) + 1.0)
 
 
 def reference_minus(s, t):
     # raises OverflowError from t = 709.78 on
     if t < 0.5:
-        return _power(t, s + 1.0) * _residual_series(t) * (t / math.expm1(t))
-    return _power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
+        return power(t, s + 1.0) * _residual_series(t) * (t / math.expm1(t))
+    return power(t, s) * (math.expm1(-t) + t) / math.expm1(t)
 
 
 def reference_fermi_dirac(s, t):
     if t > 40.0:
         et = math.exp(-t)
-        return _power(t, s - 1.0) * et / (1.0 + et)
-    return _power(t, s - 1.0) / (math.exp(t) + 1.0)
+        return power(t, s - 1.0) * et / (1.0 + et)
+    return power(t, s - 1.0) / (math.exp(t) + 1.0)
 
 
-# family, public scalar kernel, reference body
+# family, its kernel formed at a point (conftest), reference body
 FAMILIES = {
-    "I_plus": (integral_forms._PLUS, reduced_integrand_plus, reference_plus),
-    "I_minus": (integral_forms._MINUS, reduced_integrand_minus, reference_minus),
-    "fermi_dirac": (integral_forms._FERMI_DIRAC, fermi_dirac_integrand, reference_fermi_dirac),
+    "I_plus": (integral_forms._PLUS, plus_kernel, reference_plus),
+    "I_minus": (integral_forms._MINUS, minus_kernel, reference_minus),
+    "fermi_dirac": (integral_forms._FERMI_DIRAC, fermi_dirac_kernel, reference_fermi_dirac),
 }
 
 
@@ -80,15 +68,15 @@ def outcome(f, a, b, tol):
 
 
 def three_ways(family, part, s, a, b, tol):
-    # the tabulated kernel, the public kernel called at every node, and
-    # the reference body called at every node
+    # the tabulated kernel, the kernel formed by conftest called at every
+    # node, and the reference body called at every node
     f, public, reference = FAMILIES[family]
     if part == "near":
-        power = s + f.c
+        exponent = s + f.c
         return [
-            outcome(PowerKernel(f.near, (power,)), a, b, tol),
-            outcome(lambda t: PowerKernel(f.near, (power,))(t), a, b, tol),
-            outcome(lambda t: _power(t, power) * (f.psi(t) - f.psi0), a, b, tol),
+            outcome(PowerKernel(f.near, (exponent,)), a, b, tol),
+            outcome(lambda t: kernel_value(PowerKernel(f.near, (exponent,)), t), a, b, tol),
+            outcome(lambda t: power(t, exponent) * (f.psi(t) - f.psi0), a, b, tol),
         ]
     return [
         outcome(f.kernel(s), a, b, tol),
@@ -147,7 +135,7 @@ class TestTabulatedLadder:
                 for x0 in xs:
                     a, b = math.nextafter(x0, 0.0), math.nextafter(x0, math.inf)
                     tabulated = core_numerics._walk_level(kernel, a, b, 0, 0.0)
-                    called = core_numerics._walk_level(lambda x: kernel(x), a, b, 0, 0.0)
+                    called = core_numerics._walk_level(lambda x: kernel_value(kernel, x), a, b, 0, 0.0)
                     assert tabulated[1] == 1
                     assert [tabulated[0].real.hex(), tabulated[0].imag.hex()] == [
                         called[0].real.hex(), called[0].imag.hex()]
@@ -163,7 +151,7 @@ class TestTabulatedLadder:
 
     def test_ladder_to_max_level_keeps_the_tables_bounded(self):
         # next to the edge, without the subtraction, the ladder runs out of
-        # levels; levels past _TABLE_LEVELS call the kernel
+        # levels; levels past _TABLE_LEVELS call the kernel's form at the node
         levels = []
         walk = core_numerics._walk_level
 
@@ -253,7 +241,7 @@ class TestRowTables:
         for (form, level, a, b, lo), table in tables.items():
             x = core_numerics._level_sides(level, a, b)[lo][0]
             n = table.shape[1]
-            expected = np.array(core_numerics._factors(form, x[:n].tolist())).T
+            expected = np.array(list(core_numerics._factors(form, x[:n].tolist()))).T
             assert table.tolist() == expected.tolist()
         assert any(table.shape[1] < core_numerics._level_sides(level, a, b)[lo][3] / 2
                    for (_, level, a, b, lo), table in tables.items())

@@ -78,8 +78,8 @@ def test_subtract_threshold_names_the_threshold():
     assert all(callable(route) for _, route, _ in subtract_threshold.FAMILIES)
 
 
-def test_compare_outputs_runs_135_commands():
-    assert len(compare_outputs.COMMANDS) == 135
+def test_compare_outputs_runs_150_commands():
+    assert len(compare_outputs.COMMANDS) == 150
 
 
 def test_edge_equivalence_draws_the_edge_panel():
