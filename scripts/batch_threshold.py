@@ -25,8 +25,8 @@ from which the batch is cheaper in every family is where
 ``integral_forms._BATCH_MIN_POINTS`` belongs.  The next rows time
 eq15's right-hand side, ``rhs_eq15`` at every point against
 ``rhs_eq15_many``, which sums every point's etas by one ``eta_many``
-call from two points on (a lone point by the sum itself, as
-``rhs_eq15``), on the I_plus points.  The last rows time scalar
+call from two points on (a lone point takes ``rhs_eq15`` itself), on
+the I_plus points.  The last rows time scalar
 ``gamma`` at every point against ``special_functions._gamma_many`` over
 all of them, at the sizes of ``--gamma-sizes``, on the points s + 2 of
 the I_plus points (so Re(s + 2) lies between -0.5 and 4, both sides of

@@ -10,22 +10,30 @@ For each seed the script runs
     python3 perfbench/run.py --workload W --seed N --seconds S --trace T
 
 once in each checkout, one run at a time, alternating which side goes
-first (the parent on odd seeds).  Every run's info and result lines are
-appended to the ``runs`` of the JSON file given as ``--out`` (created if
-missing, so several workloads can share one file), and ``summary`` is
-recomputed from all untraced runs in it: per workload and end-to-end
-metric of BENCHMARK.json, the parent's median and interquartile range,
-the change's median, their ratio, and the number of pairs the change
-wins (ties count for neither side).  The summary is also printed.
+first (the parent on odd seeds).  Each run compiles its checkout afresh:
+it reads and writes no bytecode but in an empty directory of its own
+(``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE``), so neither
+side imports bytecode an earlier run left in its checkout.  That holds
+for numpy and the standard library too, which makes ``setup_s`` larger
+than a run in a fresh checkout reads.  Every run's info and result
+lines are appended to the ``runs`` of the JSON file given as ``--out``
+(created if missing, so several workloads can share one file), and
+``summary`` is recomputed from all untraced runs in it: per workload and
+end-to-end metric of BENCHMARK.json, the parent's median and
+interquartile range, the change's median, their ratio, and the number
+of pairs the change wins (ties count for neither side).  The summary is
+also printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -35,11 +43,13 @@ def _seeds(text: str) -> list[int]:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    with tempfile.TemporaryDirectory() as cache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache),
+        )
     info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"info": info["info"], "result": result}
 

@@ -12,8 +12,9 @@ as json; ``verify`` as json and csv at the points of ``VERIFY_POINTS``;
 the grids of ``GRIDS`` as text, json and csv (csv does not go through
 the JSON writer, so a grid that differs in json alone isolates the
 writer from a value change); ``eval`` of every function at the points
-of ``EVAL_POINTS`` as json and csv; and the grid of ``STALLED_RANGE``,
-whose step does not advance its axis: 150 commands.  It compares
+of ``EVAL_POINTS`` as json and csv, and the (function, point) pairs of
+``BRANCH_EVALS`` as json and csv; and the grid of ``STALLED_RANGE``,
+whose step does not advance its axis: 160 commands.  It compares
 stdout, stderr and the exit code of every command and exits 1 if any
 differ, naming each differing command.
 A refactor that must keep the numbers unchanged passes this check.
@@ -86,7 +87,7 @@ VERIFY_POINTS = (
 # half-integer s) that _gamma_many hands to scalar gamma, both sides of the
 # reflection at Re(s + 2) = 1/2, and |Im(s)| up to 60.  Then eq18 sweeps
 # of 13 and 14 points, on each side of integral_forms._BATCH_MIN_POINTS, and
-# a one-point eq15 sweep, whose rhs sums its lone point alone.
+# a one-point eq15 sweep, whose rhs is rhs_eq15's at its lone point.
 GRIDS = (
     ("eq15", "--re=-2.5:3:0.5", "--im=0:2:1"),
     ("eq12", "--re=-1.5:3:0.5", "--im=0:1:1"),
@@ -110,6 +111,19 @@ EVAL_FUNCTIONS = ("eta", "eta_prime", "gamma", "zeta", "zeta_prime")
 # A complex point, a negative argparse takes as a number, a positive
 # integer, and two points whose eta sums start from the whole table.
 EVAL_POINTS = ("0.5+1i", "-2.5", "3", "0.5+40i", "-3+70i")
+
+# Branches of special_functions that no other command reaches: zeta and eta
+# by the functional equation (_zeta_reflected, and its _log_gamma and
+# _sin_pi_scaled), gamma's power folded with exp(-t) in log space (150) and
+# its reflection divided in log space (-171.5, a subnormal value), and a
+# derivative refused below its band, which exits 1.
+BRANCH_EVALS = (
+    ("zeta", "-6.5+1i"),
+    ("eta", "-30"),
+    ("gamma", "150"),
+    ("gamma", "-171.5"),
+    ("zeta_prime", "-5"),
+)
 
 COMMANDS = (
     [["all", f"--format={fmt}"] for fmt in FORMATS]
@@ -136,6 +150,11 @@ COMMANDS = (
         ["eval", function, s, f"--format={fmt}"]
         for function in EVAL_FUNCTIONS
         for s in EVAL_POINTS
+        for fmt in ("json", "csv")
+    ]
+    + [
+        ["eval", function, s, f"--format={fmt}"]
+        for function, s in BRANCH_EVALS
         for fmt in ("json", "csv")
     ]
     + [["grid", *STALLED_RANGE]]

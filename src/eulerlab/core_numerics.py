@@ -26,8 +26,8 @@ stop there walk it again, whole.  It truncates once per distinct decay
 hint and adds the tail bounds to its result arrays, so each row's
 result, tail included, is built once.  An endpoint singularity whose
 exponent is close to -1 exhausts the ladder; callers that know its
-leading power subtract it and integrate the regular remainder
-(``integrate_semi_infinite_split``).
+leading power subtract it and pass the regular remainder on (0, 1) as
+``integrate_semi_infinite``'s ``near``.
 """
 
 from __future__ import annotations
@@ -588,46 +588,31 @@ def _with_tail(estimate, converged, tail, tol):
 
 
 def integrate_semi_infinite(
-    f: Integrand, tol: float, decay_exponent_hint: float
+    f: Integrand, tol: float, decay_exponent_hint: float, near: Integrand | None = None
 ) -> QuadratureResult:
     """Integrate f over (0, inf) assuming f decays like e^(-t) t^p.
 
     The interval is truncated at the first T >= 50 where the analytic
     tail bound e^(-T) T^(p+1) (1 + (p+1)/T) clears tol/10; the bound is
     folded into the reported error estimate.  An integrable singularity
-    at 0 is allowed.  A decay exponent so large that the tail bound
-    overflows double precision raises DomainError.
+    at 0 is allowed.  Given near, the integral is near's over (0, 1) plus
+    f's over (1, T), the two sharing the tolerance left for (0, T)
+    equally, so the summed estimate meets it exactly when both converge:
+    for an integrand whose singular part at 0 the caller has subtracted
+    from near and integrated in closed form.  A decay exponent so large
+    that the tail bound overflows double precision raises DomainError.
     """
     T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
-    finite = integrate_finite(f, 0.0, T, finite_tol)
+    if near is None:
+        finite = integrate_finite(f, 0.0, T, finite_tol)
+    else:
+        parts = (integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol),
+                 integrate_finite(f, 1.0, T, 0.5 * finite_tol))
+        finite = QuadratureResult(
+            sum(p.value for p in parts), sum(p.abs_error_estimate for p in parts),
+            sum(p.evaluations for p in parts), all(p.converged for p in parts))
     estimate, converged = _with_tail(finite.abs_error_estimate, finite.converged, tail, tol)
     return QuadratureResult(finite.value, estimate, finite.evaluations, converged)
-
-
-def integrate_semi_infinite_split(
-    near: Integrand, far: Integrand, tol: float, decay_exponent_hint: float
-) -> QuadratureResult:
-    """Integrate near over (0, 1) plus far over (1, inf).
-
-    The truncation and tail bound are integrate_semi_infinite's for far;
-    the two finite parts share the tolerance left for (0, T) equally, so
-    the summed estimate meets it exactly when both parts converge.  For
-    an integrand whose singular part at 0 the caller has subtracted from
-    near and integrated in closed form.
-    """
-    T, tail, finite_tol = _truncation(tol, decay_exponent_hint)
-    parts = (
-        integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol),
-        integrate_finite(far, 1.0, T, 0.5 * finite_tol),
-    )
-    estimate, converged = _with_tail(
-        sum(part.abs_error_estimate for part in parts),
-        all(part.converged for part in parts), tail, tol,
-    )
-    return QuadratureResult(
-        sum(part.value for part in parts), estimate,
-        sum(part.evaluations for part in parts), converged,
-    )
 
 
 def integrate_semi_infinite_many(

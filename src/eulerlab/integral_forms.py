@@ -23,13 +23,18 @@ Methods of Numerical Integration, 2.12):
 
     psi(0)/(s+c+1) + int_0^1 t**(s+c) (psi(t) - psi(0)) dt + int_1^T f(s, t) dt
 
-The remainder behaves like t**(Re(s+c)+1) and is regular.  The subtracted
-term is elementary (no gamma, zeta or eta), so the quadrature routes stay
-independent of the closed forms they are checked against.
-From ``_BATCH_MIN_POINTS`` points on, ``I_plus_many``, ``I_minus_many`` and
-``fermi_dirac_many`` evaluate every level of a sweep as points x nodes
-arrays built from tables of the same parameter-free form of each kernel
-(``_Family.rows``), so each point's result is the scalar route's to the bit.
+The remainder behaves like t**(Re(s+c)+1) and is regular; it is
+``integrate_semi_infinite``'s ``near``, and f its integrand over (1, T).
+The subtracted term is elementary (no gamma, zeta or eta), so the
+quadrature routes stay independent of the closed forms they are checked
+against.  From ``_BATCH_MIN_POINTS`` points on, ``I_plus_many``,
+``I_minus_many`` and ``fermi_dirac_many`` evaluate every level of a sweep
+as points x nodes arrays built from tables of the same parameter-free form
+of each kernel (``_Family.rows``), so each point's result is the scalar
+route's to the bit.  ``rhs_eq15_many`` sums the etas of two points or more
+in one ``eta_many`` call.  Below its batch size (two points for
+``rhs_eq15_many``) each ``*_many`` route runs its scalar route at every
+point.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from .core_numerics import (
     PowerKernel,
     PowerRows,
     QuadratureResult,
+    _abs,
     integrate_finite,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
-    integrate_semi_infinite_split,
 )
 from .errors import DomainError
 from .special_functions import (
@@ -168,12 +173,12 @@ def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
     s = complex(s)
     if (reason := _edge_reason(family.edge, s)) is not None:
         raise DomainError(reason)
-    far = family.kernel(s)
+    far, hint = family.kernel(s), s.real + family.shift
     if s.real - family.edge >= _SUBTRACT_BELOW:
-        return integrate_semi_infinite(far, tol, s.real + family.shift)
+        return integrate_semi_infinite(far, tol, hint)
     power = s + family.c
     near = PowerKernel(family.near, (power,))  # t**power (psi(t) - psi0)
-    result = integrate_semi_infinite_split(near, far, tol, s.real + family.shift)
+    result = integrate_semi_infinite(far, tol, hint, near)
     return dataclasses.replace(result, value=family.psi0 / (power + 1.0) + result.value)
 
 
@@ -272,11 +277,11 @@ def _gamma_s2(s: complex) -> complex:
 _GAMMA_BATCH_MIN_POINTS = 160
 
 
-def _rhs_eq15_panel(s: np.ndarray, sums: Callable = eta_many) -> list[complex]:
+def _rhs_eq15_panel(s: np.ndarray) -> list[complex]:
     # the closed form at points clear of -1, -2 and the edge, the etas at s + 2 and
-    # s + 1 from one call of sums: eta_many, or for a point or two the sum itself,
-    # which eta_many's blocks sum alike (none is reflected) but does not check
-    etas = sums(np.concatenate((s + 2.0, s + 1.0)))
+    # s + 1 from one call: eta_many, or for one point the sum itself, which
+    # eta_many's blocks sum alike (none is reflected) but does not check
+    etas = (_eta_sum if len(s) == 1 else eta_many)(np.concatenate((s + 2.0, s + 1.0)))
     if not np.isfinite(etas).all():
         raise DomainError(f"eta is not finite at s + 2 or s + 1 for s among {s.tolist()}")
     if len(s) < _GAMMA_BATCH_MIN_POINTS:
@@ -306,22 +311,23 @@ def rhs_eq15(s: complex) -> complex:
         w = s + 2.0
         bracket = _eta_divided(0.0, w) + (0.5 - 2.0 * _eta_divided(-1.0, w)) / (s + 1.0)
         return gamma(s + 3.0) * bracket
-    return _rhs_eq15_panel(np.array([s]), _eta_sum)[0]
+    return _rhs_eq15_panel(np.array([s]))[0]
 
 
 def rhs_eq15_many(points: Sequence[complex]) -> list[complex]:
     """rhs_eq15 at every point, to the bit, with one eta_many call for all.
 
-    Points at or within the expansion radius of -1 and -2 (and points
-    outside the domain, which raise) take the scalar ``rhs_eq15``.  The etas
-    of a lone point of the panel come from the sum itself, as in ``rhs_eq15``.
+    A single point takes the scalar ``rhs_eq15``, as do points at or within
+    the expansion radius of -1 and -2 (and points outside the domain, which
+    raise).
     """
+    if len(points) < 2:
+        return [rhs_eq15(p) for p in points]
     s = np.asarray(points, dtype=complex)
-    # distances by hypot, as abs() takes them (numpy's complex abs can differ in the last bit)
-    near = np.minimum(np.hypot(s.real + 1.0, s.imag), np.hypot(s.real + 2.0, s.imag))
+    near = np.minimum(_abs(s + 1.0), _abs(s + 2.0))
     generic = (s.real > _PLUS.edge) & (near >= _EXPANSION_RADIUS)
     panel = s[generic]
-    values = iter(_rhs_eq15_panel(panel, _eta_sum if len(panel) == 1 else eta_many))
+    values = iter(_rhs_eq15_panel(panel))
     return [next(values) if g else rhs_eq15(p) for p, g in zip(s.tolist(), generic.tolist())]
 
 

@@ -77,7 +77,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core_numerics import _LOG_LARGE_DOUBLE
+from .core_numerics import _LOG_LARGE_DOUBLE, _abs
 from .errors import DomainError, IllConditionedError, PoleError
 
 _LN2 = math.log(2.0)
@@ -243,7 +243,7 @@ def _gamma_many(points: Sequence[complex], shift=0.0, single: Callable = gamma) 
         t, e = x + _LANCZOS_G + 0.5, x + 0.5
         # t**e as _Py_c_pow forms it.  Im(e) = 0 means Im(e), Im(t) and atan2 are
         # +0.0, so dividing by exp(0) and adding 0 log |t| keep the bits.
-        size, at = np.hypot(t.real, t.imag), np.log(t).imag
+        size, at = _abs(t), np.log(t).imag
         turn = at * e.imag
         length = np.float_power(size, e.real) / np.exp(turn.astype(complex)).real
         phase = at * e.real + e.imag * np.log(size.astype(complex)).real

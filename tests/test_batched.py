@@ -482,7 +482,8 @@ class TestRhsPanelMask:
 
     def check(self, monkeypatch, points):
         # rhs_eq15_many against rhs_eq15 at every point, bit for bit, and the
-        # points it hands to the scalar route against the scalar rule
+        # points it hands to the scalar route against the scalar rule: all of
+        # a one-point list
         scalar = []
 
         def recording(s):
@@ -502,7 +503,8 @@ class TestRhsPanelMask:
             m.setattr(integral_forms, "rhs_eq15", recording)
             values = rhs_eq15_many(points)
         assert [complex_bits(v) for v in values] == expected
-        assert scalar == [complex(p) for p in points if not per_point_is_generic(complex(p))]
+        assert scalar == [complex(p) for p in points
+                          if len(points) == 1 or not per_point_is_generic(complex(p))]
 
     def test_property_mask_equals_scalar_rule(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
@@ -540,6 +542,27 @@ class TestRhsPanelMask:
         assert 0 < sum(map(per_point_is_generic, map(complex, points))) < len(points)
         self.check(monkeypatch, [])
         self.check(monkeypatch, [0.5, -3.0 + 0j, 1.0])
+
+    @pytest.mark.parametrize("point", [0.5 + 1j, -1.0 + 0.3 * RADIUS * 1j, -3.5 + 1j])
+    def test_one_point_is_rhs_eq15(self, monkeypatch, point):
+        # a generic point, one within the expansion radius of -1, and one
+        # outside the domain: one rhs_eq15 call, its bits or its error
+        scalar = []
+
+        def recording(s):
+            scalar.append(s)
+            return rhs_eq15(s)
+
+        monkeypatch.setattr(integral_forms, "rhs_eq15", recording)
+        try:
+            expected = complex_bits(rhs_eq15(point))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                rhs_eq15_many([point])
+            assert str(got.value) == str(exc)
+        else:
+            assert [complex_bits(v) for v in rhs_eq15_many([point])] == [expected]
+        assert scalar == [point]
 
 
 class TestRhsPanel:
@@ -686,9 +709,9 @@ class TestBatchedSweep:
         assert len(entries) == integral_forms._BATCH_MIN_POINTS
         assert sorted(calls) == ["I_plus_many", "rhs_eq15_many"]
         calls.clear()
-        # one point: I_plus_many runs I_plus, and rhs_eq15_many sums it alone
+        # one point: I_plus_many runs I_plus, and rhs_eq15_many runs rhs_eq15
         verify("eq15", 0.5 + 1j)
-        assert sorted(calls) == ["I_plus", "I_plus_many", "rhs_eq15_many"]
+        assert sorted(calls) == ["I_plus", "I_plus_many", "rhs_eq15", "rhs_eq15_many"]
 
     @pytest.mark.parametrize("token", sorted(QUADRATURES))
     def test_quadrature_batches_from_the_threshold_on(self, monkeypatch, token):
@@ -734,7 +757,8 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 10])
     def test_eq15_rhs_batches_from_two_points(self, monkeypatch, count):
-        # rhs_eq15_many sums a lone point's etas by _eta_sum, more by eta_many
+        # rhs_eq15_many runs rhs_eq15, and so _eta_sum, at a lone point, and
+        # sums more by eta_many
         calls = []
         for name in ("_eta_sum", "eta_many"):
             original = getattr(integral_forms, name)

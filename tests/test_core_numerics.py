@@ -3,12 +3,8 @@ import math
 
 import pytest
 
-from eulerlab import core_numerics, identity_engine
-from eulerlab.core_numerics import (
-    integrate_finite,
-    integrate_semi_infinite,
-    integrate_semi_infinite_split,
-)
+from eulerlab import core_numerics, identity_engine, integral_forms
+from eulerlab.core_numerics import PowerKernel, integrate_finite, integrate_semi_infinite
 from eulerlab.errors import DomainError, IntegrandError
 
 from conftest import integrate_unit_square, sum_series
@@ -114,15 +110,17 @@ class TestIntegrateFinite:
 
 
 class TestIntegrateSemiInfiniteSplit:
+    """integrate_semi_infinite given near: near over (0, 1) and f over (1, T)."""
+
     def test_adds_the_two_parts(self):
-        r = integrate_semi_infinite_split(lambda t: t**-0.5, lambda t: math.exp(-t), 1e-10, 0.0)
+        r = integrate_semi_infinite(lambda t: math.exp(-t), 1e-10, 0.0, lambda t: t**-0.5)
         assert r.converged
         assert abs(r.value - (2.0 + math.exp(-1.0))) <= 1e-10
 
     def test_converges_only_when_both_parts_do(self):
         # t**-0.995 runs out of nodes at 0; the far part converges
         near, far = (lambda t: t**-0.995), (lambda t: math.exp(-t))
-        r = integrate_semi_infinite_split(near, far, 1e-9, 0.0)
+        r = integrate_semi_infinite(far, 1e-9, 0.0, near)
         T, tail, finite_tol = core_numerics._truncation(1e-9, 0.0)
         a = integrate_finite(near, 0.0, 1.0, 0.5 * finite_tol)
         b = integrate_finite(far, 1.0, T, 0.5 * finite_tol)
@@ -131,6 +129,26 @@ class TestIntegrateSemiInfiniteSplit:
         assert r.value == a.value + b.value
         assert r.evaluations == a.evaluations + b.evaluations
         assert r.abs_error_estimate == a.abs_error_estimate + b.abs_error_estimate + tail
+
+    @pytest.mark.parametrize("family", ["_PLUS", "_MINUS", "_FERMI_DIRAC"])
+    @pytest.mark.parametrize("above_edge", [0.0101 + 0.3j, 0.2, 0.44 + 2j])
+    def test_family_near_kernels_keep_the_two_part_sum_bits(self, family, above_edge):
+        # each family's subtracted route, against the parts added as two finite
+        # integrals with the truncation's T, tail and tolerance, bit for bit
+        f = getattr(integral_forms, family)
+        s = complex(f.edge + above_edge)
+        near = PowerKernel(f.near, (s + f.c,))
+        far, hint, tol = f.kernel(s), s.real + f.shift, 1e-9
+        T, tail, t = core_numerics._truncation(tol, hint)
+        a = integrate_finite(near, 0.0, 1.0, t / 2)
+        b = integrate_finite(far, 1.0, T, t / 2)
+        r = integrate_semi_infinite(far, tol, hint, near)
+        value = 0 + a.value + b.value
+        assert (r.value.real.hex(), r.value.imag.hex()) == (value.real.hex(), value.imag.hex())
+        estimate = 0 + a.abs_error_estimate + b.abs_error_estimate + tail
+        assert r.abs_error_estimate.hex() == estimate.hex()
+        assert r.evaluations == a.evaluations + b.evaluations
+        assert r.converged is (a.converged and b.converged and tail < 0.1 * tol)
 
 
 class TestIntegrateSemiInfinite:

@@ -159,17 +159,21 @@ class TestSubtractedRoute:
     def test_route_switches_at_the_threshold(self, family, monkeypatch):
         route, edge = FAMILIES[family][0], FAMILIES[family][1].edge
         calls = []
-        split = integral_forms.integrate_semi_infinite_split
+        semi_infinite = integral_forms.integrate_semi_infinite
 
         def counting(*args):
             calls.append(args)
-            return split(*args)
+            return semi_infinite(*args)
 
-        monkeypatch.setattr(integral_forms, "integrate_semi_infinite_split", counting)
+        def split(calls):
+            # the calls that pass the subtracted part, near
+            return [args for args in calls if len(args) == 4 and args[3] is not None]
+
+        monkeypatch.setattr(integral_forms, "integrate_semi_infinite", counting)
         route(complex(edge + THRESHOLD - 1e-9, 0.5), QUAD_TOL)
-        assert len(calls) == 1
+        assert len(calls) == len(split(calls)) == 1
         route(complex(edge + THRESHOLD + 1e-9, 0.5), QUAD_TOL)
-        assert len(calls) == 1
+        assert len(calls) == 2 and len(split(calls)) == 1
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_no_gamma_zeta_or_eta_in_the_quadrature(self, family, monkeypatch):

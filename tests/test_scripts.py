@@ -7,6 +7,8 @@ and of the benchmark's workloads.  Each is imported here and builds its
 cases, so a rename that would break one fails the suite.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,8 +80,8 @@ def test_subtract_threshold_names_the_threshold():
     assert all(callable(route) for _, route, _ in subtract_threshold.FAMILIES)
 
 
-def test_compare_outputs_runs_150_commands():
-    assert len(compare_outputs.COMMANDS) == 150
+def test_compare_outputs_runs_160_commands():
+    assert len(compare_outputs.COMMANDS) == 160
 
 
 def test_edge_equivalence_draws_the_edge_panel():
@@ -89,6 +91,26 @@ def test_edge_equivalence_draws_the_edge_panel():
 def test_bench_pairs_reads_seed_ranges():
     assert bench_pairs._seeds("1-10") == list(range(1, 11))
     assert bench_pairs._seeds("7") == [7]
+
+
+def test_bench_pairs_runs_each_side_without_its_bytecode(monkeypatch, tmp_path):
+    # every run reads and writes bytecode only in an empty directory of its own
+    caches = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert cache.is_dir() and not any(cache.iterdir())
+        caches.append(cache)
+        lines = [json.dumps({"info": {"workload": "w"}}), json.dumps({"correct": True})]
+        return subprocess.CompletedProcess(argv, 0, stdout="\n".join(lines) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        run = bench_pairs._run(tmp_path, "w", 1, 1.0, 0)
+        assert run == {"info": {"workload": "w"}, "result": {"correct": True}}
+    assert caches[0] != caches[1]
+    assert not any(cache.exists() for cache in caches)
 
 
 def test_oracle_scripts_cover_their_functions():
