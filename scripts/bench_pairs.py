@@ -11,14 +11,18 @@ For each seed the script runs
 
 once in each checkout, one run at a time, alternating which side goes
 first (the parent on odd seeds).  Each run compiles its checkout afresh:
-it reads and writes no bytecode but in an empty directory of its own
-(``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE``), so neither
-side imports bytecode an earlier run left in its checkout.  That holds
-for numpy and the standard library too, which makes ``setup_s`` larger
-than a run in a fresh checkout reads.  Every run's info and result
-lines are appended to the ``runs`` of the JSON file given as ``--out``
-(created if missing, so several workloads can share one file), and
-``summary`` is recomputed from all untraced runs in it: per workload and
+it reads bytecode only from a directory made for its pair
+(``PYTHONPYCACHEPREFIX``) and writes none (``PYTHONDONTWRITEBYTECODE``),
+so neither side imports bytecode an earlier run left in its checkout.
+Before the pair runs, that directory is seeded by running
+``perfbench/setup_probe.py`` in each checkout with bytecode writes on,
+and the bytecode of the checkouts' own sources is then removed: both
+sides read the same compiled numpy and standard library, as a fresh
+checkout reads numpy's installed bytecode, and compile eulerlab and the
+benchmark.  Every run's info and result lines are appended to the
+``runs`` of the JSON file given as ``--out`` (created if missing, its
+other keys kept, so several workloads and scripts can share one file),
+and ``summary`` is recomputed from all untraced runs in it: per workload and
 end-to-end metric of BENCHMARK.json, the parent's median and
 interquartile range, the change's median, their ratio, and the number
 of pairs the change wins (ties count for neither side).  The summary is
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,16 +47,37 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    with tempfile.TemporaryDirectory() as cache:
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", str(trace)],
-            cwd=checkout, capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache),
+def _seed_prefix(prefix: str, checkouts) -> None:
+    # Bytecode of what set-up imports, but for the checkouts' own sources.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    for checkout in checkouts:
+        subprocess.run(
+            [sys.executable, "perfbench/setup_probe.py", "src"], cwd=checkout,
+            capture_output=True, text=True, check=True, env=dict(env, PYTHONPYCACHEPREFIX=prefix),
         )
+        root = Path(checkout).resolve()
+        shutil.rmtree(Path(prefix, root.relative_to(root.anchor)), ignore_errors=True)
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+         prefix: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix),
+    )
     info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"info": info["info"], "result": result}
+
+
+def run_pair(sides: dict[str, Path], workload: str, seed: int, seconds: float,
+             trace: int) -> dict[str, dict]:
+    """Both sides' runs of one seed, the parent first on odd seeds, in one seeded prefix."""
+    order = ("parent", "change") if seed % 2 else ("change", "parent")
+    with tempfile.TemporaryDirectory() as prefix:
+        _seed_prefix(prefix, sides.values())
+        return {side: _run(sides[side], workload, seed, seconds, trace, prefix) for side in order}
 
 
 def _quartile_gap(values: list[float]) -> float:
@@ -99,12 +125,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("runs", [])
     sides = {"parent": args.parent, "change": args.change}
     for seed in args.seeds:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for side in order:
-            run = _run(sides[side], args.workload, seed, args.seconds, args.trace)
+        for side, run in run_pair(sides, args.workload, seed, args.seconds, args.trace).items():
             record["runs"].append(
                 {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace, **run}
             )

@@ -9,6 +9,9 @@ under two names (``ab.load``), so that both sides share the
 interpreter, numpy and the allocator.  The cases (``CASES``) are the
 constants routes that ``eulerlab all`` calls at their registry term
 counts, two of them also at 10**6 terms, and one whole ``verify_all()``.
+Each case calls its route alone, outside ``verify_all``'s memo, so a
+route whose walk ``verify_all`` shares (``euler_gamma_series`` and
+``wallis_partial``) shows what that walk costs a lone call.
 For each case each round times one call on each side, alternating which
 side goes first (``ab.alternate``); the script prints, per case, the
 median over rounds of each side's milliseconds, the change/parent ratio
@@ -43,6 +46,8 @@ CASES = {
     "ln2_series(10**6)": ("constants", "ln2_series", (10**6,)),
     "euler_gamma_series(10**6)": ("constants", "euler_gamma_series", (10**6,)),
     "wallis_partial(10**6)": ("constants", "wallis_partial", (10**6,)),
+    "euler_formula_gamma(50)": ("constants", "euler_formula_gamma", (50,)),
+    "glaisher_zeta()": ("constants", "glaisher_zeta", ()),
     "verify_all()": ("identity_engine", "verify_all", ()),
 }
 

@@ -14,12 +14,19 @@ no temporary outgrows the cache.  The value is still the float that
 pairwise, splitting at half the length rounded down to a multiple of 8,
 and _pairwise_sum walks that same tree, sums each leaf of at most _BLOCK
 terms with ``np.sum`` and adds the leaf sums back up in the tree's order.
+Euler's gamma series and the Wallis log-product share one walk, which
+takes ln(1 + 1/n) once a leaf.  Within a _memo_scope (``verify_all``
+opens one for its call) the walk, euler_formula_gamma and glaisher_zeta
+run once per arguments; outside one, every call computes afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +55,45 @@ class ConstantEstimate:
 _BLOCK = 2**14
 
 
-def _pairwise_sum(terms: Callable[[int, int], np.ndarray], count: int) -> float:
-    """float(np.sum(terms(1, count + 1))), evaluated one leaf at a time.
+# (function, arguments) -> value, set only within a _memo_scope
+_MEMO: ContextVar[dict] = ContextVar("eulerlab_constants_memo")
 
-    ``terms(lo, hi)`` returns the terms of n = lo, ..., hi - 1.
+
+@contextlib.contextmanager
+def _memo_scope() -> Iterator[None]:
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _once_per_scope(fn):
+    # the lookup stays in this closure: routes share no library function through it
+    @functools.wraps(fn)
+    def once(*args, **kwargs):
+        memo = _MEMO.get({})  # a throwaway dict outside a scope
+        key = (fn, args, *kwargs.items())
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return memo[key]
+
+    return once
+
+
+@_once_per_scope
+def _pairwise_sum(terms: Callable[[int, int], tuple], count: int) -> tuple[float, ...]:
+    """float(np.sum(a)) for each array a of terms(1, count + 1), one leaf at a time.
+
+    ``terms(lo, hi)`` returns arrays of the terms of n = lo, ..., hi - 1.
     """
 
-    def node(lo: int, size: int) -> float:
+    def node(lo: int, size: int) -> tuple[float, ...]:
         if size <= _BLOCK:
-            return float(np.sum(terms(lo, lo + size)))
+            return tuple(float(np.sum(a)) for a in terms(lo, lo + size))
         half = size // 2
         half -= half % 8
-        return node(lo, half) + node(lo + half, size - half)
+        return tuple(a + b for a, b in zip(node(lo, half), node(lo + half, size - half)))
 
     return node(1, count)
 
@@ -88,12 +122,11 @@ def _exact_sum(x: np.ndarray, scratch: np.ndarray) -> float:
     return math.fsum(partials)
 
 
-def _gamma_terms(lo: int, hi: int) -> np.ndarray:
-    # 1/n - ln((n+1)/n) for n = lo, ..., hi - 1
+def _log_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    # 1/n and ln((n+1)/n) for n = lo, ..., hi - 1
     inv = np.arange(lo, hi, dtype=float)
     np.divide(1.0, inv, out=inv)
-    terms = np.log1p(inv)
-    return np.subtract(inv, terms, out=terms)
+    return inv, np.log1p(inv)
 
 
 def _alternate(terms: np.ndarray, lo: int) -> np.ndarray:
@@ -102,15 +135,15 @@ def _alternate(terms: np.ndarray, lo: int) -> np.ndarray:
     return terms
 
 
-def _ln_4_over_pi_terms(lo: int, hi: int) -> np.ndarray:
-    return _alternate(_gamma_terms(lo, hi), lo)
+def _series_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    # 1/n - ln((n+1)/n) (Euler's gamma) and (-1)**(n-1) ln((n+1)/n) (Wallis)
+    inv, logs = _log_terms(lo, hi)
+    return np.subtract(inv, logs, out=inv), _alternate(logs, lo)
 
 
-def _wallis_logs(lo: int, hi: int) -> np.ndarray:
-    # (-1)**(n-1) ln((n+1)/n) for n = lo, ..., hi - 1
-    terms = np.arange(lo, hi, dtype=float)
-    np.divide(1.0, terms, out=terms)
-    return _alternate(np.log1p(terms, out=terms), lo)
+def _ln_4_over_pi_terms(lo: int, hi: int) -> tuple[np.ndarray]:
+    inv, logs = _log_terms(lo, hi)
+    return (_alternate(np.subtract(inv, logs, out=logs), lo),)
 
 
 def euler_gamma_series(n_terms: int) -> ConstantEstimate:
@@ -120,10 +153,11 @@ def euler_gamma_series(n_terms: int) -> ConstantEstimate:
     """
     if not 1 <= n_terms <= 10**8:
         raise ValueError("n_terms must lie in [1, 10**8]")
-    value = _pairwise_sum(_gamma_terms, n_terms)
+    value = _pairwise_sum(_series_terms, n_terms)[0]
     return ConstantEstimate(value, "series", n_terms, 0.5 / n_terms)
 
 
+@_once_per_scope
 def euler_formula_gamma(n_terms: int) -> ConstantEstimate:
     """Euler's gamma from ln(4/pi) + 2 sum_{n>=2} (-1)**n zeta(n)/(2**n n).
 
@@ -160,7 +194,7 @@ def ln_4_over_pi(n_terms: int, method: str = "series") -> ConstantEstimate:
         raise ValueError(f"unsupported method {method!r} for ln(4/pi)")
     if not 1 <= n_terms <= 10**8:
         raise ValueError("n_terms must lie in [1, 10**8]")
-    value = _pairwise_sum(_ln_4_over_pi_terms, n_terms)
+    (value,) = _pairwise_sum(_ln_4_over_pi_terms, n_terms)
     m = n_terms + 1.0
     bound = 1.0 / m - math.log1p(1.0 / m)
     return ConstantEstimate(value, "series", n_terms, bound)
@@ -186,7 +220,7 @@ def wallis_partial(n_factors: int) -> float:
     """Product of ((n+1)/n)**(-1)**(n-1) over n <= N <= 10**8; converges to pi/2."""
     if not 1 <= n_factors <= 10**8:
         raise ValueError("n_factors must lie in [1, 10**8]")
-    return math.exp(_pairwise_sum(_wallis_logs, n_factors))
+    return math.exp(_pairwise_sum(_series_terms, n_factors)[1])
 
 
 def glaisher_limit(n: int) -> ConstantEstimate:
@@ -210,6 +244,7 @@ def glaisher_limit(n: int) -> ConstantEstimate:
     return ConstantEstimate(math.exp(log_ratio), "limit_ratio", n, bound)
 
 
+@_once_per_scope
 def glaisher_zeta() -> ConstantEstimate:
     """Glaisher-Kinkelin constant as exp(1/12 - zeta'(-1)); reference route."""
     value = math.exp(1.0 / 12.0 - zeta_prime(-1.0).real)

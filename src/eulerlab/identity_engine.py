@@ -555,13 +555,15 @@ def verify_all(
     tol_overrides: dict[str, float] | None = None,
 ) -> list[VerificationReport | SkippedPoint]:
     """Run every identity: point identities once, parameterized ones on
-    their default points.  The aggregate passes iff every report does."""
+    their default points.  The aggregate passes iff every report does.
+    Constants that several identities share are computed once a call."""
     overrides = tol_overrides or {}
     for token in overrides:
         get_identity(token)
     entries: list[VerificationReport | SkippedPoint] = []
-    for ident in list_identities():
-        entries.extend(_reports(ident, ident.points or (None,), overrides.get(ident.id)))
+    with constants._memo_scope():
+        for ident in list_identities():
+            entries.extend(_reports(ident, ident.points or (None,), overrides.get(ident.id)))
     return entries
 
 

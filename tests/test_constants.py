@@ -10,7 +10,7 @@ from eulerlab.constants import (
     _exact_sum,
     _ln_4_over_pi_terms,
     _pairwise_sum,
-    _wallis_logs,
+    _series_terms,
     euler_formula_gamma,
     euler_gamma_series,
     glaisher_limit,
@@ -46,9 +46,21 @@ class TestPairwiseSum:
         # addition rounds differently
         rng = np.random.default_rng(count)
         values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-8.0, 8.0, count)
-        assert _pairwise_sum(lambda lo, hi: values[lo - 1 : hi - 1], count) == float(
-            np.sum(values)
+        assert _pairwise_sum(lambda lo, hi: (values[lo - 1 : hi - 1],), count) == (
+            float(np.sum(values)),
         )
+
+    @pytest.mark.parametrize("count", [1, 9, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 10**6])
+    def test_two_sums_each_equal_their_whole_array_sum_exactly(self, count):
+        # one walk, two arrays of different magnitudes: each sum is its own
+        # array's np.sum, as if it were walked alone
+        rng = np.random.default_rng(count)
+        a, b = (
+            rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(lo, lo + 16.0, count)
+            for lo in (-8.0, -20.0)
+        )
+        sums = _pairwise_sum(lambda lo, hi: (a[lo - 1 : hi - 1], b[lo - 1 : hi - 1]), count)
+        assert sums == (float(np.sum(a)), float(np.sum(b)))
 
     @pytest.mark.parametrize("count", [_BLOCK + 1, 2 * _BLOCK + 3])
     def test_routes_equal_their_one_array_formula(self, count):
@@ -61,8 +73,8 @@ class TestPairwiseSum:
     @pytest.mark.parametrize(
         "terms, unsigned",
         [
-            (_ln_4_over_pi_terms, lambda n: 1.0 / n - np.log1p(1.0 / n)),
-            (_wallis_logs, lambda n: np.log1p(1.0 / n)),
+            (lambda lo, hi: _ln_4_over_pi_terms(lo, hi)[0], lambda n: 1.0 / n - np.log1p(1.0 / n)),
+            (lambda lo, hi: _series_terms(lo, hi)[1], lambda n: np.log1p(1.0 / n)),
         ],
     )
     def test_block_signs_follow_the_global_parity(self, terms, unsigned, lo):

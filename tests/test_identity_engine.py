@@ -1,3 +1,4 @@
+import collections
 import csv
 import functools
 import importlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -387,6 +389,90 @@ class TestVerifyAll:
         again = verify_all()
         assert to_json(entries) == to_json(again)
         assert to_csv(entries) == to_csv(again)
+
+
+@pytest.fixture
+def shared_runs(monkeypatch):
+    """Count the runs of the bodies ``verify_all`` shares among identities.
+
+    Each body makes one call the others do not: the walk of the gamma and
+    Wallis series takes its first leaf, euler_formula_gamma(N) its N - 1
+    zeta values, glaisher_zeta its zeta'(-1).  The wrappers are installed
+    where the bodies look the callees up, under the memo.
+    """
+    runs = collections.Counter()
+    lock = threading.Lock()
+
+    def count(attr, name):
+        original = getattr(constants, attr)
+
+        def counting(*args):
+            key = name(*args)
+            if key is not None:
+                with lock:
+                    runs[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(constants, attr, counting)
+
+    count("_series_terms", lambda lo, hi: "walk" if lo == 1 else None)
+    count("eta_many", lambda s: f"euler_formula_gamma({len(s) + 1})")
+    count("zeta_prime", lambda s: "glaisher_zeta()")
+    return runs
+
+
+SHARED_ONCE = {"walk": 1, "euler_formula_gamma(50)": 1, "glaisher_zeta()": 1}
+
+
+class TestSharedConstants:
+    def test_verify_all_runs_each_shared_body_once_a_call(self, shared_runs):
+        # eq4 and wallis share the walk, eq2, eq4 and eq14 the reference
+        # gamma, eq9 and eq10 Glaisher's A
+        verify_all()
+        assert shared_runs == SHARED_ONCE
+        verify_all()
+        assert shared_runs == {key: 2 for key in SHARED_ONCE}
+
+    def test_outside_verify_all_every_call_computes(self, shared_runs):
+        for _ in range(2):
+            constants.euler_gamma_series(10**6)
+            constants.euler_formula_gamma(50)
+            constants.glaisher_zeta()
+        assert shared_runs == {key: 2 for key in SHARED_ONCE}
+
+    def test_scope_ends_with_its_block(self):
+        verify_all()
+        assert constants._MEMO.get(None) is None
+        with pytest.raises(RuntimeError):
+            with constants._memo_scope():
+                constants.glaisher_zeta()
+                raise RuntimeError
+        assert constants._MEMO.get(None) is None
+
+    def test_concurrent_calls_keep_their_own_scope(self, entries, shared_runs):
+        # more threads than cores, switching often: a memo shared between
+        # them would run a body fewer times than there are calls
+        count = 4
+        barrier = threading.Barrier(count)
+        texts = [None] * count
+
+        def run(i):
+            barrier.wait()
+            texts[i] = to_json(verify_all())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert texts == [to_json(entries)] * count
+        assert shared_runs == {key: count for key in SHARED_ONCE}
 
 
 class TestThreeRouteConsistency:

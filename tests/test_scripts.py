@@ -94,23 +94,55 @@ def test_bench_pairs_reads_seed_ranges():
 
 
 def test_bench_pairs_runs_each_side_without_its_bytecode(monkeypatch, tmp_path):
-    # every run reads and writes bytecode only in an empty directory of its own
-    caches = []
+    # a pair's runs read one prefix seeded with numpy's and the standard
+    # library's bytecode, hold none of the checkouts' own, and write none
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    library = Path("usr/lib/python3/numpy/__pycache__/__init__.cpython-311.pyc")
+    own = Path("src/eulerlab/__pycache__/constants.cpython-311.pyc")
+    seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        if argv[1:] == ["perfbench/setup_probe.py", "src"]:
+            assert "PYTHONDONTWRITEBYTECODE" not in env
+            for path in (prefix / library, prefix / cwd.resolve().relative_to("/") / own):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(b"bytecode")
+            return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+        assert argv[1] == "perfbench/run.py"
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-        assert cache.is_dir() and not any(cache.iterdir())
-        caches.append(cache)
+        files = sorted(path.relative_to(prefix) for path in prefix.rglob("*") if path.is_file())
+        seen.append((cwd, prefix, files))
         lines = [json.dumps({"info": {"workload": "w"}}), json.dumps({"correct": True})]
         return subprocess.CompletedProcess(argv, 0, stdout="\n".join(lines) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    for _ in range(2):
-        run = bench_pairs._run(tmp_path, "w", 1, 1.0, 0)
-        assert run == {"info": {"workload": "w"}, "result": {"correct": True}}
-    assert caches[0] != caches[1]
-    assert not any(cache.exists() for cache in caches)
+    for seed in (1, 2):
+        runs = bench_pairs.run_pair(sides, "w", seed, 1.0, 0)
+        assert list(runs) == (["parent", "change"] if seed % 2 else ["change", "parent"])
+        assert all(r == {"info": {"workload": "w"}, "result": {"correct": True}}
+                   for r in runs.values())
+    assert [cwd.name for cwd, _, _ in seen] == ["parent", "change", "change", "parent"]
+    for pair in (seen[:2], seen[2:]):
+        (_, prefix, files), (_, other, other_files) = pair
+        assert prefix == other and files == other_files == [library]
+    assert seen[0][1] != seen[2][1]
+    assert not any(prefix.exists() for _, prefix, _ in seen)
+
+
+def test_bench_pairs_keeps_the_other_keys_of_its_out_file(monkeypatch, tmp_path, capsys):
+    # constants_cost.py writes its rows into the same BENCH file first
+    names = [spec["name"] for spec in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    result = {"correct": True, "metrics": {name: {"value": 1.0} for name in names}}
+    monkeypatch.setattr(bench_pairs, "run_pair", lambda sides, *args: {
+        side: {"info": {}, "result": result} for side in sides})
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"constants_cost": {"rows": []}}))
+    assert bench_pairs.main([str(ROOT), str(ROOT), "--workload", "w", "--seeds", "1-2",
+                             "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["constants_cost"] == {"rows": []}
+    assert len(record["runs"]) == 4 and record["summary"]["w"]["pairs"] == 2
 
 
 def test_oracle_scripts_cover_their_functions():
