@@ -8,6 +8,12 @@ drifts over seconds, stays out of the ratio.  ``compare`` reduces two
 sides' times to their medians, the ratio of the medians and the share
 of rounds the second side won.  ``run`` runs Python in a fresh
 subprocess with a checkout's ``src/`` on the path.
+
+Imported, it sets numpy's BLAS to one thread, as ``perfbench/run.py``
+does, for this process and the checkouts ``run`` starts; a script that
+times calls imports it before numpy.  On a shared machine a
+multithreaded matrix product of a few dozen columns can cost tens of
+times its work.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ import sys
 import time
 from pathlib import Path
 from typing import Callable
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def load(checkout: Path, name: str, module: str):

@@ -35,9 +35,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ab import alternate, compare, load
+
+import numpy as np  # after ab, which pins BLAS to one thread
 
 BANDS = {"im<=2": (0.0, 2.0), "im30-60": (30.0, 60.0)}
 # the grid_eq15 workload's sweep, as identity_engine._grid_points builds it

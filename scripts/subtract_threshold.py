@@ -23,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+import ab  # noqa: F401  (pins BLAS to one thread before numpy is imported)
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from eulerlab import integral_forms  # noqa: E402

@@ -20,8 +20,9 @@ It also prints, per case and side, the integrand elements (nodes x
 points) the family's rows evaluate in one call of the case and the
 number of ``PowerRows.values`` calls (the path the timed rounds run),
 and the numbers of truncations (``core_numerics._truncation`` calls)
-and of ``QuadratureResult`` objects made: counts that do not depend on
-the machine.
+and of ``QuadratureResult`` records made (``QuadratureResult.__new__``
+calls, so both checkouts need its NamedTuple form): counts that do not
+depend on the machine.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def counts(engine, call) -> tuple[int, int, int, int]:
     numerics = sys.modules[engine.__name__.rpartition(".")[0] + ".core_numerics"]
     rows, result = numerics.PowerRows, numerics.QuadratureResult
     count = [0, 0, 0, 0]
-    saved = rows.values, numerics._truncation, result.__init__
+    saved = rows.values, numerics._truncation, vars(result)["__new__"]
 
     def values(self, params, x, factors):
         count[0] += len(params) * len(x)
@@ -76,15 +77,16 @@ def counts(engine, call) -> tuple[int, int, int, int]:
         count[2] += 1
         return saved[1](*args)
 
-    def init(*args, **kwargs):
+    def new(*args, **kwargs):
         count[3] += 1
-        saved[2](*args, **kwargs)
+        return saved[2](*args, **kwargs)
 
     try:
-        rows.values, numerics._truncation, result.__init__ = values, truncation, init
+        rows.values, numerics._truncation = values, truncation
+        result.__new__ = staticmethod(new)
         call()
     finally:
-        rows.values, numerics._truncation, result.__init__ = saved
+        rows.values, numerics._truncation, result.__new__ = saved
     return tuple(count)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import math
 import re as _re
 import sys
@@ -200,7 +199,7 @@ def _const_estimate(name: str, method: str | None, n: int | None):
 def cmd_const(args) -> tuple[int, str, str]:
     est = _const_estimate(args.name, args.method, args.n)
     if args.format != "text":
-        record = {"name": args.name, **dataclasses.asdict(est)}
+        record = {"name": args.name, **est._asdict()}
         return 0, identity_engine._record_output(record, args.format), ""
     bound = "unknown" if est.error_bound is None else fmt_real(est.error_bound)
     out = (

@@ -27,25 +27,18 @@ import functools
 import math
 from collections.abc import Callable, Iterator
 from contextvars import ContextVar
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .special_functions import _eta_zeta_factor, eta_many, zeta, zeta_prime
 
-METHODS = ("series", "limit_ratio", "closed_form", "zeta_route", "euler_formula")
 
-
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     value: float
     method: str
     terms_or_n: int
     error_bound: float | None
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 # 2**14 float64 terms, 128 KB a temporary, reused from leaf to leaf.  With

@@ -33,7 +33,6 @@ leading power subtract it and pass the regular remainder on (0, 1) as
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from itertools import chain, repeat, zip_longest
@@ -53,24 +52,7 @@ _T_CAP = 6.3            # node offsets underflow beyond |t| ~ 6.2
 _HALF_PI = math.pi / 2.0
 
 
-def _dict_init(cls):
-    # cls, a frozen dataclass without defaults, with an __init__ that fills
-    # __dict__ in one update; dataclass's sets each field through
-    # object.__setattr__ (QuadratureResult 0.87 against 0.60 us a record,
-    # VerificationReport 2.3 against 1.1 us).  Made from source text, as
-    # dataclasses makes its __init__.
-    names = [field.name for field in dataclasses.fields(cls)]
-    namespace: dict = {}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         f"    self.__dict__.update({', '.join(f'{n}={n}' for n in names)})", namespace)
-    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = namespace["__init__"]
-    return cls
-
-
-@_dict_init
-@dataclasses.dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Outcome of a numerical integration.
 
     ``converged`` guarantees ``abs_error_estimate <= tol`` for the

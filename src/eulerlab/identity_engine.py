@@ -20,8 +20,7 @@ import math
 import random
 import time
 import types
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import constants, core_numerics, integral_forms, special_functions
 from .errors import DomainError, EulerLabError, PoleError
@@ -39,8 +38,7 @@ RouteValue = tuple[complex, int] | core_numerics.QuadratureResult
 Route = Callable[[Sequence[complex | None], float], list[RouteValue]]
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One registry entry: what the identity states, and how to check it.
 
     ``lhs``/``rhs`` are the two routes.  ``points`` are the parameter
@@ -64,9 +62,7 @@ class Identity:
         return bool(self.points)
 
 
-@core_numerics._dict_init
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     s: complex | None
     lhs: complex
@@ -81,12 +77,11 @@ class VerificationReport:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class SkippedPoint:
+class SkippedPoint(NamedTuple):
     id: str
     s: complex
     reason: str
-    skipped: ClassVar[bool] = True
+    skipped = True  # written with the fields, but not one of them
 
 
 def _quad_tol(tol: float) -> float:
@@ -195,7 +190,7 @@ def _eq15_rhs(points, tol):
 def _eq16_lhs(s, tol):
     if s == 0.0:
         # the recurrence form divides by s; the point is a Gamma pole anyway
-        raise PoleError("pole of Gamma")
+        raise PoleError(f"pole of Gamma at s = {s}")
     return special_functions.gamma(s + 1.0) / s, 0
 
 
@@ -593,9 +588,10 @@ _FIELDS = (
     ("skipped", "skipped", False, bool),
     ("reason", "reason", False, str),
 )
-# ClassVars count as fields here; elapsed is not in the table.
+# A class attribute (SkippedPoint.skipped) is written as a field is; elapsed
+# is not in the table.
 _WRITTEN = {
-    cls: tuple(field for field in _FIELDS if field[0] in cls.__dataclass_fields__)
+    cls: tuple(field for field in _FIELDS if hasattr(cls, field[0]))
     for cls in (VerificationReport, SkippedPoint)
 }
 
@@ -640,8 +636,8 @@ _WRITERS = {
 def _writer(fields: Sequence[tuple], fmt: int, join: Callable) -> Callable[[Any], str]:
     # join of an entry's fields, each written by its kind's writer for fmt (0
     # JSON, 1 CSV), or as null or empty cells where it is None (the only value
-    # of a kind without writers).  Made from source text, as dataclasses makes
-    # __init__, it costs what a hand-written writer does; a loop is slower.
+    # of a kind without writers).  Made from source text, as namedtuple makes
+    # __new__, it costs what a hand-written writer does; a loop is slower.
     nulls = ["null" if fmt == 0 else "," * (len(_columns([f])) - 1) for f in fields]
     writers = [_WRITERS.get(kind, (None, None))[fmt] for *_, kind in fields]
     values = [f"e.{attr}" for attr, *_ in fields]

@@ -39,7 +39,7 @@ point.
 
 from __future__ import annotations
 
-import dataclasses
+import cmath
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -160,6 +160,8 @@ DOMAIN_MARGIN = 0.01  # the quadrature routes refuse points this close above the
 
 def _edge_reason(edge: float, s: complex) -> str | None:
     # why a quadrature route on Re(s) > edge refuses the point s, if it does
+    if not cmath.isfinite(s):
+        return f"non-finite argument s = {s}"
     if s.real <= edge:
         return f"outside Re(s) > {edge:g}"
     if s.real <= edge + DOMAIN_MARGIN:
@@ -178,8 +180,8 @@ def _reduced(family: _Family, s: complex, tol: float) -> QuadratureResult:
         return integrate_semi_infinite(far, tol, hint)
     power = s + family.c
     near = PowerKernel(family.near, (power,))  # t**power (psi(t) - psi0)
-    result = integrate_semi_infinite(far, tol, hint, near)
-    return dataclasses.replace(result, value=family.psi0 / (power + 1.0) + result.value)
+    value, *rest = integrate_semi_infinite(far, tol, hint, near)
+    return QuadratureResult(family.psi0 / (power + 1.0) + value, *rest)
 
 
 # From this many points on, I_minus_many, I_plus_many and fermi_dirac_many run their
@@ -200,6 +202,8 @@ def _reduced_many(
     if len(points) < _BATCH_MIN_POINTS:
         return [single(p, tol) for p in points]
     s = np.asarray(points, dtype=complex)
+    if not (finite := np.isfinite(s)).all():  # the first non-finite point
+        raise DomainError(_edge_reason(family.edge, s[~finite][0].item()))
     im = s.imag[abs(s.imag).argmax()].item()  # the largest in size
     if (reason := _edge_reason(family.edge, complex(s.real.min(), im))) is not None:
         raise DomainError(reason)

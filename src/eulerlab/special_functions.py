@@ -160,7 +160,7 @@ def gamma(s: complex) -> complex:
     """
     s = _finite(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        raise PoleError("pole of Gamma")
+        raise PoleError(f"pole of Gamma at s = {s}")
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
         try:
@@ -467,11 +467,14 @@ def _eta_zeta_factor(s: complex) -> complex:
 
 def _reject_bad_points(s: complex) -> None:
     if s == 1.0:
-        raise PoleError("pole of zeta")
+        raise PoleError(f"pole of zeta at s = {s}")
     # complex zeros of 1 - 2**(1-s) sit at s = 1 + 2 pi i k / ln 2, k != 0
     k = round(s.imag * _LN2 / _TWO_PI)
-    if k != 0 and abs(s - (1.0 + 2j * math.pi * k / _LN2)) < 1e-6:
-        raise IllConditionedError("ill-conditioned point")
+    if k != 0 and abs(s - (zero := 1.0 + 2j * math.pi * k / _LN2)) < 1e-6:
+        raise IllConditionedError(
+            f"ill-conditioned point s = {s}, near the zero 1 + 2 pi i k / ln 2 = {zero}"
+            f" (k = {k:g}) of 1 - 2**(1-s)"
+        )
 
 
 def _reject_cancelling_sum(s: complex) -> None:

@@ -17,7 +17,6 @@ import math
 import re
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +116,7 @@ def bits(result):
     return (
         result.value.real.hex(), result.value.imag.hex(),
         result.abs_error_estimate.hex(), result.evaluations, result.converged,
-        tuple(type(getattr(result, name)) for name in result.__dataclass_fields__),
+        tuple(type(getattr(result, name)) for name in result._fields),
     )
 
 
@@ -806,7 +805,7 @@ class TestBatchedSweep:
 
         def sweep(tol):
             got[tol] = [
-                e if isinstance(e, SkippedPoint) else replace(e, elapsed=0.0)
+                e if isinstance(e, SkippedPoint) else e._replace(elapsed=0.0)
                 for e in grid("eq15", *ranges, tol=tol)
             ]
 
@@ -823,6 +822,6 @@ class TestBatchedSweep:
         assert not any(thread.is_alive() for thread in threads)
         for tol in tols:
             assert got[tol] == [
-                e if isinstance(e, SkippedPoint) else replace(e, elapsed=0.0)
+                e if isinstance(e, SkippedPoint) else e._replace(elapsed=0.0)
                 for e in expected[tol]
             ]

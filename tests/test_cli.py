@@ -71,6 +71,11 @@ class TestEval:
         assert code == 1
         assert "pole of Gamma" in err
 
+    def test_gamma_pole_names_its_point(self, capsys):
+        code, _, err = run(capsys, "eval", "gamma", "-3")
+        assert code == 1
+        assert "pole of Gamma at s = (-3+0j)" in err
+
     def test_zeta_pole_exits_one(self, capsys):
         code, _, err = run(capsys, "eval", "zeta", "1")
         assert code == 1

@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import pytest
 
-from eulerlab import core_numerics, identity_engine, integral_forms
+from eulerlab import constants, core_numerics, identity_engine, integral_forms
 from eulerlab.core_numerics import PowerKernel, integrate_finite, integrate_semi_infinite
 from eulerlab.errors import DomainError, IntegrandError
 
@@ -283,30 +282,36 @@ RECORDS = {
         ("eq15", 0.5 + 1j, 1 + 1j, 1 + 1j, 0.0, 0.0, 1e-8, True, "lhs", "rhs", 133, 0.25),
         {"passed": False},
     ),
+    "SkippedPoint": (
+        identity_engine.SkippedPoint, ("eq15", -1 + 0j, "excluded point"), {"reason": "other"},
+    ),
+    "ConstantEstimate": (
+        constants.ConstantEstimate, (0.5772, "series", 10**6, 5e-7), {"terms_or_n": 7},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 class TestRecords:
-    # The records fill __dict__ in one update; they stay frozen dataclasses
-    # with the eq, hash, repr, fields and replace dataclass gives them.
+    # The records are NamedTuples: immutable, without a __dict__, with the
+    # eq, hash, repr, _fields and _replace a NamedTuple gives them.
     def test_setting_a_field_raises(self, name):
         cls, values, _ = RECORDS[name]
         record = cls(*values)
-        field = dataclasses.fields(cls)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, field, values[0])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, cls._fields[0])
+        assert not hasattr(record, "__dict__")
 
-    def test_equality_hash_and_repr_are_the_dataclasses(self, name):
+    def test_equality_hash_and_repr_are_the_namedtuples(self, name):
         cls, values, change = RECORDS[name]
-        record, names = cls(*values), [f.name for f in dataclasses.fields(cls)]
+        record, names = cls(*values), cls._fields
         assert record == cls(**dict(zip(names, values)))
         assert hash(record) == hash(tuple(values))
-        assert vars(record) == dict(zip(names, values))
+        assert record._asdict() == dict(zip(names, values))
         assert repr(record) == f"{name}(" + ", ".join(
             f"{n}={v!r}" for n, v in zip(names, values)) + ")"
-        changed = dataclasses.replace(record, **change)
+        changed = record._replace(**change)
         assert changed != record and hash(changed) != hash(record)
-        assert dataclasses.astuple(changed) == tuple(change.get(n, v) for n, v in zip(names, values))
+        assert tuple(changed) == tuple(change.get(n, v) for n, v in zip(names, values))

@@ -7,7 +7,6 @@ must converge and agree with the mpmath closed form; farther out the
 plain route and its evaluation counts are unchanged.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -236,7 +235,7 @@ class TestUnconvergedVerdict:
         original = integral_forms.I_minus
 
         def unconverged(s, tol):
-            return dataclasses.replace(original(s, tol), converged=False)
+            return original(s, tol)._replace(converged=False)
 
         right = verify("eq12", -1.5)
         monkeypatch.setattr(integral_forms, "I_minus", unconverged)
@@ -250,7 +249,7 @@ class TestUnconvergedVerdict:
         original = integral_forms.fermi_dirac
 
         def unconverged(s, tol):
-            return dataclasses.replace(original(s, tol), converged=False)
+            return original(s, tol)._replace(converged=False)
 
         assert main(["verify", "eq18", "--s=2", "--format=json"]) == 0
         capsys.readouterr()

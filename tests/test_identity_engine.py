@@ -9,7 +9,6 @@ import math
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -249,7 +248,7 @@ class TestGrid:
     ])
     def test_one_point_grid_equals_verify(self, token, s):
         entry, = grid(token, (s.real, s.real, 1.0), (s.imag, s.imag, 1.0))
-        assert replace(entry, elapsed=0.0) == replace(verify(token, s), elapsed=0.0)
+        assert entry._replace(elapsed=0.0) == verify(token, s)._replace(elapsed=0.0)
 
     def test_sweep_raises_the_first_failing_points_error(self, monkeypatch):
         # lhs fails at a later point than rhs; the sweep raises what

@@ -220,6 +220,21 @@ class TestKernelIntegrals:
             I_plus_many([0.5, complex(2.5, im), 1.0, complex(3.0, -1e300)], 1e-8)
         assert integral_forms._edge_reason(-3.0, complex(2.5, 2.5e305)) is None
 
+    @pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(1.0, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_non_finite_points_are_refused_by_name(self, s):
+        # as the special functions refuse them; before, the ladder ran and
+        # raised IntegrandError, and a NaN real part passed a batch's edge test
+        text = re.escape(f"non-finite argument s = {s}")
+        batch = [complex(0.5 + 0.25 * k, 0.5) for k in range(integral_forms._BATCH_MIN_POINTS)]
+        batch[5] = s
+        for route, many in ((I_plus, I_plus_many), (I_minus, integral_forms.I_minus_many),
+                            (fermi_dirac, integral_forms.fermi_dirac_many)):
+            with pytest.raises(DomainError, match=text):
+                route(s, 1e-8)
+            with pytest.raises(DomainError, match=text):
+                many(batch, 1e-8)
+
 
 class TestFermiDirac:
     def test_at_one_equals_ln2(self):

@@ -8,6 +8,7 @@ cases, so a rename that would break one fails the suite.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,37 @@ def test_sweep_cost_builds_and_counts_its_cases():
     elements, calls, truncations, results = sweep_cost.counts(
         engine, cases["batch eq18 lhs (16 points)"])
     assert elements > 0 and calls > 0 and truncations > 0 and results >= 16
+
+
+# the scripts that time calls in their own process
+TIMING_SCRIPTS = ("batch_threshold", "constants_cost", "eta_cost", "subtract_threshold",
+                  "sweep_cost")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# imports a script in a fresh interpreter, then numpy if the script did not,
+# and prints the BLAS settings seen when numpy was first imported
+NUMPY_IMPORT_PROBE = """
+import builtins, json, os, sys
+seen, real_import = [], builtins.__import__
+def probe(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy" and "numpy" not in sys.modules and not seen:
+        seen.append([os.environ.get(var) for var in %r])
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = probe
+sys.path.insert(0, %r)
+import %s
+import numpy
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("script", TIMING_SCRIPTS)
+def test_timing_scripts_pin_blas_threads_before_numpy(script):
+    # numpy's BLAS reads its thread count once, when numpy is first imported
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    probe = NUMPY_IMPORT_PROBE % (BLAS_THREADS, str(ROOT / "scripts"), script)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [["1", "1", "1"]]
 
 
 def test_load_refuses_a_name_holding_another_checkout(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import inspect
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -621,6 +622,16 @@ class TestZeta:
         bad = 1.0 + 2j * math.pi / math.log(2.0)
         with pytest.raises(IllConditionedError):
             zeta(bad + 1e-9)
+
+    def test_refusals_name_their_point(self):
+        with pytest.raises(PoleError, match=re.escape("pole of Gamma at s = (-3+0j)")):
+            gamma(-3)
+        with pytest.raises(PoleError, match=re.escape("pole of zeta at s = (1+0j)")):
+            zeta(1)
+        bad = 1.0 + 2j * math.pi / math.log(2.0)
+        with pytest.raises(IllConditionedError) as raised:
+            zeta(bad)
+        assert f"s = {bad}" in str(raised.value) and "(k = 1)" in str(raised.value)
 
     def test_product_relation(self):
         for s in [2.0, 3.0, -0.5, 0.5 + 2j, -2.5 + 1j, 4.0 - 2.5j]:
